@@ -473,7 +473,7 @@ def cmd_observe(cfg, out):
         sys_obj, 1.0 if not math.isfinite(rep.horizon) else rep.horizon
     )
     payload = rep.to_json()
-    payload["duality_spectral_gap"] = dual["spectral_gap"]
+    payload["duality_residual"] = dual["residual"]
     if rep.certificate is not None:
         payload["certificate"] = rep.certificate.to_json()
     write_json(os.path.join(out, "gramian.json"), payload)

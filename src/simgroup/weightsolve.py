@@ -8,29 +8,51 @@ role of the Stein inequality is played by the Lyapunov inequality
 ``A* P + P A <= 2 shift P``, which certifies ``norm(exp(tA))_P <=
 exp(shift * t)`` for all ``t >= 0`` at once.
 
-Feasibility at a fixed condition budget ``kappa`` is solved by
-minimizing the convex spectral penalty
+The squared constant is the optimum of the linear semidefinite program
+``min t`` over ``I <= P <= t I`` with the defect ``L(P) <= 0``.  Two
+engines solve it, chosen from properties of the input:
 
-    f(P) = max(eig_max(constraint defect))     over   I <= P <= kappa^2 I
+* **Strictly stable single-constraint targets up to dimension 32** go to
+  an exact interior-point engine (:mod:`simgroup._condition_sdp`).  A
+  closed-form weight (``I`` or the equation seed ``L^{-1}(-I)``) that
+  certifies the power/semigroup norm floor answers first; otherwise the
+  engine follows the barrier path from the equation seed and stops once
+  its strictly feasible weight and a re-checked dual-feasible point
+  bracket the constant within the relative ``tol``.  Fixed-budget
+  probes decide from the same bracket.  The engine's weight is a
+  certificate only if its recomputed penalty passes the same tolerance
+  as every other certificate; if it fails, or the bracket stalls before
+  ``tol`` (below about ``1e-9``), the bisection below continues from the
+  engine's bracket.
+* **Everything else** (several operators, marginal spectrum, larger
+  dimensions) keeps the first-order search: feasibility at a fixed
+  budget ``kappa`` minimizes the convex spectral penalty
 
-with a projected subgradient method using Polyak steps; the box is
-enforced exactly by eigenvalue clipping each iteration.  Stable targets
-are seeded with solutions of the corresponding Stein/Lyapunov *equation*
-(a feasible interior point), and bisection over ``kappa`` reuses the
-previous certificate as a warm start.  Certificates are always
-re-checked independently of the solver (:func:`certificate_check`);
-infeasibility of a probe never masquerades as a theorem: the verdict
-``unbounded`` is only ever backed by spectral or norm-growth evidence.
+      f(P) = max(eig_max(constraint defect))     over   I <= P <= kappa^2 I
+
+  with a projected subgradient method using Polyak steps, seeded with
+  closed-form weights, and a bisection over ``kappa`` reuses each
+  certificate as a warm start.  Its constants are certificate-backed
+  upper bounds; a probe that fails is not a proof of infeasibility, so
+  the bracket it reports is only as tight as the search.
+
+Every verdict carries a certified lower bound next to its constant.
+Certificates are always re-checked independently of the solver
+(:func:`certificate_check`); infeasibility of a probe never masquerades
+as a theorem: the verdict ``unbounded`` is only ever backed by spectral
+or norm-growth evidence.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError
+from . import _condition_sdp
+from .exceptions import DimensionError, SaturationError
 from .opcore import (
     as_matrix,
     growth_bound,
@@ -79,6 +101,10 @@ class SteinTarget:
         return self.operators[0].shape[0]
 
     def scale(self):
+        return self._scale
+
+    @cached_property
+    def _scale(self):
         return max(1.0, max(operator_norm(T) ** 2 for T in self.operators))
 
 
@@ -94,6 +120,10 @@ class LyapunovTarget:
         return self.generator.shape[0]
 
     def scale(self):
+        return self._scale
+
+    @cached_property
+    def _scale(self):
         return max(1.0, 2.0 * operator_norm(self.generator) + 2.0 * abs(self.shift))
 
 
@@ -145,6 +175,17 @@ class SimilarityVerdict:
     certificate.kappa``), ``unbounded`` (spectral or norm-growth
     obstruction, ``constant == inf``) or ``infeasible`` (no certificate
     found up to ``searched_kappa_max``; nothing is claimed beyond that).
+
+    ``lower`` is a certified lower bound on the true constant: the
+    largest probed power or semigroup norm, or, where the exact engine
+    decided the verdict, the objective of a re-checked dual-feasible
+    point of the condition-number SDP.  A ``finite`` verdict has
+    ``lower <= constant``, and one the engine decided has ``constant <=
+    (1 + tol) lower``.  Where the engine's bracket does not close to
+    ``tol`` (below its float64 floor of about ``1e-9``, or when rounding
+    stalls it), the bisection continues from the bracket: ``lower`` stays
+    the engine's bound and ``evidence`` records the bracket reached.
+    ``unbounded`` verdicts on spectral evidence carry ``lower == inf``.
     """
 
     status: str
@@ -152,6 +193,7 @@ class SimilarityVerdict:
     certificate: Optional[WeightCertificate]
     searched_kappa_max: float
     evidence: str = ""
+    lower: float = 1.0
 
     @property
     def finite(self):
@@ -161,6 +203,7 @@ class SimilarityVerdict:
         out = {
             "status": self.status,
             "constant": self.constant if math.isfinite(self.constant) else "inf",
+            "lower": self.lower if math.isfinite(self.lower) else "inf",
             "kappa_max_searched": self.searched_kappa_max,
             "residual": self.certificate.residual if self.certificate else None,
             "P": matrix_to_json(self.certificate.weight) if self.certificate else None,
@@ -642,6 +685,29 @@ def _effective_tol(target, kappa, tol):
     return max(tol, 8e-16 * target.scale() * kappa * kappa)
 
 
+def _closed_form_probe(target, candidates, kappa, tol):
+    """First probe of every feasibility path: closed-form weights.
+
+    ``candidates`` lie in the ``kappa`` box already; the first whose
+    penalty is within the effective ``tol`` certifies.  Returns
+    ``(result, best_P, best_f)``, where ``result`` is None unless a
+    candidate certifies or the box is the singleton ``{I}``, which
+    leaves nothing to search.
+    """
+    best_P = None
+    best_f = np.inf
+    for P0 in candidates:
+        f0 = _penalty(target, P0)
+        if f0 < best_f:
+            best_f, best_P = f0, P0
+        if f0 <= tol:
+            cert = WeightCertificate(P0, _kappa_of(P0), max(f0, 0.0))
+            return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
+    if kappa * kappa <= 1.0 + 1e-14:
+        return FeasibilityResult(None, best_f, 0), best_P, best_f
+    return None, best_P, best_f
+
+
 def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=None):
     """Fixed-budget feasibility: seeds, restoration, then subgradients.
 
@@ -674,20 +740,9 @@ def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=N
     if sseed is not None:
         candidates.append(_project_box(sseed, kappa2))
 
-    best_P = None
-    best_f = np.inf
-    for P0 in candidates:
-        f0 = _penalty(target, P0)
-        if f0 < best_f:
-            best_f, best_P = f0, P0
-        if f0 <= tol:
-            return FeasibilityResult(
-                WeightCertificate(P0, _kappa_of(P0), max(f0, 0.0)), max(f0, 0.0), 0
-            )
-
-    if kappa2 <= 1.0 + 1e-14:
-        # box is the singleton {I}; nothing to iterate
-        return FeasibilityResult(None, best_f, 0)
+    done, best_P, best_f = _closed_form_probe(target, candidates, kappa, tol)
+    if done is not None:
+        return done
 
     nearest = None
     stable = _is_strictly_stable(target)
@@ -775,6 +830,132 @@ def _merge_nearest(a, b):
 
 
 # ---------------------------------------------------------------------------
+# exact engine for strictly stable single-constraint targets
+
+#: Largest dimension the exact engine takes: its Newton system has
+#: ``n^2`` unknowns, so a factorization costs ``O(n^6)``.
+_ENGINE_DIM_LIMIT = 32
+
+
+def _in_engine_regime(target):
+    return target.dim <= _ENGINE_DIM_LIMIT and _is_strictly_stable(target)
+
+
+def _constraint_terms(target):
+    """``L(X) = sum s M* X N`` for the defect map of a single-constraint target."""
+    I = np.eye(target.dim, dtype=_native_dtype(target))
+    if isinstance(target, SteinTarget):
+        T = target.operators[0]
+        return [(T, T, 1.0), (I, I, -1.0)]
+    Abar = target.generator - target.shift * I
+    return [(Abar, I, 1.0), (I, Abar, 1.0)]
+
+
+def _engine_first_probe(target, seed, kappa, tol):
+    """:func:`_closed_form_probe` with ``I`` and the clipped equation seed."""
+    I = np.eye(target.dim, dtype=_native_dtype(target))
+    candidates = [I, _project_box(seed, kappa * kappa)]
+    return _closed_form_probe(target, candidates, kappa, _effective_tol(target, kappa, tol))
+
+
+def _engine_solve(target, seed, tol, feas_tol, budget=None):
+    """Engine bracket with its weight as a certificate, or None for the weight.
+
+    The weight is strictly feasible in exact arithmetic; it is returned
+    only if its recomputed penalty also passes the tolerance every other
+    certificate passes.
+    """
+    res = _condition_sdp.solve(_constraint_terms(target), seed, tol, budget=budget)
+    f = _penalty(target, res.weight)
+    if f > _effective_tol(target, res.kappa, feas_tol):
+        return res, None
+    return res, WeightCertificate(res.weight, res.kappa, max(f, 0.0))
+
+
+def _engine_constant(target, floor, tol, kappa_max, feas_tol, maxiter):
+    """Verdict from the exact engine, or None without an equation seed.
+
+    A closed-form weight certifying the norm floor answers first, so
+    contractions and other floor-attaining operators stay exact and
+    instant; otherwise the condition-number SDP is bracketed to relative
+    width ``tol``.  If the bracket does not close (``tol`` below the
+    float64 floor, or a numerically singular Newton system), the
+    bisection continues from it, and ``evidence`` records the bracket.
+    """
+    seed = _equation_seed(target)
+    if seed is None:
+        return None
+    done, _, _ = _engine_first_probe(target, seed, floor, feas_tol)
+    if done is not None and done.certificate is not None:
+        cert = done.certificate
+        return SimilarityVerdict("finite", cert.kappa, cert, floor, lower=min(floor, cert.kappa))
+    res, cert = _engine_solve(target, seed, tol, feas_tol)
+    # the floor may exceed the constant by rounding; the dual bound may not
+    lower = max(min(floor, res.kappa), res.lower)
+    if lower > kappa_max:
+        return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=lower)
+    if cert is not None and cert.kappa <= (1.0 + tol) * lower:
+        if cert.kappa > kappa_max * (1.0 + 1e-9):
+            return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=lower)
+        return SimilarityVerdict("finite", cert.kappa, cert, cert.kappa, lower=lower)
+    if cert is None:
+        evidence = f"engine weight at kappa {res.kappa:.15g} failed the feasibility tolerance"
+    else:
+        evidence = f"engine bracket [{lower:.15g}, {res.kappa:.15g}] wider than tol {tol:.3g}"
+    if cert is not None and cert.kappa > kappa_max:
+        # above the budget it would stop the bisection's bracket search
+        cert = None
+    status, cert, searched = _bisect_constant(
+        target, lower, kappa_max, tol, feas_tol, maxiter, upper=cert
+    )
+    if status != "finite":
+        return SimilarityVerdict("infeasible", math.inf, None, searched, evidence, lower=lower)
+    return SimilarityVerdict(
+        "finite", cert.kappa, cert, searched, evidence, lower=min(lower, cert.kappa)
+    )
+
+
+def _engine_feasibility(target, kappa, tol):
+    """Fixed-budget answer from the engine's bracket, or None to search instead.
+
+    The engine runs until its bracket puts the constant below the budget
+    (certificate) or above it (no certificate).  A budget within float64
+    resolution of the constant is decided by the box-clipped weight
+    against the feasibility tolerance.  Without an equation seed, a
+    certificate that fails the tolerance, or a bracket that stalled
+    around the budget, the first-order search answers.
+    """
+    seed = _equation_seed(target)
+    if seed is None:
+        return None
+    done, _, best_f = _engine_first_probe(target, seed, kappa, tol)
+    if done is not None:
+        return done
+    res, nearest = _engine_solve(target, seed, 0.0, tol, budget=kappa)
+    if nearest is None:
+        return None
+    if res.kappa <= kappa:
+        return FeasibilityResult(nearest, nearest.residual, res.iterations, nearest)
+    P = _project_box(res.weight, kappa * kappa)
+    f = _penalty(target, P)
+    if res.lower <= kappa:
+        if res.kappa > (1.0 + _condition_sdp.GAP_FLOOR) * res.lower:
+            return None
+        if f <= _effective_tol(target, kappa, tol):
+            cert = WeightCertificate(P, _kappa_of(P), max(f, 0.0))
+            return FeasibilityResult(cert, cert.residual, res.iterations, cert)
+    return FeasibilityResult(None, min(f, best_f), res.iterations, nearest)
+
+
+def _feasibility(target, kappa, tol, maxiter, warm):
+    if _in_engine_regime(target):
+        res = _engine_feasibility(target, kappa, tol)
+        if res is not None:
+            return res
+    return _self_warming_solve(target, kappa, tol, maxiter, warm)
+
+
+# ---------------------------------------------------------------------------
 # public feasibility surface
 
 
@@ -797,7 +978,9 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     FeasibilityResult
         ``certificate`` is None when no weight was found within the
         iteration budget; ``best_residual`` reports how close the search
-        came.
+        came.  For one strictly stable operator of dimension up to 32
+        the answer is exact: the engine's bracket decides it, and
+        ``maxiter`` and ``warm`` are not used.
     """
     ops = tuple(as_matrix(T, f"operators[{i}]") for i, T in enumerate(operators))
     if not ops:
@@ -809,14 +992,16 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     target = _realified(SteinTarget(ops))
     if tol is None:
         tol = _default_tol(target)
-    return _self_warming_solve(target, kappa, tol, maxiter, warm)
+    return _feasibility(target, kappa, tol, maxiter, warm)
 
 
 def lyapunov_feasible(A, shift, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=None):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``A*P + PA <= 2 shift P``.
 
     A certificate makes ``exp(-shift t) exp(tA)`` a joint contraction in
-    the ``P`` inner product for all ``t >= 0``.
+    the ``P`` inner product for all ``t >= 0``.  As for
+    :func:`stein_feasible`, a strictly stable ``A - shift I`` of dimension
+    up to 32 is decided exactly by the engine's bracket.
     """
     A = as_matrix(A, "generator")
     if kappa < 1.0:
@@ -824,7 +1009,7 @@ def lyapunov_feasible(A, shift, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=N
     target = _realified(LyapunovTarget(A, float(shift)))
     if tol is None:
         tol = _default_tol(target)
-    return _self_warming_solve(target, kappa, tol, maxiter, warm)
+    return _feasibility(target, kappa, tol, maxiter, warm)
 
 
 def _self_warming_solve(target, kappa, tol, maxiter, warm):
@@ -878,24 +1063,31 @@ def _discrete_norm_floor(T, kappa_max):
     for _ in range(40):
         nrm = operator_norm(M)
         lb = max(lb, nrm)
-        if nrm > kappa_max or not np.isfinite(nrm) or nrm > 1e30:
+        # norm(T^(2k)) <= norm(T^k)^2: once a probed norm is <= 1 no later
+        # square can raise the floor
+        if nrm <= 1.0 or nrm > kappa_max or not np.isfinite(nrm) or nrm > 1e30:
             break
         M = M @ M
     return lb
 
 
 def _continuous_norm_floor(A, shift, kappa_max):
-    """Lower bound on the shifted joint constant from a log time grid."""
+    """Lower bound on the shifted joint constant from a log time grid.
+
+    Returns inf when a sampled exponential overflows the floating-point
+    range; every other error propagates.
+    """
     Abar = A - shift * np.eye(A.shape[0])
     sem = semigroup_from_generator(Abar)
     lb = 1.0
     for t in np.logspace(-2, 8, 41):
         try:
-            nrm = operator_norm(sem.eval(t))
-        except Exception:
+            E = sem.eval(t)
+        except (SaturationError, OverflowError, FloatingPointError):
             return np.inf
-        if not np.isfinite(nrm):
+        if not np.all(np.isfinite(E)):
             return np.inf
+        nrm = operator_norm(E)
         lb = max(lb, nrm)
         if lb > kappa_max:
             break
@@ -906,14 +1098,15 @@ def _continuous_norm_floor(A, shift, kappa_max):
 # bisection driver
 
 
-def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter):
+def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper=None):
     """Log-scale bisection over kappa with warm-started feasibility probes.
 
     An infeasible probe may still surface a certificate slightly above
     its budget (see :class:`FeasibilityResult`); the upper bracket is
     tightened with every certificate seen, so the reported constant is
-    always backed by an actual weight.  Returns ``(verdict_status,
-    certificate, searched_kappa_max)``.
+    always backed by an actual weight.  ``upper`` is a certificate known
+    in advance.  Returns ``(verdict_status, certificate,
+    searched_kappa_max)``.
     """
     lower = max(1.0, lower)
     warm = None
@@ -926,19 +1119,20 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter):
         res = _solve_feasibility(
             target, kap, feas_tol, maxiter, warm=warm, qwarm=qwarm, ctx=ctx
         )
-        absorb(res)
+        absorb(res.certificate)
+        absorb(res.nearest)
         return res
 
-    def absorb(res):
+    def absorb(cert):
         nonlocal best_cert, warm, qwarm
-        for cert in (res.certificate, res.nearest):
-            if cert is not None and (best_cert is None or cert.kappa < best_cert.kappa):
-                best_cert = cert
-                warm = cert.weight
-                if stable:
-                    D = _defects(target, cert.weight)[0]
-                    qwarm = -0.5 * (D + D.conj().T)
+        if cert is not None and (best_cert is None or cert.kappa < best_cert.kappa):
+            best_cert = cert
+            warm = cert.weight
+            if stable:
+                D = _defects(target, cert.weight)[0]
+                qwarm = -0.5 * (D + D.conj().T)
 
+    absorb(upper)
     res = probe(lower)
     if res:
         return "finite", best_cert, lower
@@ -984,15 +1178,33 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter):
     return "finite", best_cert, hi
 
 
+def _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter):
+    """Finite or infeasible verdict above the certified ``floor``."""
+    if feas_tol is None:
+        feas_tol = _default_tol(target)
+    if _in_engine_regime(target):
+        verdict = _engine_constant(target, floor, tol, kappa_max, feas_tol, maxiter)
+        if verdict is not None:
+            return verdict
+    status, cert, searched = _bisect_constant(target, floor, kappa_max, tol, feas_tol, maxiter)
+    if status != "finite":
+        return SimilarityVerdict("infeasible", math.inf, None, searched, lower=floor)
+    return SimilarityVerdict("finite", cert.kappa, cert, searched, lower=min(floor, cert.kappa))
+
+
 def discrete_similarity_constant(
     T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None, maxiter=MAXITER_DEFAULT
 ):
     """Similarity constant C(T) of a single operator, with certificate.
 
-    Bisects the condition budget over the power-closed singleton ``{T}``:
-    a Stein certificate for ``T`` covers every power ``T^k`` by
-    congruence, so no explicit power constraints are needed.  ``tol`` is
-    the relative bracket width.
+    Minimizes the condition number of a Stein certificate for ``T``,
+    which covers every power ``T^k`` by congruence, so no explicit power
+    constraints are needed.  ``tol`` is the relative bracket width: for
+    strictly stable ``T`` of dimension up to 32 the exact engine returns
+    ``lower <= C(T) <= constant <= (1 + tol) lower`` whenever its bracket
+    closes (see :class:`SimilarityVerdict` for when it cannot); other
+    operators are bisected over the condition budget (see the module
+    notes).
 
     Verdicts: ``unbounded`` on spectral evidence (``r(T) > 1``, or power
     norms exceeding the budget, which bound C(T) from below); otherwise
@@ -1002,7 +1214,12 @@ def discrete_similarity_constant(
     r = spectral_radius(T)
     if r > 1.0 + 1e-10:
         return SimilarityVerdict(
-            "unbounded", math.inf, None, 0.0, evidence=f"spectral radius {r:.12g} > 1"
+            "unbounded",
+            math.inf,
+            None,
+            0.0,
+            evidence=f"spectral radius {r:.12g} > 1",
+            lower=math.inf,
         )
     floor = _discrete_norm_floor(T, kappa_max)
     if floor > kappa_max:
@@ -1012,14 +1229,10 @@ def discrete_similarity_constant(
             None,
             kappa_max,
             evidence=f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)",
+            lower=floor,
         )
     target = _realified(SteinTarget((T,)))
-    if feas_tol is None:
-        feas_tol = _default_tol(target)
-    status, cert, searched = _bisect_constant(target, floor, kappa_max, tol, feas_tol, maxiter)
-    if status != "finite":
-        return SimilarityVerdict("infeasible", math.inf, None, searched)
-    return SimilarityVerdict("finite", cert.kappa, cert, searched)
+    return _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter)
 
 
 def _shifted_constant(A, shift, tol, kappa_max, feas_tol, maxiter):
@@ -1032,6 +1245,7 @@ def _shifted_constant(A, shift, tol, kappa_max, feas_tol, maxiter):
             None,
             0.0,
             evidence=f"growth bound {gb:.12g} exceeds shift {shift:.12g}",
+            lower=math.inf,
         )
     floor = _continuous_norm_floor(A, shift, kappa_max)
     if floor > kappa_max:
@@ -1041,14 +1255,10 @@ def _shifted_constant(A, shift, tol, kappa_max, feas_tol, maxiter):
             None,
             kappa_max,
             evidence="semigroup norms exceed the budget (marginal defective spectrum)",
+            lower=floor,
         )
     target = _realified(LyapunovTarget(A, float(shift)))
-    if feas_tol is None:
-        feas_tol = _default_tol(target)
-    status, cert, searched = _bisect_constant(target, floor, kappa_max, tol, feas_tol, maxiter)
-    if status != "finite":
-        return SimilarityVerdict("infeasible", math.inf, None, searched)
-    return SimilarityVerdict("finite", cert.kappa, cert, searched)
+    return _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter)
 
 
 def joint_similarity_constant(
@@ -1057,8 +1267,9 @@ def joint_similarity_constant(
     """Joint similarity constant of the semigroup ``t -> exp(tA)``.
 
     A Lyapunov certificate ``A*P + PA <= 0`` renorms every ``exp(tA)``
-    into a contraction simultaneously; bisection over the condition
-    budget yields the constant within relative ``tol``.
+    into a contraction simultaneously; the constant is the smallest
+    condition number of such a certificate, found within relative
+    ``tol`` as in :func:`discrete_similarity_constant`.
     """
     return _shifted_constant(A, 0.0, tol, kappa_max, feas_tol, maxiter)
 

@@ -300,12 +300,12 @@ def test_criterion_10_control_round_trips():
             worst_cocycle, operator_norm(Gst - (Gs + Es.conj().T @ Gt @ Es))
         )
         worst_dual = max(
-            worst_dual, duality_check(ObservedSystem(A, C), 1.0)["spectral_gap"]
+            worst_dual, duality_check(ObservedSystem(A, C), 1.0)["residual"]
         )
     ok = worst_rt <= 1e-8 and worst_cocycle <= 1e-9 and worst_dual <= 1e-10
     report(
         10,
-        "defect/Gramian round trip 1e-8, cocycle 1e-9, duality spectra 1e-10",
+        "defect/Gramian round trip 1e-8, cocycle 1e-9, Gramian identity 1e-10",
         ok,
         f"rt={worst_rt:.1e} cocycle={worst_cocycle:.1e} dual={worst_dual:.1e}",
     )

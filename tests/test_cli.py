@@ -85,7 +85,7 @@ class TestObserveAndNaboko:
         payload = json.loads((tmp_path / "gramian.json").read_text())
         assert payload["horizon"] == "inf"
         assert abs(payload["gramian"]["re"][0][0] - 1.0) <= 1e-9
-        assert payload["duality_spectral_gap"] <= 1e-9
+        assert payload["duality_residual"] <= 1e-9
 
     def test_infinite_horizon_precondition_exit_five(self, tmp_path):
         assert (

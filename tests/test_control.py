@@ -5,6 +5,7 @@ import pytest
 
 from simgroup.control import (
     ObservedSystem,
+    _gramian_identity_residual,
     cesaro_orbit_mean,
     defect_observation,
     duality_check,
@@ -142,16 +143,30 @@ class TestDuality:
             n = A.shape[0]
             C = np.ones((2, n)) / n
             d = duality_check(ObservedSystem(A, C), 1.0)
-            assert d["spectral_gap"] <= 1e-10
+            assert d["residual"] <= 1e-10
 
     def test_zero_both_zero(self):
         d = duality_check(ObservedSystem(np.diag([-1.0, -1.0]), np.zeros((1, 2))), 1.0)
-        assert d["spectral_gap"] <= 1e-14
+        assert d["residual"] <= 1e-14
         assert max(d["obs_eigs"]) <= 1e-14
 
     def test_identity_case(self):
         d = duality_check(ObservedSystem(np.zeros((2, 2)), np.eye(2)), 1.0)
         assert max(abs(x - 1.0) for x in d["obs_eigs"]) <= 1e-12
+
+    def test_perturbed_gramian_fails(self, stable_corpus):
+        for A in stable_corpus[:4]:
+            n = A.shape[0]
+            C = np.ones((2, n)) / n
+            Q = C.T @ C
+            G = gramian_integral(A, Q, 1.0)
+            assert _gramian_identity_residual(A, Q, G, 1.0) <= 1e-10
+            bumped = G + 1e-6 * operator_norm(G) * np.eye(n)
+            assert _gramian_identity_residual(A, Q, bumped, 1.0) >= 1e-8
+
+    def test_gramian_dimension_checked(self):
+        with pytest.raises(DimensionError):
+            _gramian_identity_residual(JORDAN, np.eye(2), np.eye(3), 1.0)
 
 
 class TestNaboko:

@@ -1,10 +1,14 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from simgroup.exceptions import DimensionError
+from simgroup import weightsolve
+from simgroup.exceptions import DimensionError, SaturationError
+from simgroup.gallery import DyadicSequence, lemerdy_semigroup, packel_nilpotent_compression
 from simgroup.opcore import expm_semigroup, numerical_abscissa, operator_norm
 from simgroup.weightsolve import (
     LyapunovTarget,
@@ -212,7 +216,8 @@ class TestGridOracleAgreement:
         """Exhaustive 2x2 sweep with integer entries in {-2..2}.
 
         The solver and the weight-grid oracle must agree within 1e-2 on
-        every instance they both decide finite; solver-unbounded
+        every instance they both decide finite, and the verdict's
+        certified lower bound must not exceed the oracle; solver-unbounded
         instances must yield an empty oracle grid.
         """
         vals = (-2, -1, 0, 1, 2)
@@ -224,6 +229,7 @@ class TestGridOracleAgreement:
             if v.finite:
                 checked += 1
                 assert math.isfinite(oracle), f"oracle missed feasible weight for {entries}"
+                assert v.lower <= oracle * (1.0 + 1e-7), (entries, v.lower, oracle)
                 assert abs(v.constant - oracle) <= 1e-2 * max(1.0, oracle), (
                     entries,
                     v.constant,
@@ -232,3 +238,204 @@ class TestGridOracleAgreement:
             else:
                 assert not math.isfinite(oracle), (entries, oracle)
         assert checked > 80
+
+
+def _packel_step(k):
+    N = packel_nilpotent_compression(DyadicSequence.powers_of_two("Zminus", k), 1.0)
+    return N.eval(N.step)
+
+
+_RAND3 = np.array([[0.5, 3.0, 1.0], [0.0, -0.4, 2.0], [0.0, 0.0, 0.2]])
+
+
+def _assert_bracket(v, tol):
+    assert v.finite
+    assert v.lower <= v.constant <= (1.0 + tol) * v.lower
+
+
+def _feasibility_tol(target, kappa):
+    return max(1e-8 * target.scale(), 8e-16 * target.scale() * kappa * kappa)
+
+
+class TestConditionEngine:
+    """Exact SDP engine on strictly stable single-operator targets, n <= 32."""
+
+    @pytest.mark.parametrize("kind", ["stein", "lyapunov"])
+    def test_grid_oracle_within_tol(self, kind):
+        rng = np.random.default_rng(31)
+        tol = 1e-4
+        decided = 0
+        for _ in range(8):
+            a, b = rng.uniform(-0.9, 0.9, 2)
+            c = rng.uniform(2.0, 6.0)
+            Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            M = Q @ np.array([[a, c], [0.0, b]]) @ Q.T
+            if kind == "stein":
+                v = discrete_similarity_constant(M, tol=tol)
+            else:
+                M = M - np.eye(2)
+                v = joint_similarity_constant(M, tol=tol)
+            oracle = grid_similarity_constant(M, kind=kind)
+            _assert_bracket(v, tol)
+            # the oracle minimizes over grid weights feasible to 1e-11, so
+            # up to its grid refinement it is an upper bound as well
+            assert v.lower <= oracle * (1.0 + 1e-7)
+            assert abs(v.constant - oracle) <= tol * oracle
+            decided += v.constant > 1.0 + 1e-6
+        assert decided >= 6
+
+    @pytest.mark.parametrize(
+        "make, exact, tol",
+        [
+            (lambda: discrete_similarity_constant(_packel_step(3), tol=1e-4), 2.1538, 1e-4),
+            (lambda: discrete_similarity_constant(_packel_step(4), tol=1e-4), 2.3685, 1e-4),
+            (lambda: joint_similarity_constant(lemerdy_semigroup(8).generator, tol=1e-3), 1.5260, 1e-3),
+        ],
+        ids=["packel_k3", "packel_k4", "lemerdy_8_joint"],
+    )
+    def test_exact_values_pinned(self, make, exact, tol):
+        v = make()
+        _assert_bracket(v, tol)
+        # ``exact`` is rounded to four decimals
+        assert v.lower <= exact + 5e-5
+        assert v.constant >= exact - 5e-5
+
+    def test_feasible_budget_just_above_constant(self):
+        # the bisection solver found no certificate at 1.01 times a
+        # feasible kappa for this operator
+        T = _packel_step(3)
+        res = stein_feasible([T], 1.01 * 2.1538)
+        assert res
+        rep = certificate_check(res.certificate, SteinTarget((T.real,)))
+        assert rep.kappa <= 1.01 * 2.1538
+        assert rep.worst <= _feasibility_tol(SteinTarget((T.real,)), rep.kappa)
+        assert not stein_feasible([T], 0.99 * 2.1538)
+
+    def test_unreachable_tol_continues_by_bisection(self):
+        # float64 iterates cannot close a bracket of relative width 1e-14
+        T = _packel_step(3)
+        v = discrete_similarity_constant(T, tol=1e-14)
+        assert v.finite
+        assert v.evidence.startswith("engine bracket")
+        assert v.lower <= v.constant <= discrete_similarity_constant(T, tol=1e-9).constant
+        assert abs(v.lower - 2.1538) <= 5e-5
+        target = SteinTarget((T.real,))
+        rep = certificate_check(v.certificate, target)
+        assert rep.worst <= _feasibility_tol(target, v.constant)
+
+    def test_engine_weight_off_the_cone_is_not_returned(self, monkeypatch):
+        solve = weightsolve._condition_sdp.solve
+
+        def off_cone(terms, seed, tol, budget=None):
+            res = solve(terms, seed, tol, budget=budget)
+            res.weight = np.eye(len(seed))
+            return res
+
+        monkeypatch.setattr(weightsolve._condition_sdp, "solve", off_cone)
+        T = _RAND3
+        v = discrete_similarity_constant(T, tol=1e-4)
+        assert v.finite
+        assert v.evidence.startswith("engine weight")
+        assert v.lower <= v.constant
+        rep = certificate_check(v.certificate, SteinTarget((T,)))
+        assert rep.worst <= _feasibility_tol(SteinTarget((T,)), v.constant)
+        assert abs(rep.kappa - v.constant) <= 1e-9 * v.constant
+
+    def test_stalled_bracket_falls_back(self, monkeypatch):
+        def stalled(terms, seed, tol, budget=None):
+            return weightsolve._condition_sdp.SdpResult(seed, weightsolve._kappa_of(seed), 1.0, 1)
+
+        monkeypatch.setattr(weightsolve._condition_sdp, "solve", stalled)
+        searched = []
+        search = weightsolve._self_warming_solve
+        monkeypatch.setattr(
+            weightsolve, "_self_warming_solve", lambda *a: searched.append(a) or search(*a)
+        )
+        T = _RAND3
+        constant = discrete_similarity_constant(T, tol=1e-4)
+        assert constant.evidence.startswith("engine bracket")
+        assert constant.lower <= constant.constant
+        budget = 1.05 * constant.constant
+        res = stein_feasible([T], budget)
+        assert searched
+        if res:
+            rep = certificate_check(res.certificate, SteinTarget((T,)))
+            assert rep.kappa <= budget * (1.0 + 1e-9)
+
+    def test_n32_within_five_seconds(self):
+        rng = np.random.default_rng(32)
+        M = rng.standard_normal((32, 32)) / math.sqrt(32)
+        A = M - (np.max(np.linalg.eigvals(M).real) + 0.3) * np.eye(32)
+        start = time.perf_counter()
+        v = joint_similarity_constant(A, tol=1e-3)
+        elapsed = time.perf_counter() - start
+        _assert_bracket(v, 1e-3)
+        assert v.constant > 1.0 + 1e-3
+        assert elapsed < 5.0
+
+    def test_verdict_json_carries_lower(self):
+        v = joint_similarity_constant(JORDAN, tol=1e-4)
+        out = v.to_json()
+        assert out["lower"] == v.lower
+        assert 2.0 * (1 - 1e-4) <= v.lower <= 2.0 <= v.constant
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        complex_entries=st.booleans(),
+        discrete=st.booleans(),
+        margin=st.floats(0.05, 1.0),
+    )
+    def test_bracket_properties(self, seed, n, complex_entries, discrete, margin):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n)) * 2.0 / math.sqrt(n)
+        if complex_entries:
+            M = M + 1j * rng.standard_normal((n, n)) * 2.0 / math.sqrt(n)
+        A = M - (np.max(np.linalg.eigvals(M).real) + margin) * np.eye(n)
+        tol = 1e-3
+        if discrete:
+            T = expm_semigroup(A, 0.5)
+            v = discrete_similarity_constant(T, tol=tol)
+            target = SteinTarget((T,))
+            floor = operator_norm(T)
+        else:
+            v = joint_similarity_constant(A, tol=tol)
+            target = LyapunovTarget(A, 0.0)
+            floor = max(operator_norm(expm_semigroup(A, t)) for t in np.geomspace(0.01, 10, 30))
+        _assert_bracket(v, tol)
+        rep = certificate_check(v.certificate, target)
+        assert rep.worst <= 2.0 * _feasibility_tol(target, v.constant)
+        assert abs(rep.kappa - v.constant) <= 1e-6 * v.constant
+        assert v.constant >= floor * (1.0 - 1e-9)
+        seed_weight = weightsolve._equation_seed(weightsolve._realified(target))
+        assert v.constant <= weightsolve._kappa_of(seed_weight) * (1.0 + 1e-9)
+
+
+class TestNormFloorErrors:
+    def _failing_semigroup(self, monkeypatch, exc):
+        class Failing:
+            def eval(self, t):
+                raise exc
+
+        monkeypatch.setattr(weightsolve, "semigroup_from_generator", lambda A: Failing())
+
+    def test_other_errors_propagate(self, monkeypatch):
+        self._failing_semigroup(monkeypatch, RuntimeError("solver bug"))
+        with pytest.raises(RuntimeError, match="solver bug"):
+            joint_similarity_constant(JORDAN)
+
+    def test_saturation_is_growth_evidence(self, monkeypatch):
+        self._failing_semigroup(monkeypatch, SaturationError("overflow"))
+        v = joint_similarity_constant(JORDAN)
+        assert v.status == "unbounded"
+
+
+class TestTargetScale:
+    def test_scale_computed_once(self, monkeypatch):
+        assert SteinTarget((RANK_ONE,)).scale() == 4.0
+        target = LyapunovTarget(JORDAN, 0.5)
+        expected = max(1.0, 2.0 * operator_norm(JORDAN) + 1.0)
+        assert target.scale() == expected
+        monkeypatch.setattr(weightsolve, "operator_norm", lambda T: pytest.fail("recomputed"))
+        assert target.scale() == expected
