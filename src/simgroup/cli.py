@@ -196,9 +196,11 @@ def cmd_constant(cfg, out):
 
 
 def cmd_classify(cfg, out):
-    family = None
+    # a gallery family has no single matrix generator: only its family
+    # curve is reported, with no case and no joint verdict
+    family = A = None
     if cfg.has("gallery"):
-        family, A = _gallery_family(cfg)
+        family = _gallery_family(cfg)
     else:
         A = cfg.load_matrix("matrix")
     t_grid = cfg.get_grid("t_grid", default=None)
@@ -214,16 +216,17 @@ def cmd_classify(cfg, out):
             "notes": report.notes,
         },
     )
-    write_csv(
-        os.path.join(out, "curve_time.csv"),
-        ("parameter", "constant", "status", "residual"),
-        report.time_curve.rows(),
-    )
-    write_csv(
-        os.path.join(out, "curve_resolvent.csv"),
-        ("parameter", "constant", "status", "residual"),
-        report.resolvent_curve.rows(),
-    )
+    if report.time_curve is not None:
+        write_csv(
+            os.path.join(out, "curve_time.csv"),
+            ("parameter", "constant", "status", "residual"),
+            report.time_curve.rows(),
+        )
+        write_csv(
+            os.path.join(out, "curve_resolvent.csv"),
+            ("parameter", "constant", "status", "residual"),
+            report.resolvent_curve.rows(),
+        )
     if report.family_curve:
         write_csv(
             os.path.join(out, "curve_family.csv"),
@@ -242,11 +245,7 @@ def _gallery_family(cfg):
     for k in range(2, window + 1):
         a = gallery.DyadicSequence.powers_of_two("Zminus", k)
         members.append(gallery.packel_nilpotent_compression(a, 1.0))
-    # members are sampled semigroups without a matrix generator, so the
-    # headline classification runs on a dissipative reference while the
-    # family curve carries the divergence trend across the window sizes
-    ref = -0.5 * np.eye(2, dtype=complex)
-    return members, ref
+    return members
 
 
 def _suite_result(checks):

@@ -13,7 +13,7 @@ implementation, not in the data.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -171,7 +171,7 @@ class TrichotomyReport:
     the family is asserted, never an infinite-dimensional case.
     """
 
-    case: str
+    case: Optional[str]
     joint: Optional[SimilarityVerdict]
     time_curve: Optional[ConstantCurve]
     resolvent_curve: Optional[ConstantCurve]
@@ -201,28 +201,32 @@ def _member_constant(member, tol, kappa_max):
 def classify(generator, t_grid=None, kappa_max=1e6, family=None, tol=1e-3):
     """Trichotomy classification of one semigroup, with optional family.
 
-    ``generator`` is the matrix generator to classify; ``family`` is an
-    optional sequence of generators or gridded semigroups (truncations of
-    one construction) whose constants are reported as a growth curve.
+    ``generator`` is the matrix generator to classify, or None when only
+    the family is reported (``case``, ``joint`` and both curves are then
+    None); ``family`` is an optional sequence of generators or gridded
+    semigroups (truncations of one construction) whose constants are
+    reported as a growth curve.
     """
-    A = as_matrix(generator, "generator")
-    joint = joint_similarity_constant(A, tol=tol, kappa_max=kappa_max)
-    curve = small_time_constants(A, t_grid, tol=tol, kappa_max=kappa_max)
-    lam_hi = 16.0 * max(1.0, operator_norm(A))
-    res_curve = resolvent_constants(
-        A, np.geomspace(lam_hi / 8.0, lam_hi, 3), tol=tol, kappa_max=kappa_max
-    )
-    if joint.finite:
-        case = "SimilarContraction"
-        notes = ""
-    else:
-        finite_pts = [p for p in curve.points if p.verdict is not None and p.verdict.finite]
-        if finite_pts:
-            case = "TailOnlySimilar"
-            notes = "individual constants finite; no joint certificate within budget"
+    case = joint = curve = res_curve = None
+    notes = ""
+    if generator is not None:
+        A = as_matrix(generator, "generator")
+        joint = joint_similarity_constant(A, tol=tol, kappa_max=kappa_max)
+        curve = small_time_constants(A, t_grid, tol=tol, kappa_max=kappa_max)
+        lam_hi = 16.0 * max(1.0, operator_norm(A))
+        res_curve = resolvent_constants(
+            A, np.geomspace(lam_hi / 8.0, lam_hi, 3), tol=tol, kappa_max=kappa_max
+        )
+        if joint.finite:
+            case = "SimilarContraction"
         else:
-            case = "NeverSimilar"
-            notes = "no sampled time admits a contraction renorming"
+            finite_pts = [p for p in curve.points if p.verdict is not None and p.verdict.finite]
+            if finite_pts:
+                case = "TailOnlySimilar"
+                notes = "individual constants finite; no joint certificate within budget"
+            else:
+                case = "NeverSimilar"
+                notes = "no sampled time admits a contraction renorming"
     fam = ()
     if family is not None:
         fam = tuple(
@@ -515,14 +519,16 @@ class IsometryReport:
     defect: Optional[float]
 
 
-def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6, rng_seed=7):
+def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6):
     """Two-sided orbit bounds and the time-averaged isometry weight.
 
     ``alpha``/``beta`` are the extreme singular values of ``exp(tA)``
     over the grid; when they are bounded away from zero and infinity the
     time average ``P = (1/T) integral exp(tA*) exp(tA) dt`` renorms the
     semigroup toward an isometry, and the report carries the worst
-    relative isometry defect over basis and random probe vectors.
+    relative isometry defect ``max |norm(S E h) / norm(S h) - 1|`` over
+    all vectors ``h`` and grid times, with ``S = P^{1/2}``: the largest
+    distance from 1 of a singular value of ``S exp(tA) S^{-1}``.
     """
     A = as_matrix(A, "generator")
     sem = semigroup_from_generator(A)
@@ -558,20 +564,11 @@ def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6, rng_seed=
     P = 0.5 * (P + P.conj().T) * (h / T_max)
     ev = np.linalg.eigvalsh(P)
     kappa = math.sqrt(ev[-1] / ev[0])
-    S, _ = weight_factors(P)
-    rng = np.random.default_rng(rng_seed)
-    n = A.shape[0]
-    probes = [np.eye(n)[:, j].astype(complex) for j in range(n)]
-    for _ in range(32):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probes.append(v / np.linalg.norm(v))
+    S, Sinv = weight_factors(P)
     defect = 0.0
     for t in t_grid:
-        E = sem.eval(t)
-        for h_vec in probes:
-            num = np.linalg.norm(S @ (E @ h_vec))
-            den = np.linalg.norm(S @ h_vec)
-            defect = max(defect, abs(num / den - 1.0))
+        sv = np.linalg.svd(S @ sem.eval(t) @ Sinv, compute_uv=False)
+        defect = max(defect, float(sv[0]) - 1.0, 1.0 - float(sv[-1]))
     return IsometryReport(alpha, beta, True, P, kappa, defect)
 
 

@@ -25,16 +25,20 @@ engines solve it, chosen from properties of the input:
   ``tol`` (below about ``1e-9``), the bisection below continues from the
   engine's bracket.
 * **Everything else** (several operators, marginal spectrum, larger
-  dimensions) keeps the first-order search: feasibility at a fixed
-  budget ``kappa`` minimizes the convex spectral penalty
-
-      f(P) = max(eig_max(constraint defect))     over   I <= P <= kappa^2 I
-
-  with a projected subgradient method using Polyak steps, seeded with
-  closed-form weights, and a bisection over ``kappa`` reuses each
-  certificate as a warm start.  Its constants are certificate-backed
-  upper bounds; a probe that fails is not a proof of infeasibility, so
-  the bracket it reports is only as tight as the search.
+  dimensions) is bisected over ``kappa``.  A feasibility probe at a
+  fixed budget first tries closed-form weights (``I``, the previous
+  certificate, the equation seed, the diagonalizer, and the split weight
+  that decouples critical from strictly stable spectrum), clipped to the box
+  ``I <= P <= kappa^2 I``.  Targets that are not strictly stable are
+  answered by these weights alone.  For strictly stable targets the
+  best of them is restored onto the constraint cone with one equation
+  solve, and a convex search over the equation's right-hand side
+  ``Q >= 0`` minimizes ``eig_max(P) - kappa^2 eig_min(P)`` for
+  ``P = L^{-1}(-Q)``; every iterate lies on the cone, so the best one is
+  a certificate at its own kappa and tightens the bisection's upper
+  bracket.  These constants are certificate-backed upper bounds; a
+  probe that fails is not a proof of infeasibility, so the bracket is
+  only as tight as the search.
 
 Every verdict carries a certified lower bound next to its constant.
 Certificates are always re-checked independently of the solver
@@ -81,9 +85,6 @@ __all__ = [
 
 KAPPA_MAX_DEFAULT = 1e6
 MAXITER_DEFAULT = 5000
-_STALL_WINDOW = 300
-_MIN_ITER_BEFORE_STALL = 600
-_STALL_IMPROVEMENT = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +153,14 @@ class WeightCertificate:
 class FeasibilityResult:
     """Outcome of one fixed-``kappa`` feasibility solve.
 
-    ``nearest`` is a valid certificate at its own (possibly larger than
-    budget) kappa, produced as a by-product when the search lands on the
-    constraint cone just outside the box; bisection callers use it to
-    tighten their upper bracket.
+    ``best_residual`` is the certificate's worst defect eigenvalue or,
+    without one, the smallest among the box-clipped weights tried: the
+    closed-form weights and, where the engine decided, its weight.
+    ``iterations`` counts the steps of the convex right-hand-side search
+    or the engine's Newton steps (0 when a closed-form weight answered).  ``nearest`` is a valid certificate at
+    its own (possibly larger than budget) kappa, produced as a by-product
+    when the search lands on the constraint cone just outside the box;
+    bisection callers use it to tighten their upper bracket.
     """
 
     certificate: Optional[WeightCertificate]
@@ -225,31 +230,6 @@ def _defects(target, P):
     return [A.conj().T @ P + P @ A - 2.0 * lam * P]
 
 
-def _penalty_and_subgradient(target, P):
-    """Worst defect eigenvalue and a subgradient of it w.r.t. Hermitian P."""
-    best_val = -np.inf
-    best_vec = None
-    best_idx = 0
-    for i, D in enumerate(_defects(target, P)):
-        w, U = np.linalg.eigh(0.5 * (D + D.conj().T))
-        if w[-1] > best_val:
-            best_val = float(w[-1])
-            best_vec = U[:, -1]
-            best_idx = i
-    u = best_vec
-    if isinstance(target, SteinTarget):
-        x = target.operators[best_idx] @ u
-        G = np.outer(x, x.conj()) - np.outer(u, u.conj())
-    else:
-        x = target.generator @ u
-        G = (
-            np.outer(u, x.conj())
-            + np.outer(x, u.conj())
-            - 2.0 * target.shift * np.outer(u, u.conj())
-        )
-    return best_val, G
-
-
 def _penalty(target, P):
     return max(
         float(np.linalg.eigvalsh(0.5 * (D + D.conj().T))[-1]) for D in _defects(target, P)
@@ -274,11 +254,16 @@ def _equation_seed(target, ctx=None):
     Solving ``T* X T - X = -I`` (resp. ``Abar* X + X Abar = -I``) yields a
     strictly feasible Hermitian PD weight whenever the target is strictly
     stable; normalized to eig_min = 1 it doubles as an upper bracket for
-    the similarity constant.
+    the similarity constant.  ``ctx`` is the target's
+    :class:`_EquationContext`, built here when not given.
     """
     if not _is_strictly_stable(target):
         return None
-    X = _equation_solve(target, np.eye(target.dim, dtype=_native_dtype(target)), ctx)
+    if ctx is None:
+        ctx = _EquationContext.for_target(target)
+        if ctx is None:
+            return None
+    X = ctx.solve(np.eye(target.dim, dtype=_native_dtype(target)))
     if X is None:
         return None
     w = np.linalg.eigvalsh(X)
@@ -287,20 +272,37 @@ def _equation_seed(target, ctx=None):
     return X / w[0]
 
 
-def _split_seed(target):
-    """Certificate from splitting critical and strictly stable spectrum.
+def _diagonalizer_weight(M):
+    """``(V V*)^{-1}`` for ``M = V L V^{-1}``, or None if ``V`` is ill-conditioned.
 
-    Power boundedness at finite dimension is exactly "critical
-    eigenvalues semisimple"; an ordered Schur form isolates the critical
-    block, a Sylvester solve decouples it from the strict part, and each
-    part carries a closed-form weight (diagonalizer and equation
-    solution).  This covers marginal targets such as a unitary block
-    coupled to a nilpotent one, where neither the equation nor the plain
-    eigen seed exists.
+    The weight renorms ``M`` to its diagonal part ``L``.
+    """
+    _, V = np.linalg.eig(M)
+    cond = np.linalg.cond(V)
+    if not np.isfinite(cond) or cond > 1e8:
+        return None
+    return np.linalg.inv(V @ V.conj().T)
+
+
+def _spectral_seeds(target):
+    """Closed-form certificates from the spectrum of a single constraint.
+
+    With admissible spectrum the diagonalizer renorms the constraint
+    matrix to its diagonal part, which satisfies the constraint; this is
+    the only closed-form seed of unitary-like operators and skew
+    generators under zero shift.  Power boundedness at finite dimension
+    is exactly "critical eigenvalues semisimple"; when critical and
+    strictly stable eigenvalues are mixed, an ordered Schur form
+    isolates the critical block, a Sylvester solve decouples it from the
+    strict part, and each part carries a closed-form weight (diagonalizer
+    and equation solution).  This split covers marginal targets such as
+    a unitary block coupled to a nilpotent one, where neither the
+    equation seed nor the diagonalizer exists.  Returns the weights that
+    exist, diagonalizer first, normalized to ``eig_min = 1``.
     """
     if isinstance(target, SteinTarget):
         if len(target.operators) != 1:
-            return None
+            return []
         M = target.operators[0]
 
         def critical(lam):
@@ -317,84 +319,53 @@ def _split_seed(target):
         def admissible(lam):
             return lam.real <= 1e-12
 
+    weights = []
     try:
         if not all(admissible(lam) for lam in np.linalg.eigvals(M)):
-            return None
+            return []
+        weights.append(_diagonalizer_weight(M))
+    except np.linalg.LinAlgError:
+        return []
+    try:
         theta, Z, sdim = scipy.linalg.schur(
             M.astype(complex), output="complex", sort=critical
         )
         n = M.shape[0]
-        if sdim == 0 or sdim == n:
-            return None  # plain equation or eigen seed territory
         th1 = theta[:sdim, :sdim]
-        th12 = theta[:sdim, sdim:]
-        th2 = theta[sdim:, sdim:]
-        # decouple: [[I, Y],[0, I]] conjugation kills the coupling when
-        # th1 Y - Y th2 = -th12
-        Y = scipy.linalg.solve_sylvester(th1, -th2, -th12)
-        w1, V1 = np.linalg.eig(th1)
-        if not np.isfinite(np.linalg.cond(V1)) or np.linalg.cond(V1) > 1e8:
-            return None
-        P1 = np.linalg.inv(V1 @ V1.conj().T)
-        if isinstance(target, SteinTarget):
-            P2 = scipy.linalg.solve_discrete_lyapunov(
-                th2.conj().T, np.eye(n - sdim), method="bilinear"
-            )
-        else:
-            P2 = scipy.linalg.solve_continuous_lyapunov(th2.conj().T, -np.eye(n - sdim))
-        S = np.eye(n, dtype=complex)
-        S[:sdim, sdim:] = -Y
-        Pb = np.zeros((n, n), dtype=complex)
-        Pb[:sdim, :sdim] = P1
-        Pb[sdim:, sdim:] = P2
-        P = Z @ (S.conj().T @ Pb @ S) @ Z.conj().T
+        P1 = _diagonalizer_weight(th1) if 0 < sdim < n else None
+        if P1 is not None:
+            th12 = theta[:sdim, sdim:]
+            th2 = theta[sdim:, sdim:]
+            # decouple: [[I, Y],[0, I]] conjugation kills the coupling when
+            # th1 Y - Y th2 = -th12
+            Y = scipy.linalg.solve_sylvester(th1, -th2, -th12)
+            if isinstance(target, SteinTarget):
+                P2 = scipy.linalg.solve_discrete_lyapunov(
+                    th2.conj().T, np.eye(n - sdim), method="bilinear"
+                )
+            else:
+                P2 = scipy.linalg.solve_continuous_lyapunov(th2.conj().T, -np.eye(n - sdim))
+            S = np.eye(n, dtype=complex)
+            S[:sdim, sdim:] = -Y
+            Pb = np.zeros((n, n), dtype=complex)
+            Pb[:sdim, :sdim] = P1
+            Pb[sdim:, sdim:] = P2
+            weights.append(Z @ (S.conj().T @ Pb @ S) @ Z.conj().T)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
+        pass
+    seeds = []
+    for P in weights:
+        if P is None:
+            continue
         P = 0.5 * (P + P.conj().T)
         pw = np.linalg.eigvalsh(P)
         if pw[0] <= 0 or not np.all(np.isfinite(pw)):
-            return None
+            continue
         P = P / pw[0]
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-        return None
-    if _native_dtype(target).kind != "c" and np.max(np.abs(P.imag)) < 1e-13:
-        P = np.ascontiguousarray(P.real)
-    return P
-
-
-def _eigen_seed(target):
-    """Diagonalizing weight for marginal targets with semisimple spectrum.
-
-    If the single constraint matrix diagonalizes as ``V L V^{-1}`` with
-    admissible eigenvalues, the weight ``(V V*)^{-1}`` renorms it to the
-    diagonal part, which satisfies the constraint with equality; this is
-    the only closed-form seed available when the target is not strictly
-    stable (unitary-like operators, skew generators under zero shift).
-    """
-    if isinstance(target, SteinTarget):
-        if len(target.operators) != 1:
-            return None
-        M = target.operators[0]
-    else:
-        M = target.generator
-    try:
-        w, V = np.linalg.eig(M)
-        if isinstance(target, SteinTarget):
-            if np.max(np.abs(w)) > 1.0 + 1e-12:
-                return None
-        elif np.max(w.real) > target.shift + 1e-12:
-            return None
-        if not np.isfinite(np.linalg.cond(V)) or np.linalg.cond(V) > 1e8:
-            return None
-        P = np.linalg.inv(V @ V.conj().T)
-    except np.linalg.LinAlgError:
-        return None
-    P = 0.5 * (P + P.conj().T)
-    pw = np.linalg.eigvalsh(P)
-    if pw[0] <= 0 or not np.all(np.isfinite(pw)):
-        return None
-    P = P / pw[0]
-    if _native_dtype(target).kind != "c" and np.max(np.abs(P.imag)) < 1e-13:
-        P = np.ascontiguousarray(P.real)
-    return P
+        if _native_dtype(target).kind != "c" and np.max(np.abs(P.imag)) < 1e-13:
+            P = np.ascontiguousarray(P.real)
+        seeds.append(P)
+    return seeds
 
 
 class _EquationContext:
@@ -474,66 +445,23 @@ class _EquationContext:
         return self._sylvester(rhs, trana="N", tranb="C")
 
 
-def _equation_solve(target, Q, ctx=None):
-    """Solve the Stein/Lyapunov equation with right-hand side ``-Q``.
-
-    Returns Hermitian ``X`` with ``defect(X) = -Q`` for the strictly
-    stable single-constraint targets, else None.
-    """
-    if ctx is not None:
-        return ctx.solve(Q)
-    try:
-        if isinstance(target, SteinTarget):
-            if len(target.operators) != 1:
-                return None
-            T = target.operators[0]
-            X = scipy.linalg.solve_discrete_lyapunov(T.conj().T, Q, method="bilinear")
-        else:
-            Abar = target.generator - target.shift * np.eye(target.dim)
-            X = scipy.linalg.solve_continuous_lyapunov(Abar.conj().T, -Q)
-        X = 0.5 * (X + X.conj().T)
-        if not np.all(np.isfinite(X)):
-            return None
-        return X
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-        return None
-
-
-def _equation_solve_adjoint(target, M, ctx=None):
-    """Solve the adjoint constraint equation ``L*(Z) = M``."""
-    if ctx is not None:
-        return ctx.solve_adjoint(M)
-    try:
-        if isinstance(target, SteinTarget):
-            T = target.operators[0]
-            Z = scipy.linalg.solve_discrete_lyapunov(T, -M, method="bilinear")
-        else:
-            Abar = target.generator - target.shift * np.eye(target.dim)
-            Z = scipy.linalg.solve_continuous_lyapunov(Abar, M)
-        Z = 0.5 * (Z + Z.conj().T)
-        if not np.all(np.isfinite(Z)):
-            return None
-        return Z
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-        return None
-
-
 def _is_strictly_stable(target):
     if isinstance(target, SteinTarget):
         return len(target.operators) == 1 and spectral_radius(target.operators[0]) < 1.0 - 1e-9
     return growth_bound(target.generator) < target.shift - 1e-9
 
 
-def _cone_certificate(target, P, tol, ctx=None):
+def _cone_certificate(target, P, tol, ctx):
     """Restore ``P`` exactly onto the constraint cone and certify it there.
 
-    One equation solve repairs the positive defect part; the result is a
-    valid certificate at its own kappa regardless of any box budget.
+    One equation solve (through the target's :class:`_EquationContext`)
+    repairs the positive defect part; the result is a valid certificate
+    at its own kappa regardless of any box budget.
     """
     D = _defects(target, P)[0]
     w, U = np.linalg.eigh(0.5 * (D + D.conj().T))
     if w[-1] > 0.0:
-        X = _equation_solve(target, (U * np.maximum(w, 0.0)) @ U.conj().T, ctx)
+        X = ctx.solve((U * np.maximum(w, 0.0)) @ U.conj().T)
         if X is None:
             return None
         P = 0.5 * (P + X + (P + X).conj().T)
@@ -560,10 +488,7 @@ def _proj_spectraplex(Q):
     return (U * np.maximum(w - theta, 0.0)) @ U.conj().T
 
 
-_QSPACE_DIM_LIMIT = 160
-
-
-def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
+def _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=None):
     """Convex margin minimization in right-hand-side space.
 
     For strictly stable single-constraint targets the defect map ``L`` is
@@ -574,7 +499,8 @@ def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
     iterate is exactly on the cone, so the best one doubles as a
     certificate at its own kappa.
 
-    Returns ``(certificate_or_None, nearest_certificate_or_None)``.
+    Returns ``(certificate_or_None, nearest_certificate_or_None,
+    iterates_formed)``.
     """
     n = target.dim
     kappa2 = kappa * kappa
@@ -583,8 +509,9 @@ def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
     best_P = None
     window = 80
     window_best = np.inf
+    it = -1
     for it in range(maxiter):
-        P = _equation_solve(target, Q, ctx)
+        P = ctx.solve(Q)
         if P is None:
             break
         w, U = np.linalg.eigh(P)
@@ -604,7 +531,7 @@ def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
             tol_eff = _effective_tol(target, kp, tol)
             if max(f, box) <= tol_eff:
                 cert = WeightCertificate(Pn, kp, max(f, box, 0.0))
-                return cert, cert
+                return cert, cert, it + 1
             # fell marginally outside the box; report as nearest
             break
         # window stall: require a 30% drop in the margin per window,
@@ -615,7 +542,7 @@ def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
             window_best = best_rel
         umax, umin = U[:, -1], U[:, 0]
         M = np.outer(umax, umax.conj()) - kappa2 * np.outer(umin, umin.conj())
-        Z = _equation_solve_adjoint(target, M, ctx)
+        Z = ctx.solve_adjoint(M)
         if Z is None:
             break
         G = -Z
@@ -626,53 +553,7 @@ def _qspace_rounds(target, kappa, tol, maxiter, Q0=None, ctx=None):
     nearest = None
     if best_P is not None:
         nearest = _cone_certificate(target, best_P, tol, ctx)
-    return None, nearest
-
-
-def _restoration_rounds(target, P, kappa, tol, rounds=60, ctx=None):
-    """Alternate exact constraint restoration with box clipping.
-
-    From any Hermitian PD ``P``, adding the equation solution for the
-    positive part of the defect lands exactly on the constraint cone;
-    rescaling to eig_min = 1 preserves it.  If the condition number then
-    fits the budget we are done, otherwise the top eigenvalues are
-    clipped and the defect this reopens is repaired in the next round.
-    Returns ``(certificate_or_None, best_P, best_f)``.
-    """
-    kappa2 = kappa * kappa
-    best_P, best_f = P, _penalty(target, P)
-    for _ in range(rounds):
-        D = _defects(target, P)[0]
-        w, U = np.linalg.eigh(0.5 * (D + D.conj().T))
-        f = float(w[-1])
-        if f < best_f:
-            best_P, best_f = P, f
-        if f <= tol:
-            kp = _kappa_of(P)
-            if kp <= kappa * (1.0 + 1e-12):
-                return WeightCertificate(P, kp, max(f, 0.0)), P, f
-        if f > 0.0:
-            Dplus = (U * np.maximum(w, 0.0)) @ U.conj().T
-            X = _equation_solve(target, Dplus, ctx)
-            if X is None:
-                break
-            P = P + X
-            P = 0.5 * (P + P.conj().T)
-        pw = np.linalg.eigvalsh(P)
-        if pw[0] <= 0:
-            break
-        P = P / pw[0]
-        top = pw[-1] / pw[0]
-        if top <= kappa2 * (1.0 + 1e-12):
-            # inside the box and (numerically) on the cone
-            f = _penalty(target, P)
-            if f < best_f:
-                best_P, best_f = P, f
-            if f <= tol:
-                return WeightCertificate(P, _kappa_of(P), max(f, 0.0)), P, f
-        else:
-            P = _project_box(P, kappa2)
-    return None, best_P, best_f
+    return None, nearest, it + 1
 
 
 def _default_tol(target):
@@ -709,15 +590,15 @@ def _closed_form_probe(target, candidates, kappa, tol):
 
 
 def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=None):
-    """Fixed-budget feasibility: seeds, restoration, then subgradients.
+    """Fixed-budget feasibility: closed-form weights, then the convex search.
 
-    Pipeline: closed-form candidates (identity, warm start, equation
-    seed), exact restoration rounds onto the constraint cone, the convex
-    right-hand-side search (strictly stable targets of moderate size),
-    and finally the projected spectral-penalty subgradient with Polyak
-    steps as the general-purpose fallback.  ``warm``/``qwarm`` carry the
-    previous probe's weight and cone right-hand side across a bisection,
-    and ``ctx`` a cached equation factorization.
+    The closed-form candidates (identity, warm start, equation seed and
+    spectral seeds, each clipped to the box) come first.  For strictly
+    stable targets the best of them is restored onto the constraint cone
+    once, and the convex right-hand-side search runs from ``qwarm``; any
+    other target is answered by the candidates alone.  ``warm``/``qwarm``
+    carry the previous probe's weight and cone right-hand side across a
+    bisection, and ``ctx`` the target's :class:`_EquationContext`.
     """
     n = target.dim
     kappa = float(kappa)
@@ -725,77 +606,27 @@ def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=N
         raise ValueError("kappa must be >= 1")
     tol = _effective_tol(target, kappa, tol)
     kappa2 = kappa * kappa
-    I = np.eye(n, dtype=_native_dtype(target))
+    if ctx is None and _is_strictly_stable(target):
+        ctx = _EquationContext.for_target(target)
 
-    candidates = [I]
-    if warm is not None:
-        candidates.append(_project_box(warm, kappa2))
-    seed = _equation_seed(target, ctx)
-    if seed is not None:
-        candidates.append(_project_box(seed, kappa2))
-    eseed = _eigen_seed(target)
-    if eseed is not None:
-        candidates.append(_project_box(eseed, kappa2))
-    sseed = _split_seed(target)
-    if sseed is not None:
-        candidates.append(_project_box(sseed, kappa2))
+    candidates = [np.eye(n, dtype=_native_dtype(target))]
+    for P in (warm, _equation_seed(target, ctx), *_spectral_seeds(target)):
+        if P is not None:
+            candidates.append(_project_box(P, kappa2))
 
     done, best_P, best_f = _closed_form_probe(target, candidates, kappa, tol)
     if done is not None:
         return done
+    if ctx is None:
+        return FeasibilityResult(None, best_f, 0)
 
-    nearest = None
-    stable = _is_strictly_stable(target)
-    if ctx is None and stable:
-        ctx = _EquationContext.for_target(target)
-    if stable:
-        cert, rest_P, rest_f = _restoration_rounds(target, best_P, kappa, tol, ctx=ctx)
-        if cert is not None:
-            return FeasibilityResult(cert, cert.residual, 0, nearest=cert)
-        if rest_f < best_f:
-            best_f, best_P = rest_f, rest_P
-        nearest = _merge_nearest(nearest, _cone_certificate(target, rest_P, tol, ctx))
-        if n <= _QSPACE_DIM_LIMIT:
-            cert, near = _qspace_rounds(target, kappa, tol, maxiter, Q0=qwarm, ctx=ctx)
-            nearest = _merge_nearest(nearest, near)
-            if cert is not None:
-                return FeasibilityResult(cert, cert.residual, 0, nearest=cert)
-            # the convex search is conclusive up to its certificate gap;
-            # the penalty fallback cannot improve on it for these targets
-            return FeasibilityResult(None, best_f, 0, nearest)
-
-    P = best_P
-    target_level = 0.5 * tol
-    since_improvement = 0
-    reference_f = best_f
-    it = 0
-    for it in range(1, maxiter + 1):
-        f, G = _penalty_and_subgradient(target, P)
-        if f < best_f:
-            best_f, best_P = f, P
-        if f <= tol:
-            return FeasibilityResult(
-                WeightCertificate(P, _kappa_of(P), max(f, 0.0)), max(f, 0.0), it, nearest
-            )
-        gnorm2 = float(np.sum(np.abs(G) ** 2))
-        if gnorm2 <= 0.0:
-            break
-        step = (f - target_level) / gnorm2
-        P = _project_box(P - step * G, kappa2)
-
-        # stall exit: Polyak converges geometrically on strictly feasible
-        # instances, so a long flat stretch indicates (near-)infeasibility;
-        # never exit before a minimum effort so near-critical feasible
-        # probes are not misdeclared
-        since_improvement += 1
-        if best_f < reference_f * (1.0 - _STALL_IMPROVEMENT) or (reference_f - best_f) > tol:
-            reference_f = best_f
-            since_improvement = 0
-        elif since_improvement >= _STALL_WINDOW and it >= _MIN_ITER_BEFORE_STALL:
-            break
-    if stable and best_P is not None:
-        nearest = _merge_nearest(nearest, _cone_certificate(target, best_P, tol, ctx))
-    return FeasibilityResult(None, best_f, it, nearest)
+    nearest = _cone_certificate(target, best_P, tol, ctx)
+    if nearest is not None and nearest.kappa <= kappa:
+        return FeasibilityResult(nearest, nearest.residual, 0, nearest)
+    cert, near, iterations = _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=qwarm)
+    if cert is not None:
+        return FeasibilityResult(cert, cert.residual, iterations, cert)
+    return FeasibilityResult(None, best_f, iterations, _merge_nearest(nearest, near))
 
 
 def _native_dtype(target):
@@ -952,7 +783,7 @@ def _feasibility(target, kappa, tol, maxiter, warm):
         res = _engine_feasibility(target, kappa, tol)
         if res is not None:
             return res
-    return _self_warming_solve(target, kappa, tol, maxiter, warm)
+    return _solve_feasibility(target, kappa, tol, maxiter, warm=warm)
 
 
 # ---------------------------------------------------------------------------
@@ -976,11 +807,13 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     Returns
     -------
     FeasibilityResult
-        ``certificate`` is None when no weight was found within the
-        iteration budget; ``best_residual`` reports how close the search
-        came.  For one strictly stable operator of dimension up to 32
-        the answer is exact: the engine's bracket decides it, and
-        ``maxiter`` and ``warm`` are not used.
+        ``certificate`` is None when no weight was found: closed-form
+        weights are tried first, and for one strictly stable operator
+        the convex right-hand-side search follows, for at most
+        ``maxiter`` steps; ``best_residual`` reports how close the
+        closed-form weights came.  For one strictly stable operator of
+        dimension up to 32 the answer is exact: the engine's bracket
+        decides it, and ``maxiter`` and ``warm`` are not used.
     """
     ops = tuple(as_matrix(T, f"operators[{i}]") for i, T in enumerate(operators))
     if not ops:
@@ -1010,42 +843,6 @@ def lyapunov_feasible(A, shift, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=N
     if tol is None:
         tol = _default_tol(target)
     return _feasibility(target, kappa, tol, maxiter, warm)
-
-
-def _self_warming_solve(target, kappa, tol, maxiter, warm):
-    """Single-shot feasibility with the warm restarts a bisection would get.
-
-    A stalled convex-margin search restarted from its own best cone point
-    resumes progress, so near-critical budgets resolve in a few rounds.
-    """
-    res = _solve_feasibility(target, kappa, tol, maxiter, warm=warm)
-    for _ in range(3):
-        if res or res.nearest is None:
-            return res
-        near = res.nearest
-        if near.kappa > kappa * (1.0 + 0.05):
-            return res
-        D = _defects(target, near.weight)[0]
-        qwarm = -0.5 * (D + D.conj().T)
-        again = _solve_feasibility(
-            target, kappa, tol, maxiter, warm=near.weight, qwarm=qwarm
-        )
-        if again.nearest is not None and (
-            res.nearest is None or again.nearest.kappa >= near.kappa * (1.0 - 1e-12)
-        ):
-            if not again:
-                # no progress from the restart
-                res = FeasibilityResult(
-                    again.certificate,
-                    min(res.best_residual, again.best_residual),
-                    again.iterations,
-                    _merge_nearest(res.nearest, again.nearest),
-                )
-                if again.nearest.kappa >= near.kappa * (1.0 - 1e-9):
-                    return res
-                continue
-        res = again
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -1137,10 +934,10 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper
     if res:
         return "finite", best_cert, lower
 
-    # locate a feasible upper bracket; the equation and eigen seeds, when
-    # they exist, are certificates themselves and cap the search
+    # locate a feasible upper bracket; the equation and spectral seeds,
+    # when they exist, are certificates themselves and cap the search
     if best_cert is None:
-        for seed in (_equation_seed(target, ctx), _eigen_seed(target), _split_seed(target)):
+        for seed in (_equation_seed(target, ctx), *_spectral_seeds(target)):
             if seed is None:
                 continue
             kappa_seed = _kappa_of(seed)

@@ -180,6 +180,10 @@ def test_criterion_5_circle_interpolant():
 
 
 def test_criterion_6_nilpotent_divergence():
+    # k = 5, 6 (n = 64, 128) lie outside the exact engine's regime; their
+    # bisection constants must stay within tol of the values it reaches
+    # with the cone restoration step (without it k = 6 rises to 3.0598)
+    ceilings = {5: 2.7096, 6: 2.8363}
     constants = []
     ok = True
     details = []
@@ -188,13 +192,14 @@ def test_criterion_6_nilpotent_divergence():
         N = packel_nilpotent_compression(a, 1.0)
         c = discrete_similarity_constant(N.eval(N.step), tol=2e-3).constant
         floor = packel_nilpotent_lower_bound(a, 1.0)
-        ok = ok and c >= floor
+        ok = ok and c >= floor and c <= ceilings.get(k, math.inf) * (1.0 + 2e-3)
         constants.append(c)
-        details.append(f"k={k}:{c:.3f}>={floor:.3f}")
+        details.append(f"k={k}:{c:.4f}>={floor:.3f}")
     increasing = all(b > a for a, b in zip(constants, constants[1:]))
     report(
         6,
-        "nilpotent reflection constants exceed sqrt(k+1)/2 and strictly increase",
+        "nilpotent reflection constants exceed sqrt(k+1)/2, strictly increase, "
+        "and stay within tol of 2.7096 (k=5) and 2.8363 (k=6)",
         ok and increasing,
         " ".join(details),
     )

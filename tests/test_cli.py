@@ -111,6 +111,15 @@ class TestClassifyCommand:
         assert rows[0] == "parameter,constant,status,residual"
         assert len(rows) == 4
 
+    def test_gallery_family_reports_no_case(self, tmp_path):
+        # a family has no single generator: only the family curve is reported
+        assert run("classify", "classify_packel.cfg", tmp_path) == 0
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert payload["case"] is None and payload["joint"] is None
+        assert [p for p, _ in payload["family_curve"]] == [0.0, 1.0, 2.0]
+        assert payload["family_diverging"]
+        assert sorted(os.listdir(tmp_path)) == ["classification.json", "curve_family.csv"]
+
     def test_bad_gallery_name_exit_two(self, tmp_path):
         assert run("classify", "classify_packel.cfg", tmp_path, "gallery=unknown") == 2
 

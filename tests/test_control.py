@@ -207,6 +207,17 @@ class TestCesaro:
         out = cesaro_orbit_mean(1j * np.diag([0.4]), C=np.zeros((1, 1)), t_max=10.0)
         assert out["limsup_estimate"] <= 1e-14
 
+    def test_extremes_are_exact(self):
+        # C T(s) = diag(d) e^{s Lambda} U*, so every mean is h* U |d|^2 U* h
+        # exactly, with extremes min d^2 and max d^2 on rotated vectors
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        A = U @ np.diag(1j * np.array([0.3, -0.7, 1.1, 1.9, -1.4, 0.5])) @ U.conj().T
+        d = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 3.0])
+        out = cesaro_orbit_mean(A, C=np.diag(d) @ U.conj().T, t_max=40.0)
+        assert out["liminf_estimate"] == pytest.approx(0.04, abs=1e-9)
+        assert out["limsup_estimate"] == pytest.approx(9.0, abs=1e-9)
+
     def test_positive_mean_implies_isometry_verdict(self):
         from simgroup.criteria import nagy_isometry_test
 

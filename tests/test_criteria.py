@@ -269,6 +269,25 @@ class TestIsometryAndSlope:
         kS = math.sqrt(np.linalg.cond(S.conj().T @ S))
         assert rep.kappa <= kS * (1 + 1e-6)
 
+    def test_defect_is_worst_over_all_vectors(self):
+        rng = np.random.default_rng(3)
+        X = np.eye(6) + 0.8 * np.triu(rng.standard_normal((6, 6)), 1)
+        A = np.linalg.solve(X, np.diag(1j * np.array([0.3, -0.7, 1.1, 1.9, -1.4, 0.5])) @ X)
+        rep = nagy_isometry_test(A)
+        assert rep.positive
+        S, Sinv = weight_factors(rep.weight)
+        sem = semigroup_from_generator(A)
+        worst = 0.0
+        for t in np.linspace(0.25, 20.0, 33):
+            E = sem.eval(t)
+            _, _, Vh = np.linalg.svd(S @ E @ Sinv)
+            # the extreme right singular vectors, pulled back to orbit vectors
+            for h in (Sinv @ Vh[0].conj(), Sinv @ Vh[-1].conj()):
+                ratio = np.linalg.norm(S @ (E @ h)) / np.linalg.norm(S @ h)
+                worst = max(worst, abs(ratio - 1.0))
+        assert worst > 0.1
+        assert rep.defect == pytest.approx(worst, rel=1e-9)
+
     def test_slope_identical_semigroups(self):
         sem = semigroup_from_generator(JORDAN)
         rep = local_commutation_slope(sem, sem, np.eye(2), np.geomspace(1e-3, 0.05, 6))

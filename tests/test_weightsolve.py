@@ -346,15 +346,17 @@ class TestConditionEngine:
             return weightsolve._condition_sdp.SdpResult(seed, weightsolve._kappa_of(seed), 1.0, 1)
 
         monkeypatch.setattr(weightsolve._condition_sdp, "solve", stalled)
-        searched = []
-        search = weightsolve._self_warming_solve
-        monkeypatch.setattr(
-            weightsolve, "_self_warming_solve", lambda *a: searched.append(a) or search(*a)
-        )
         T = _RAND3
         constant = discrete_similarity_constant(T, tol=1e-4)
         assert constant.evidence.startswith("engine bracket")
         assert constant.lower <= constant.constant
+        searched = []
+        search = weightsolve._solve_feasibility
+        monkeypatch.setattr(
+            weightsolve,
+            "_solve_feasibility",
+            lambda *a, **k: searched.append(a) or search(*a, **k),
+        )
         budget = 1.05 * constant.constant
         res = stein_feasible([T], budget)
         assert searched
