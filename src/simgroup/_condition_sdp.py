@@ -121,10 +121,12 @@ def _cholesky(H):
 
     Near the optimum the Hessian's condition number grows like
     ``mu^-2``; once rounding makes it numerically indefinite, a ridge of
-    relative size up to ``1e-10`` keeps the step a descent direction (the
+    relative size up to ``1e-6`` keeps the step a descent direction (the
     exact line search and the re-checked bounds make any such step safe).
+    Operators close to the identity, such as ``exp(tA)`` at small ``t``,
+    need the upper rungs.
     """
-    for ridge in (0.0, 1e-14, 1e-12, 1e-10):
+    for ridge in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
             return scipy.linalg.cho_factor(H + ridge * np.eye(len(H)))
         except np.linalg.LinAlgError:

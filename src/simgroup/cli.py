@@ -129,8 +129,11 @@ class RunConfig:
                 raise InputFormatError(f"config key '{key}' is not a comma list: {raw!r}")
         if not vals:
             raise InputFormatError(f"config key '{key}' is empty")
-        if positive and any(v <= 0 for v in vals):
-            raise InputFormatError(f"config key '{key}' must be positive values")
+        if not all(math.isfinite(v) for v in vals):
+            raise InputFormatError(f"config key '{key}' must be finite values")
+        if any(v <= 0 if positive else v < 0 for v in vals):
+            sign = "positive" if positive else "nonnegative"
+            raise InputFormatError(f"config key '{key}' must be {sign} values")
         return sorted(vals)
 
     def get_path(self, key, required=False):
@@ -463,11 +466,10 @@ def _load_system(cfg):
 
 def cmd_observe(cfg, out):
     sys_obj = _load_system(cfg)
-    horizon_raw = cfg.get("horizon", "1.0")
-    if str(horizon_raw).strip() in ("inf", "infinite"):
+    if str(cfg.get("horizon", "1.0")).strip() in ("inf", "infinite"):
         rep = control.infinite_gramian(sys_obj)
     else:
-        rep = control.observability_gramian(sys_obj, float(horizon_raw))
+        rep = control.observability_gramian(sys_obj, cfg.get_float("horizon", 1.0, positive=True))
     dual = control.duality_check(
         sys_obj, 1.0 if not math.isfinite(rep.horizon) else rep.horizon
     )

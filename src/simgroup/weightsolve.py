@@ -9,37 +9,36 @@ role of the Stein inequality is played by the Lyapunov inequality
 exp(shift * t)`` for all ``t >= 0`` at once.
 
 The squared constant is the optimum of the linear semidefinite program
-``min t`` over ``I <= P <= t I`` with the defect ``L(P) <= 0``.  Two
-engines solve it, chosen from properties of the input:
+``min t`` over ``I <= P <= t I`` with the defect ``L(P) <= 0``.  The
+equation seed ``L^{-1}(-I)``, which exists exactly for strictly stable
+single-constraint targets, picks one solver per regime:
 
-* **Strictly stable single-constraint targets up to dimension 32** go to
-  an exact interior-point engine (:mod:`simgroup._condition_sdp`).  A
-  closed-form weight (``I`` or the equation seed ``L^{-1}(-I)``) that
-  certifies the power/semigroup norm floor answers first; otherwise the
-  engine follows the barrier path from the equation seed and stops once
-  its strictly feasible weight and a re-checked dual-feasible point
-  bracket the constant within the relative ``tol``.  Fixed-budget
-  probes decide from the same bracket.  The engine's weight is a
-  certificate only if its recomputed penalty passes the same tolerance
-  as every other certificate; if it fails, or the bracket stalls before
-  ``tol`` (below about ``1e-9``), the bisection below continues from the
-  engine's bracket.
-* **Everything else** (several operators, marginal spectrum, larger
-  dimensions) is bisected over ``kappa``.  A feasibility probe at a
-  fixed budget first tries closed-form weights (``I``, the previous
-  certificate, the equation seed, the diagonalizer, and the split weight
-  that decouples critical from strictly stable spectrum), clipped to the box
-  ``I <= P <= kappa^2 I``.  Targets that are not strictly stable are
-  answered by these weights alone.  For strictly stable targets the
-  best of them is restored onto the constraint cone with one equation
-  solve, and a convex search over the equation's right-hand side
-  ``Q >= 0`` minimizes ``eig_max(P) - kappa^2 eig_min(P)`` for
-  ``P = L^{-1}(-Q)``; every iterate lies on the cone, so the best one is
-  a certificate at its own kappa and tightens the bisection's upper
-  bracket.  These constants are certificate-backed upper bounds; a
-  probe that fails is not a proof of infeasibility, so the bracket is
-  only as tight as the search.
+* **No seed** (several operators, or critical spectrum): the cone has
+  no interior to search.  The verdict is the best closed-form
+  certificate at its own kappa (``I``, the diagonalizer, or the split
+  weight that decouples critical from strictly stable spectrum); a
+  fixed-budget probe tries the same weights clipped to the box ``I <= P
+  <= kappa^2 I``.
+* **Seed, dimension up to 32**: the exact interior-point engine
+  (:mod:`simgroup._condition_sdp`) alone decides.  ``I`` or the clipped
+  seed answers first if it certifies the power/semigroup norm floor;
+  otherwise the engine follows the barrier path from the seed until its
+  strictly feasible weight and a re-checked dual-feasible point bracket
+  the constant within the relative ``tol``, and fixed-budget probes
+  decide from the same bracket.  An engine weight that fails the
+  tolerance every certificate passes is restored onto the cone by one
+  equation solve, or replaced by the seed; a bracket wider than ``tol``
+  (below about ``1e-9``) is reported in ``evidence``.
+* **Seed, larger dimension**: bisection over ``kappa``.  A probe tries
+  the clipped closed-form weights, restores the best onto the cone with
+  one equation solve, and runs a convex search over the equation's
+  right-hand side ``Q >= 0`` minimizing ``eig_max(P) - kappa^2
+  eig_min(P)`` for ``P = L^{-1}(-Q)``; every iterate lies on the cone,
+  so the best one certifies at its own kappa and tightens the upper
+  bracket.
 
+Outside the engine a failed probe proves nothing, so those constants are
+certificate-backed upper bounds, only as tight as the weights tried.
 Every verdict carries a certified lower bound next to its constant.
 Certificates are always re-checked independently of the solver
 (:func:`certificate_check`); infeasibility of a probe never masquerades
@@ -157,10 +156,11 @@ class FeasibilityResult:
     without one, the smallest among the box-clipped weights tried: the
     closed-form weights and, where the engine decided, its weight.
     ``iterations`` counts the steps of the convex right-hand-side search
-    or the engine's Newton steps (0 when a closed-form weight answered).  ``nearest`` is a valid certificate at
-    its own (possibly larger than budget) kappa, produced as a by-product
-    when the search lands on the constraint cone just outside the box;
-    bisection callers use it to tighten their upper bracket.
+    or the engine's Newton steps (0 when a closed-form weight answered).
+    ``nearest`` is a valid certificate at its own (possibly larger than
+    budget) kappa: the engine's certificate, or the search's best point
+    on the constraint cone; bisection callers use it to tighten their
+    upper bracket.
     """
 
     certificate: Optional[WeightCertificate]
@@ -186,10 +186,9 @@ class SimilarityVerdict:
     decided the verdict, the objective of a re-checked dual-feasible
     point of the condition-number SDP.  A ``finite`` verdict has
     ``lower <= constant``, and one the engine decided has ``constant <=
-    (1 + tol) lower``.  Where the engine's bracket does not close to
-    ``tol`` (below its float64 floor of about ``1e-9``, or when rounding
-    stalls it), the bisection continues from the bracket: ``lower`` stays
-    the engine's bound and ``evidence`` records the bracket reached.
+    (1 + tol) lower`` unless ``evidence`` names an engine bracket wider
+    than ``tol`` (below about ``1e-9``, or stalled by rounding).  Other
+    constants are certificate-backed upper bounds (see the module notes).
     ``unbounded`` verdicts on spectral evidence carry ``lower == inf``.
     """
 
@@ -257,8 +256,6 @@ def _equation_seed(target, ctx=None):
     the similarity constant.  ``ctx`` is the target's
     :class:`_EquationContext`, built here when not given.
     """
-    if not _is_strictly_stable(target):
-        return None
     if ctx is None:
         ctx = _EquationContext.for_target(target)
         if ctx is None:
@@ -378,6 +375,9 @@ class _EquationContext:
     through the Cayley transform ``S = (T - I)(T + I)^{-1}``, using
 
         T*XT - X = (1/2) (T+I)* (S*X + X S) (T+I).
+
+    :meth:`for_target` returns None for targets that are not strictly
+    stable single constraints.
     """
 
     def __init__(self, theta, U, trsyl):
@@ -388,10 +388,10 @@ class _EquationContext:
 
     @classmethod
     def for_target(cls, target):
+        if not _is_strictly_stable(target):
+            return None
         try:
             if isinstance(target, SteinTarget):
-                if len(target.operators) != 1:
-                    return None
                 T = target.operators[0]
                 n = T.shape[0]
                 F = T + np.eye(n)
@@ -593,21 +593,17 @@ def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=N
     """Fixed-budget feasibility: closed-form weights, then the convex search.
 
     The closed-form candidates (identity, warm start, equation seed and
-    spectral seeds, each clipped to the box) come first.  For strictly
-    stable targets the best of them is restored onto the constraint cone
-    once, and the convex right-hand-side search runs from ``qwarm``; any
-    other target is answered by the candidates alone.  ``warm``/``qwarm``
-    carry the previous probe's weight and cone right-hand side across a
-    bisection, and ``ctx`` the target's :class:`_EquationContext`.
+    spectral seeds, each clipped to the box) come first.  Given the
+    target's equation context ``ctx``, the best of them is restored onto
+    the constraint cone once and the convex right-hand-side search runs
+    from ``qwarm``; without one the candidates alone answer.
+    ``warm``/``qwarm`` carry the previous probe's weight and cone
+    right-hand side across a bisection.
     """
     n = target.dim
     kappa = float(kappa)
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
     tol = _effective_tol(target, kappa, tol)
     kappa2 = kappa * kappa
-    if ctx is None and _is_strictly_stable(target):
-        ctx = _EquationContext.for_target(target)
 
     candidates = [np.eye(n, dtype=_native_dtype(target))]
     for P in (warm, _equation_seed(target, ctx), *_spectral_seeds(target)):
@@ -626,7 +622,9 @@ def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=N
     cert, near, iterations = _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=qwarm)
     if cert is not None:
         return FeasibilityResult(cert, cert.residual, iterations, cert)
-    return FeasibilityResult(None, best_f, iterations, _merge_nearest(nearest, near))
+    if near is not None and (nearest is None or near.kappa < nearest.kappa):
+        nearest = near
+    return FeasibilityResult(None, best_f, iterations, nearest)
 
 
 def _native_dtype(target):
@@ -652,24 +650,25 @@ def _realified(target):
     return target
 
 
-def _merge_nearest(a, b):
-    if b is None:
-        return a
-    if a is None or b.kappa < a.kappa:
-        return b
-    return a
-
-
 # ---------------------------------------------------------------------------
-# exact engine for strictly stable single-constraint targets
+# solver regimes and the exact engine
 
 #: Largest dimension the exact engine takes: its Newton system has
 #: ``n^2`` unknowns, so a factorization costs ``O(n^6)``.
 _ENGINE_DIM_LIMIT = 32
 
 
-def _in_engine_regime(target):
-    return target.dim <= _ENGINE_DIM_LIMIT and _is_strictly_stable(target)
+def _seeded(target):
+    """The target's equation context and seed ``L^{-1}(-I)``, or ``(None, None)``.
+
+    The seed exists for strictly stable single-constraint targets and
+    picks the solver regime: without it the closed-form weights decide,
+    with it the exact engine up to ``_ENGINE_DIM_LIMIT`` and the
+    bisection above.
+    """
+    ctx = _EquationContext.for_target(target)
+    seed = None if ctx is None else _equation_seed(target, ctx)
+    return (None, None) if seed is None else (ctx, seed)
 
 
 def _constraint_terms(target):
@@ -689,101 +688,81 @@ def _engine_first_probe(target, seed, kappa, tol):
     return _closed_form_probe(target, candidates, kappa, _effective_tol(target, kappa, tol))
 
 
-def _engine_solve(target, seed, tol, feas_tol, budget=None):
-    """Engine bracket with its weight as a certificate, or None for the weight.
+def _engine_solve(target, ctx, seed, tol, feas_tol, budget=None):
+    """Engine bracket and a certificate.
 
-    The weight is strictly feasible in exact arithmetic; it is returned
-    only if its recomputed penalty also passes the tolerance every other
-    certificate passes.
+    The engine's weight is strictly feasible in exact arithmetic; it is
+    the certificate if its recomputed penalty also passes the tolerance
+    every other certificate passes.  Otherwise one equation solve
+    restores it onto the cone, and failing that the equation seed,
+    which is strictly feasible, certifies.
     """
     res = _condition_sdp.solve(_constraint_terms(target), seed, tol, budget=budget)
     f = _penalty(target, res.weight)
-    if f > _effective_tol(target, res.kappa, feas_tol):
-        return res, None
-    return res, WeightCertificate(res.weight, res.kappa, max(f, 0.0))
+    if f <= _effective_tol(target, res.kappa, feas_tol):
+        return res, WeightCertificate(res.weight, res.kappa, max(f, 0.0))
+    cert = _cone_certificate(target, res.weight, feas_tol, ctx)
+    if cert is None:
+        cert = WeightCertificate(seed, _kappa_of(seed), max(_penalty(target, seed), 0.0))
+    return res, cert
 
 
-def _engine_constant(target, floor, tol, kappa_max, feas_tol, maxiter):
-    """Verdict from the exact engine, or None without an equation seed.
+def _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol):
+    """Verdict of the exact engine.
 
     A closed-form weight certifying the norm floor answers first, so
     contractions and other floor-attaining operators stay exact and
     instant; otherwise the condition-number SDP is bracketed to relative
-    width ``tol``.  If the bracket does not close (``tol`` below the
-    float64 floor, or a numerically singular Newton system), the
-    bisection continues from it, and ``evidence`` records the bracket.
+    width ``tol``.  A bracket that stays wider (``tol`` below the float64
+    floor, or a numerically singular Newton system) is reported in
+    ``evidence``.
     """
-    seed = _equation_seed(target)
-    if seed is None:
-        return None
     done, _, _ = _engine_first_probe(target, seed, floor, feas_tol)
     if done is not None and done.certificate is not None:
         cert = done.certificate
         return SimilarityVerdict("finite", cert.kappa, cert, floor, lower=min(floor, cert.kappa))
-    res, cert = _engine_solve(target, seed, tol, feas_tol)
+    res, cert = _engine_solve(target, ctx, seed, tol, feas_tol)
     # the floor may exceed the constant by rounding; the dual bound may not
     lower = max(min(floor, res.kappa), res.lower)
-    if lower > kappa_max:
+    if lower > kappa_max or cert.kappa > kappa_max * (1.0 + 1e-9):
         return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=lower)
-    if cert is not None and cert.kappa <= (1.0 + tol) * lower:
-        if cert.kappa > kappa_max * (1.0 + 1e-9):
-            return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=lower)
-        return SimilarityVerdict("finite", cert.kappa, cert, cert.kappa, lower=lower)
-    if cert is None:
-        evidence = f"engine weight at kappa {res.kappa:.15g} failed the feasibility tolerance"
-    else:
-        evidence = f"engine bracket [{lower:.15g}, {res.kappa:.15g}] wider than tol {tol:.3g}"
-    if cert is not None and cert.kappa > kappa_max:
-        # above the budget it would stop the bisection's bracket search
-        cert = None
-    status, cert, searched = _bisect_constant(
-        target, lower, kappa_max, tol, feas_tol, maxiter, upper=cert
-    )
-    if status != "finite":
-        return SimilarityVerdict("infeasible", math.inf, None, searched, evidence, lower=lower)
+    evidence = ""
+    if cert.kappa > (1.0 + tol) * lower:
+        evidence = f"engine bracket [{lower:.15g}, {cert.kappa:.15g}] wider than tol {tol:.3g}"
     return SimilarityVerdict(
-        "finite", cert.kappa, cert, searched, evidence, lower=min(lower, cert.kappa)
+        "finite", cert.kappa, cert, cert.kappa, evidence, lower=min(lower, cert.kappa)
     )
 
 
-def _engine_feasibility(target, kappa, tol):
-    """Fixed-budget answer from the engine's bracket, or None to search instead.
+def _engine_feasibility(target, ctx, seed, kappa, tol):
+    """Fixed-budget answer of the exact engine.
 
     The engine runs until its bracket puts the constant below the budget
-    (certificate) or above it (no certificate).  A budget within float64
-    resolution of the constant is decided by the box-clipped weight
-    against the feasibility tolerance.  Without an equation seed, a
-    certificate that fails the tolerance, or a bracket that stalled
-    around the budget, the first-order search answers.
+    (certificate) or above it (no certificate).  A bracket that stops
+    around the budget (a budget within float64 resolution of the
+    constant, or stalled Newton steps) leaves the answer to the
+    box-clipped engine weight against the feasibility tolerance; if that
+    fails too, there is no certificate, and ``nearest`` is the engine's.
     """
-    seed = _equation_seed(target)
-    if seed is None:
-        return None
     done, _, best_f = _engine_first_probe(target, seed, kappa, tol)
     if done is not None:
         return done
-    res, nearest = _engine_solve(target, seed, 0.0, tol, budget=kappa)
-    if nearest is None:
-        return None
-    if res.kappa <= kappa:
-        return FeasibilityResult(nearest, nearest.residual, res.iterations, nearest)
+    res, cert = _engine_solve(target, ctx, seed, 0.0, tol, budget=kappa)
+    if cert.kappa <= kappa:
+        return FeasibilityResult(cert, cert.residual, res.iterations, cert)
     P = _project_box(res.weight, kappa * kappa)
     f = _penalty(target, P)
-    if res.lower <= kappa:
-        if res.kappa > (1.0 + _condition_sdp.GAP_FLOOR) * res.lower:
-            return None
-        if f <= _effective_tol(target, kappa, tol):
-            cert = WeightCertificate(P, _kappa_of(P), max(f, 0.0))
-            return FeasibilityResult(cert, cert.residual, res.iterations, cert)
-    return FeasibilityResult(None, min(f, best_f), res.iterations, nearest)
+    if res.lower <= kappa and f <= _effective_tol(target, kappa, tol):
+        clipped = WeightCertificate(P, _kappa_of(P), max(f, 0.0))
+        return FeasibilityResult(clipped, clipped.residual, res.iterations, clipped)
+    return FeasibilityResult(None, min(f, best_f), res.iterations, cert)
 
 
 def _feasibility(target, kappa, tol, maxiter, warm):
-    if _in_engine_regime(target):
-        res = _engine_feasibility(target, kappa, tol)
-        if res is not None:
-            return res
-    return _solve_feasibility(target, kappa, tol, maxiter, warm=warm)
+    ctx, seed = _seeded(target)
+    if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
+        return _engine_feasibility(target, ctx, seed, kappa, tol)
+    return _solve_feasibility(target, kappa, tol, maxiter, warm=warm, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -807,13 +786,14 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     Returns
     -------
     FeasibilityResult
-        ``certificate`` is None when no weight was found: closed-form
-        weights are tried first, and for one strictly stable operator
-        the convex right-hand-side search follows, for at most
-        ``maxiter`` steps; ``best_residual`` reports how close the
-        closed-form weights came.  For one strictly stable operator of
-        dimension up to 32 the answer is exact: the engine's bracket
-        decides it, and ``maxiter`` and ``warm`` are not used.
+        For one strictly stable operator of dimension up to 32 the
+        answer is exact: the engine's bracket decides it, and
+        ``maxiter`` and ``warm`` are not used.  Otherwise
+        ``certificate`` is None when no weight was found: the box-clipped
+        closed-form weights are tried, then, for one strictly stable
+        operator, the convex right-hand-side search for at most
+        ``maxiter`` steps.  ``best_residual`` reports how close the
+        closed-form weights came.
     """
     ops = tuple(as_matrix(T, f"operators[{i}]") for i, T in enumerate(operators))
     if not ops:
@@ -895,22 +875,38 @@ def _continuous_norm_floor(A, shift, kappa_max):
 # bisection driver
 
 
-def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper=None):
+def _closed_form_certificates(target, ctx, feas_tol):
+    """Closed-form weights that certify at their own kappa, best first.
+
+    ``I``, the equation seed and the spectral seeds, unclipped; each is
+    kept if its penalty passes the feasibility tolerance at its kappa.
+    """
+    I = np.eye(target.dim, dtype=_native_dtype(target))
+    certs = []
+    for P in (I, _equation_seed(target, ctx), *_spectral_seeds(target)):
+        if P is None:
+            continue
+        kappa = _kappa_of(P)
+        f = _penalty(target, P)
+        if f <= _effective_tol(target, kappa, feas_tol):
+            certs.append(WeightCertificate(P, kappa, max(f, 0.0)))
+    return sorted(certs, key=lambda c: c.kappa)
+
+
+def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol, maxiter):
     """Log-scale bisection over kappa with warm-started feasibility probes.
 
-    An infeasible probe may still surface a certificate slightly above
-    its budget (see :class:`FeasibilityResult`); the upper bracket is
+    For strictly stable targets with equation context ``ctx``.  An
+    infeasible probe may still surface a certificate slightly above its
+    budget (see :class:`FeasibilityResult`); the upper bracket is
     tightened with every certificate seen, so the reported constant is
-    always backed by an actual weight.  ``upper`` is a certificate known
-    in advance.  Returns ``(verdict_status, certificate,
-    searched_kappa_max)``.
+    always backed by an actual weight.  Returns ``(certificate,
+    searched_kappa_max)``, with no certificate up to ``kappa_max``
+    reported as ``(None, kappa_max)``.
     """
-    lower = max(1.0, lower)
     warm = None
     qwarm = None
     best_cert = None
-    stable = _is_strictly_stable(target)
-    ctx = _EquationContext.for_target(target) if stable else None
 
     def probe(kap):
         res = _solve_feasibility(
@@ -925,29 +921,22 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper
         if cert is not None and (best_cert is None or cert.kappa < best_cert.kappa):
             best_cert = cert
             warm = cert.weight
-            if stable:
-                D = _defects(target, cert.weight)[0]
-                qwarm = -0.5 * (D + D.conj().T)
+            D = _defects(target, cert.weight)[0]
+            qwarm = -0.5 * (D + D.conj().T)
 
-    absorb(upper)
     res = probe(lower)
     if res:
-        return "finite", best_cert, lower
+        return best_cert, lower
 
-    # locate a feasible upper bracket; the equation and spectral seeds,
-    # when they exist, are certificates themselves and cap the search
+    # locate a feasible upper bracket; the closed-form certificates cap
+    # the search
     if best_cert is None:
-        for seed in (_equation_seed(target, ctx), *_spectral_seeds(target)):
-            if seed is None:
-                continue
-            kappa_seed = _kappa_of(seed)
-            if kappa_seed > kappa_max:
-                continue
-            f_seed = _penalty(target, seed)
-            if f_seed <= _effective_tol(target, kappa_seed, feas_tol):
-                if best_cert is None or kappa_seed < best_cert.kappa:
-                    best_cert = WeightCertificate(seed, kappa_seed, max(f_seed, 0.0))
-                    warm = seed
+        best_cert = next(
+            (c for c in _closed_form_certificates(target, ctx, feas_tol) if c.kappa <= kappa_max),
+            None,
+        )
+        if best_cert is not None:
+            warm = best_cert.weight
     if best_cert is None:
         kap = max(2.0 * lower, 2.0)
         while kap <= kappa_max * (1.0 + 1e-12):
@@ -957,7 +946,7 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper
         if best_cert is None and kap / 4.0 < kappa_max:
             probe(kappa_max)
     if best_cert is None or best_cert.kappa > kappa_max * (1.0 + 1e-9):
-        return "infeasible", None, kappa_max
+        return None, kappa_max
 
     lo = lower
     hi = max(best_cert.kappa, lo)
@@ -972,19 +961,27 @@ def _bisect_constant(target, lower, kappa_max, rel_tol, feas_tol, maxiter, upper
         else:
             lo = mid
             hi = max(lo, min(hi, best_cert.kappa))
-    return "finite", best_cert, hi
+    return best_cert, hi
 
 
 def _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter):
-    """Finite or infeasible verdict above the certified ``floor``."""
+    """Finite or infeasible verdict above the certified ``floor``.
+
+    The equation seed picks the regime (see the module notes).
+    """
     if feas_tol is None:
         feas_tol = _default_tol(target)
-    if _in_engine_regime(target):
-        verdict = _engine_constant(target, floor, tol, kappa_max, feas_tol, maxiter)
-        if verdict is not None:
-            return verdict
-    status, cert, searched = _bisect_constant(target, floor, kappa_max, tol, feas_tol, maxiter)
-    if status != "finite":
+    ctx, seed = _seeded(target)
+    if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
+        return _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol)
+    if seed is not None:
+        cert, searched = _bisect_constant(target, ctx, floor, kappa_max, tol, feas_tol, maxiter)
+    else:
+        # no interior to search from: the best closed-form certificate decides
+        certs = _closed_form_certificates(target, None, feas_tol)
+        cert = next((c for c in certs if c.kappa <= kappa_max), None)
+        searched = kappa_max if cert is None else cert.kappa
+    if cert is None:
         return SimilarityVerdict("infeasible", math.inf, None, searched, lower=floor)
     return SimilarityVerdict("finite", cert.kappa, cert, searched, lower=min(floor, cert.kappa))
 
@@ -998,10 +995,11 @@ def discrete_similarity_constant(
     which covers every power ``T^k`` by congruence, so no explicit power
     constraints are needed.  ``tol`` is the relative bracket width: for
     strictly stable ``T`` of dimension up to 32 the exact engine returns
-    ``lower <= C(T) <= constant <= (1 + tol) lower`` whenever its bracket
-    closes (see :class:`SimilarityVerdict` for when it cannot); other
-    operators are bisected over the condition budget (see the module
-    notes).
+    ``lower <= C(T) <= constant <= (1 + tol) lower`` unless ``evidence``
+    reports a wider bracket.  Larger strictly stable operators are
+    bisected over the condition budget, and operators with eigenvalues on
+    the unit circle get their best closed-form certificate (see the
+    module notes).
 
     Verdicts: ``unbounded`` on spectral evidence (``r(T) > 1``, or power
     norms exceeding the budget, which bound C(T) from below); otherwise

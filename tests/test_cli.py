@@ -65,6 +65,10 @@ class TestGalleryCommand:
     def test_unknown_kind_exit_two(self, tmp_path):
         assert run("gallery", "gallery_w.cfg", tmp_path, "kind=nope") == 2
 
+    @pytest.mark.parametrize("times", ["-0.5", "nan", "inf"])
+    def test_bad_time_exit_two(self, tmp_path, times):
+        assert run("gallery", "gallery_w.cfg", tmp_path, "m=16", f"times={times}") == 2
+
     def test_snap_distance_reported(self, tmp_path):
         assert run("gallery", "gallery_w.cfg", tmp_path, "m=16", "times=0.13") == 0
         samples = json.loads((tmp_path / "samples.json").read_text())
@@ -92,6 +96,13 @@ class TestObserveAndNaboko:
             run("observe", "observe_stable.cfg", tmp_path, "system=../data/system_skew.json")
             == 5
         )
+
+    @pytest.mark.parametrize("horizon", ["abc", "-1"])
+    def test_bad_horizon_exit_two(self, tmp_path, horizon):
+        assert run("observe", "observe_stable.cfg", tmp_path, f"horizon={horizon}") == 2
+
+    def test_nan_eps_exit_two(self, tmp_path):
+        assert run("naboko", "naboko_skew.cfg", tmp_path, "eps=0.1,nan") == 2
 
     def test_naboko_curve(self, tmp_path):
         assert run("naboko", "naboko_skew.cfg", tmp_path, "eps=0.05,0.1") == 0

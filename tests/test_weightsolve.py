@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from simgroup import weightsolve
 from simgroup.exceptions import DimensionError, SaturationError
 from simgroup.gallery import DyadicSequence, lemerdy_semigroup, packel_nilpotent_compression
-from simgroup.opcore import expm_semigroup, numerical_abscissa, operator_norm
+from simgroup.opcore import expm_semigroup, numerical_abscissa, operator_norm, resolvent
 from simgroup.weightsolve import (
     LyapunovTarget,
     SteinTarget,
@@ -311,7 +311,7 @@ class TestConditionEngine:
         assert rep.worst <= _feasibility_tol(SteinTarget((T.real,)), rep.kappa)
         assert not stein_feasible([T], 0.99 * 2.1538)
 
-    def test_unreachable_tol_continues_by_bisection(self):
+    def test_unreachable_tol_reports_engine_bracket(self):
         # float64 iterates cannot close a bracket of relative width 1e-14
         T = _packel_step(3)
         v = discrete_similarity_constant(T, tol=1e-14)
@@ -335,13 +335,13 @@ class TestConditionEngine:
         T = _RAND3
         v = discrete_similarity_constant(T, tol=1e-4)
         assert v.finite
-        assert v.evidence.startswith("engine weight")
+        assert v.evidence.startswith("engine bracket")
         assert v.lower <= v.constant
         rep = certificate_check(v.certificate, SteinTarget((T,)))
         assert rep.worst <= _feasibility_tol(SteinTarget((T,)), v.constant)
         assert abs(rep.kappa - v.constant) <= 1e-9 * v.constant
 
-    def test_stalled_bracket_falls_back(self, monkeypatch):
+    def test_stalled_bracket_decides_feasibility(self, monkeypatch):
         def stalled(terms, seed, tol, budget=None):
             return weightsolve._condition_sdp.SdpResult(seed, weightsolve._kappa_of(seed), 1.0, 1)
 
@@ -350,19 +350,36 @@ class TestConditionEngine:
         constant = discrete_similarity_constant(T, tol=1e-4)
         assert constant.evidence.startswith("engine bracket")
         assert constant.lower <= constant.constant
-        searched = []
-        search = weightsolve._solve_feasibility
         monkeypatch.setattr(
-            weightsolve,
-            "_solve_feasibility",
-            lambda *a, **k: searched.append(a) or search(*a, **k),
+            weightsolve, "_solve_feasibility", lambda *a, **k: pytest.fail("searched")
         )
-        budget = 1.05 * constant.constant
-        res = stein_feasible([T], budget)
-        assert searched
-        if res:
-            rep = certificate_check(res.certificate, SteinTarget((T,)))
-            assert rep.kappa <= budget * (1.0 + 1e-9)
+        # one budget above the stalled bracket, one inside it
+        inside = math.sqrt(constant.lower * constant.constant)
+        for budget in (1.05 * constant.constant, inside):
+            res = stein_feasible([T], budget)
+            assert res or res.nearest is not None
+            cert = res.certificate if res else res.nearest
+            rep = certificate_check(cert, SteinTarget((T,)))
+            assert rep.worst <= _feasibility_tol(SteinTarget((T,)), rep.kappa)
+            if res:
+                assert rep.kappa <= budget * (1.0 + 1e-9)
+
+    def test_near_identity_resolvent_closes(self):
+        # 1e4 R(1e4) of a criterion-8 corpus member: the Newton matrix is
+        # numerically indefinite at a ridge of 1e-10, which used to leave
+        # the bracket at width 3.3e-4
+        rng = np.random.default_rng(906)
+        for i in range(3):
+            n = int(rng.integers(2, 9))
+            M = rng.standard_normal((n, n))
+            if i % 2:
+                M = M + 1j * rng.standard_normal((n, n))
+        A = M - (np.max(np.linalg.eigvals(M).real) + 0.4) * np.eye(n)
+        tol = 1e-4
+        v = discrete_similarity_constant(1e4 * resolvent(A, 1e4), tol=tol)
+        assert v.finite
+        assert v.evidence == ""
+        assert v.constant <= (1.0 + tol) * v.lower
 
     def test_n32_within_five_seconds(self):
         rng = np.random.default_rng(32)
