@@ -100,6 +100,8 @@ class RunConfig:
             val = float(raw)
         except (TypeError, ValueError):
             raise InputFormatError(f"config key '{key}' is not a number: {raw!r}")
+        if not math.isfinite(val):
+            raise InputFormatError(f"config key '{key}' must be finite")
         if positive and not val > 0:
             raise InputFormatError(f"config key '{key}' must be positive")
         return val

@@ -8,7 +8,9 @@ contraction (infinite horizon, stable case) and quasi-contraction
 (finite horizon) semigroups.  The defect construction runs the bridge
 in the other direction: a Lyapunov weight ``P`` yields an observation
 ``C`` with ``C*C = -(A*P + PA)`` whose Gramian telescopes back to ``P``.
-The resolvent means of Naboko's isometry criterion are evaluated both by
+Every finite-horizon Gramian and orbit mean is the one orbit integral
+:func:`~simgroup.opcore.gramian_integral`, re-exported here.  The
+resolvent means of Naboko's isometry criterion are evaluated both by
 quadrature on the critical line and through their Plancherel form, which
 reduces to a shifted Lyapunov solve.
 """
@@ -23,19 +25,25 @@ import scipy.linalg
 from .exceptions import DimensionError, StabilityError
 from .opcore import (
     as_matrix,
+    gramian_integral,
     growth_bound,
     matrix_from_json,
     matrix_to_json,
     numerical_abscissa,
     operator_norm,
     semigroup_from_generator,
-    weight_factors,
 )
-from .weightsolve import WeightCertificate, quasi_similarity_constant
+from .weightsolve import (
+    LyapunovTarget,
+    WeightCertificate,
+    certificate_check,
+    quasi_similarity_constant,
+)
 
 __all__ = [
     "ObservedSystem",
     "GramianReport",
+    "gramian_integral",
     "observability_gramian",
     "finite_time_observability_test",
     "infinite_gramian",
@@ -131,25 +139,6 @@ class GramianReport:
         }
 
 
-def gramian_integral(A, Q, tau):
-    """``integral_0^tau exp(sA*) Q exp(sA) ds`` by the block exponential.
-
-    Van Loan's method: the exponential of ``[[-A*, Q], [0, A]]`` carries
-    the integral in its off-diagonal block, spectrally accurate for dense
-    small systems.
-    """
-    A = as_matrix(A, "generator")
-    Q = as_matrix(Q, "Q")
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    M[:n, :n] = -A.conj().T
-    M[:n, n:] = Q
-    M[n:, n:] = A
-    E = scipy.linalg.expm(tau * M)
-    G = E[n:, n:].conj().T @ E[:n, n:]
-    return 0.5 * (G + G.conj().T)
-
-
 def observability_gramian(sys, tau, obs_floor=1e-10):
     """Finite-horizon observability Gramian with its two-sided constants."""
     tau = float(tau)
@@ -194,12 +183,14 @@ def finite_time_observability_test(sys, tau, threshold=1e-10):
     }
 
 
-def infinite_gramian(sys, residual_tol=1e-10, check_points=7):
+def infinite_gramian(sys, residual_tol=1e-10):
     """Infinite-horizon Gramian ``P`` solving ``A*P + PA = -C*C``.
 
     Demands strict stability; when ``P`` is positive definite it is an
-    equivalent-norm certificate making the semigroup contractive, which
-    is validated on a time grid and attached to the report.
+    equivalent-norm certificate making the semigroup contractive.  The
+    certificate is attached to the report with the Lyapunov defect that
+    :func:`~simgroup.weightsolve.certificate_check` recomputes as its
+    ``residual``.
     """
     gb = growth_bound(sys.A)
     if gb >= STABILITY_MARGIN:
@@ -218,12 +209,8 @@ def infinite_gramian(sys, residual_tol=1e-10, check_points=7):
     pd = alpha > 1e-12 * max(beta, 1.0)
     cert = None
     if pd:
-        sem = semigroup_from_generator(sys.A)
-        S, Sinv = weight_factors(P / alpha)
-        worst = 0.0
-        for t in np.geomspace(0.1, 10.0, check_points):
-            worst = max(worst, operator_norm(S @ sem.eval(float(t)) @ Sinv) - 1.0)
-        cert = WeightCertificate(P / alpha, math.sqrt(beta / alpha), max(worst, 0.0))
+        rep = certificate_check(WeightCertificate(P / alpha, 0.0, 0.0), LyapunovTarget(sys.A, 0.0))
+        cert = WeightCertificate(P / alpha, rep.kappa, rep.residual)
     return GramianReport(
         horizon=math.inf,
         gramian=P,

@@ -22,6 +22,7 @@ from .exceptions import InvalidWeightError, StabilityError
 from .opcore import (
     MatrixSemigroup,
     as_matrix,
+    gramian_integral,
     growth_bound,
     min_singular_value,
     numerical_abscissa,
@@ -31,8 +32,10 @@ from .opcore import (
     weight_factors,
 )
 from .weightsolve import (
+    LyapunovTarget,
     SimilarityVerdict,
     WeightCertificate,
+    certificate_check,
     discrete_similarity_constant,
     joint_similarity_constant,
     quasi_similarity_constant,
@@ -276,23 +279,17 @@ def sup_norm_on_interval(sem, tau, points=64, inflate=AUDIT_TOL):
 # renorming constructions
 
 
-def _simpson_weights(panels):
-    w = np.ones(2 * panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
-def average_renorm(A, P_eq, tau1, panels=256, check_grid=None):
+def average_renorm(A, P_eq, tau1):
     """Orbit-averaged weight turning one-time contractivity into global.
 
     Given ``P_eq`` certifying ``norm(exp(tau1 A))_{P_eq} <= 1``, the
     average ``P_avg = (1/(M^2 tau1)) * integral exp(sA*) P_eq exp(sA) ds``
-    over ``[0, tau1]`` satisfies the Lyapunov inequality exactly in the
-    continuum (the defect telescopes to the one-time contractivity), so
-    it certifies ``norm(exp(tA))_{P_avg} <= 1`` for every ``t >= 0`` up
-    to quadrature error.  Composite Simpson quadrature; the integrand is
-    entire in ``s``.
+    over ``[0, tau1]`` satisfies the Lyapunov inequality exactly (the
+    defect telescopes to the one-time contractivity), so it certifies
+    ``norm(exp(tA))_{P_avg} <= 1`` for every ``t >= 0``.  The integral
+    is :func:`~simgroup.opcore.gramian_integral`; the certificate's
+    ``residual`` is the Lyapunov defect that
+    :func:`~simgroup.weightsolve.certificate_check` recomputes.
     """
     A = as_matrix(A, "generator")
     tau1 = float(tau1)
@@ -303,27 +300,13 @@ def average_renorm(A, P_eq, tau1, panels=256, check_grid=None):
     if operator_norm(S_eq @ sem.eval(tau1) @ Sinv_eq) > 1.0 + 1e-9:
         raise InvalidWeightError("P_eq does not certify contraction at tau1")
     M = sup_norm_on_interval(sem, tau1, inflate=0.0)
-    h = tau1 / (2 * panels)
-    w = _simpson_weights(panels)
-    P = np.zeros_like(np.asarray(P_eq, dtype=complex))
-    P_eq = 0.5 * (np.asarray(P_eq, dtype=complex) + np.asarray(P_eq, dtype=complex).conj().T)
-    for j, wj in enumerate(w):
-        E = sem.eval(j * h)
-        P += wj * (E.conj().T @ P_eq @ E)
-    P *= h / (M * M * tau1)
-    P = 0.5 * (P + P.conj().T)
-    ev = np.linalg.eigvalsh(P)
-    kappa = math.sqrt(ev[-1] / ev[0])
-    S, Sinv = weight_factors(P)
-    if check_grid is None:
-        check_grid = np.geomspace(0.1, 5.0, 8)
-    residual = max(
-        max(0.0, operator_norm(S @ sem.eval(float(t)) @ Sinv) - 1.0) for t in check_grid
-    )
-    return WeightCertificate(P, kappa, residual)
+    P_eq = np.asarray(P_eq, dtype=complex)
+    P = gramian_integral(A, 0.5 * (P_eq + P_eq.conj().T), tau1) / (M * M * tau1)
+    rep = certificate_check(WeightCertificate(P, 0.0, 0.0), LyapunovTarget(A, 0.0))
+    return WeightCertificate(P, rep.kappa, rep.residual)
 
 
-def average_renorm_factor_audit(A, P_eq, tau1, tau2=None, panels=256):
+def average_renorm_factor_audit(A, P_eq, tau1, tau2=None):
     """Audit the factorization norms of the averaged renorming.
 
     The averaging argument factors ``T(t) = script_A U(t) iota`` with
@@ -333,7 +316,9 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None, panels=256):
     ``norm(script_A) = norm(T(tau2) P_avg^{-1/2})``.  The audited bound
     is the product against ``kappa(P_eq) M^2 sqrt(tau1/tau2)``; the raw
     condition number of ``P_avg`` obeys no such bound, so it is the
-    factorization product that is audited.
+    factorization product that is audited.  ``P_avg`` is the exact
+    orbit integral of :func:`average_renorm`, so the audit carries no
+    quadrature error.
     """
     A = as_matrix(A, "generator")
     if tau2 is None:
@@ -342,7 +327,7 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None, panels=256):
     ev = np.linalg.eigvalsh(0.5 * (P_eq + P_eq.conj().T))
     P_eq = P_eq / ev[0]
     kappa_eq = math.sqrt(ev[-1] / ev[0])
-    cert = average_renorm(A, P_eq, tau1, panels=panels)
+    cert = average_renorm(A, P_eq, tau1)
     sem = semigroup_from_generator(A)
     M = sup_norm_on_interval(sem, tau1)
     _, Sinv = weight_factors(cert.weight)
@@ -359,12 +344,15 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None, panels=256):
     )
 
 
-def liapunov_renorm(A, a, tol=1e-4, check_points=9):
+def liapunov_renorm(A, a, tol=1e-4):
     """Equivalent-norm certificate for the envelope ``exp(a t)``.
 
     Requires ``a`` strictly above the spectral bound; composes the
-    shifted similarity constant and validates the envelope on a time
-    grid.
+    shifted similarity constant and re-checks its certificate with
+    :func:`~simgroup.weightsolve.certificate_check`.  A defect ``A*P +
+    PA - 2aP <= eps I`` with ``P >= I`` gives ``norm(exp(tA))_P <= exp((a
+    + eps/2) t)`` for every ``t >= 0``; the certificate is rejected when
+    ``eps`` exceeds ``100 max(tol, 1e-9)``.
     """
     A = as_matrix(A, "generator")
     if not a > growth_bound(A):
@@ -374,16 +362,10 @@ def liapunov_renorm(A, a, tol=1e-4, check_points=9):
     v = quasi_similarity_constant(A, float(a), tol=tol)
     if not v.finite:
         raise StabilityError("no certificate found for a rate above the spectral bound")
-    cert = v.certificate
-    sem = semigroup_from_generator(A)
-    S, Sinv = weight_factors(cert.weight)
-    worst = 0.0
-    for t in np.geomspace(0.05, 10.0, check_points):
-        envelope = math.exp(a * float(t))
-        worst = max(worst, operator_norm(S @ sem.eval(float(t)) @ Sinv) / envelope - 1.0)
-    if worst > 100 * max(tol, 1e-9):
-        raise StabilityError(f"certificate violates the envelope by {worst:.3g}")
-    return cert
+    defect = certificate_check(v.certificate, LyapunovTarget(A, float(a))).residual
+    if defect > 100 * max(tol, 1e-9):
+        raise StabilityError(f"certificate violates the envelope by {defect:.3g}")
+    return v.certificate
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +506,9 @@ def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6):
 
     ``alpha``/``beta`` are the extreme singular values of ``exp(tA)``
     over the grid; when they are bounded away from zero and infinity the
-    time average ``P = (1/T) integral exp(tA*) exp(tA) dt`` renorms the
+    time average ``P = (1/T) integral exp(tA*) exp(tA) dt`` over the
+    grid's last time ``T`` (the orbit integral
+    :func:`~simgroup.opcore.gramian_integral`) renorms the
     semigroup toward an isometry, and the report carries the worst
     relative isometry defect ``max |norm(S E h) / norm(S h) - 1|`` over
     all vectors ``h`` and grid times, with ``S = P^{1/2}``: the largest
@@ -554,14 +538,7 @@ def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6):
     if not positive:
         return IsometryReport(alpha, beta, False, None, None, None)
     T_max = float(t_grid[-1])
-    panels = 128
-    h = T_max / (2 * panels)
-    w = _simpson_weights(panels)
-    P = np.zeros_like(A)
-    for j, wj in enumerate(w):
-        E = sem.eval(j * h)
-        P = P + wj * (E.conj().T @ E)
-    P = 0.5 * (P + P.conj().T) * (h / T_max)
+    P = gramian_integral(A, np.eye(A.shape[0]), T_max) / T_max
     ev = np.linalg.eigvalsh(P)
     kappa = math.sqrt(ev[-1] / ev[0])
     S, Sinv = weight_factors(P)

@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 KAPPA_MAX_DEFAULT = 1e6
+#: iteration cap of the q-space search (its window-stall rule usually stops it first)
 MAXITER_DEFAULT = 5000
 
 
@@ -488,7 +489,7 @@ def _proj_spectraplex(Q):
     return (U * np.maximum(w - theta, 0.0)) @ U.conj().T
 
 
-def _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=None):
+def _qspace_rounds(target, kappa, tol, ctx, Q0=None):
     """Convex margin minimization in right-hand-side space.
 
     For strictly stable single-constraint targets the defect map ``L`` is
@@ -510,7 +511,7 @@ def _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=None):
     window = 80
     window_best = np.inf
     it = -1
-    for it in range(maxiter):
+    for it in range(MAXITER_DEFAULT):
         P = ctx.solve(Q)
         if P is None:
             break
@@ -589,7 +590,7 @@ def _closed_form_probe(target, candidates, kappa, tol):
     return None, best_P, best_f
 
 
-def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=None):
+def _solve_feasibility(target, kappa, tol, warm=None, qwarm=None, ctx=None):
     """Fixed-budget feasibility: closed-form weights, then the convex search.
 
     The closed-form candidates (identity, warm start, equation seed and
@@ -619,7 +620,7 @@ def _solve_feasibility(target, kappa, tol, maxiter, warm=None, qwarm=None, ctx=N
     nearest = _cone_certificate(target, best_P, tol, ctx)
     if nearest is not None and nearest.kappa <= kappa:
         return FeasibilityResult(nearest, nearest.residual, 0, nearest)
-    cert, near, iterations = _qspace_rounds(target, kappa, tol, maxiter, ctx, Q0=qwarm)
+    cert, near, iterations = _qspace_rounds(target, kappa, tol, ctx, Q0=qwarm)
     if cert is not None:
         return FeasibilityResult(cert, cert.residual, iterations, cert)
     if near is not None and (nearest is None or near.kappa < nearest.kappa):
@@ -758,18 +759,18 @@ def _engine_feasibility(target, ctx, seed, kappa, tol):
     return FeasibilityResult(None, min(f, best_f), res.iterations, cert)
 
 
-def _feasibility(target, kappa, tol, maxiter, warm):
+def _feasibility(target, kappa, tol, warm):
     ctx, seed = _seeded(target)
     if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
         return _engine_feasibility(target, ctx, seed, kappa, tol)
-    return _solve_feasibility(target, kappa, tol, maxiter, warm=warm, ctx=ctx)
+    return _solve_feasibility(target, kappa, tol, warm=warm, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
 # public feasibility surface
 
 
-def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=None):
+def stein_feasible(operators, kappa, tol=None, warm=None):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``Ti* P Ti <= P``.
 
     Parameters
@@ -787,13 +788,13 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     -------
     FeasibilityResult
         For one strictly stable operator of dimension up to 32 the
-        answer is exact: the engine's bracket decides it, and
-        ``maxiter`` and ``warm`` are not used.  Otherwise
-        ``certificate`` is None when no weight was found: the box-clipped
-        closed-form weights are tried, then, for one strictly stable
-        operator, the convex right-hand-side search for at most
-        ``maxiter`` steps.  ``best_residual`` reports how close the
-        closed-form weights came.
+        answer is exact: the engine's bracket decides it, and ``warm``
+        is not used.  Otherwise ``certificate`` is None when no weight
+        was found: the box-clipped closed-form weights are tried, then,
+        for one strictly stable operator, the convex right-hand-side
+        search, which stops when its margin stalls (at most
+        ``MAXITER_DEFAULT`` steps).  ``best_residual`` reports how close
+        the closed-form weights came.
     """
     ops = tuple(as_matrix(T, f"operators[{i}]") for i, T in enumerate(operators))
     if not ops:
@@ -805,10 +806,10 @@ def stein_feasible(operators, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=Non
     target = _realified(SteinTarget(ops))
     if tol is None:
         tol = _default_tol(target)
-    return _feasibility(target, kappa, tol, maxiter, warm)
+    return _feasibility(target, kappa, tol, warm)
 
 
-def lyapunov_feasible(A, shift, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=None):
+def lyapunov_feasible(A, shift, kappa, tol=None, warm=None):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``A*P + PA <= 2 shift P``.
 
     A certificate makes ``exp(-shift t) exp(tA)`` a joint contraction in
@@ -822,7 +823,7 @@ def lyapunov_feasible(A, shift, kappa, tol=None, maxiter=MAXITER_DEFAULT, warm=N
     target = _realified(LyapunovTarget(A, float(shift)))
     if tol is None:
         tol = _default_tol(target)
-    return _feasibility(target, kappa, tol, maxiter, warm)
+    return _feasibility(target, kappa, tol, warm)
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +894,7 @@ def _closed_form_certificates(target, ctx, feas_tol):
     return sorted(certs, key=lambda c: c.kappa)
 
 
-def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol, maxiter):
+def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     """Log-scale bisection over kappa with warm-started feasibility probes.
 
     For strictly stable targets with equation context ``ctx``.  An
@@ -909,9 +910,7 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol, maxiter):
     best_cert = None
 
     def probe(kap):
-        res = _solve_feasibility(
-            target, kap, feas_tol, maxiter, warm=warm, qwarm=qwarm, ctx=ctx
-        )
+        res = _solve_feasibility(target, kap, feas_tol, warm=warm, qwarm=qwarm, ctx=ctx)
         absorb(res.certificate)
         absorb(res.nearest)
         return res
@@ -964,7 +963,7 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol, maxiter):
     return best_cert, hi
 
 
-def _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter):
+def _constant_verdict(target, floor, tol, kappa_max, feas_tol):
     """Finite or infeasible verdict above the certified ``floor``.
 
     The equation seed picks the regime (see the module notes).
@@ -975,7 +974,7 @@ def _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter):
     if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
         return _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol)
     if seed is not None:
-        cert, searched = _bisect_constant(target, ctx, floor, kappa_max, tol, feas_tol, maxiter)
+        cert, searched = _bisect_constant(target, ctx, floor, kappa_max, tol, feas_tol)
     else:
         # no interior to search from: the best closed-form certificate decides
         certs = _closed_form_certificates(target, None, feas_tol)
@@ -986,9 +985,7 @@ def _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter):
     return SimilarityVerdict("finite", cert.kappa, cert, searched, lower=min(floor, cert.kappa))
 
 
-def discrete_similarity_constant(
-    T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None, maxiter=MAXITER_DEFAULT
-):
+def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
     """Similarity constant C(T) of a single operator, with certificate.
 
     Minimizes the condition number of a Stein certificate for ``T``,
@@ -1027,10 +1024,10 @@ def discrete_similarity_constant(
             lower=floor,
         )
     target = _realified(SteinTarget((T,)))
-    return _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter)
+    return _constant_verdict(target, floor, tol, kappa_max, feas_tol)
 
 
-def _shifted_constant(A, shift, tol, kappa_max, feas_tol, maxiter):
+def _shifted_constant(A, shift, tol, kappa_max, feas_tol):
     A = as_matrix(A, "generator")
     gb = growth_bound(A)
     if gb > shift + 1e-10:
@@ -1053,12 +1050,10 @@ def _shifted_constant(A, shift, tol, kappa_max, feas_tol, maxiter):
             lower=floor,
         )
     target = _realified(LyapunovTarget(A, float(shift)))
-    return _constant_verdict(target, floor, tol, kappa_max, feas_tol, maxiter)
+    return _constant_verdict(target, floor, tol, kappa_max, feas_tol)
 
 
-def joint_similarity_constant(
-    A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None, maxiter=MAXITER_DEFAULT
-):
+def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
     """Joint similarity constant of the semigroup ``t -> exp(tA)``.
 
     A Lyapunov certificate ``A*P + PA <= 0`` renorms every ``exp(tA)``
@@ -1066,19 +1061,15 @@ def joint_similarity_constant(
     condition number of such a certificate, found within relative
     ``tol`` as in :func:`discrete_similarity_constant`.
     """
-    return _shifted_constant(A, 0.0, tol, kappa_max, feas_tol, maxiter)
+    return _shifted_constant(A, 0.0, tol, kappa_max, feas_tol)
 
 
-def quasi_similarity_constant(
-    A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None, maxiter=MAXITER_DEFAULT
-):
+def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
     """Similarity constant of the rescaled semigroup ``exp(-shift t) exp(tA)``."""
-    return _shifted_constant(A, float(shift), tol, kappa_max, feas_tol, maxiter)
+    return _shifted_constant(A, float(shift), tol, kappa_max, feas_tol)
 
 
-def min_quasi_shift(
-    A, kappa_budget, tol=1e-3, feas_tol=None, maxiter=MAXITER_DEFAULT
-):
+def min_quasi_shift(A, kappa_budget, tol=1e-3, feas_tol=None):
     """Smallest shift admitting a certificate within the condition budget.
 
     Bisects over ``shift`` in ``[growth_bound(A), numerical_abscissa(A)]``;
@@ -1098,9 +1089,7 @@ def min_quasi_shift(
         feas_tol = 1e-8 * target_scale
 
     def feasible(lam, warm=None):
-        return lyapunov_feasible(
-            A, lam, kappa_budget, tol=feas_tol, maxiter=maxiter, warm=warm
-        )
+        return lyapunov_feasible(A, lam, kappa_budget, tol=feas_tol, warm=warm)
 
     res_lo = feasible(lo)
     if res_lo:

@@ -135,6 +135,23 @@ class TestClassifyCommand:
         assert run("classify", "classify_packel.cfg", tmp_path, "gallery=unknown") == 2
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "command,config,override",
+        [
+            ("constant", "constant_joint.cfg", "tol=inf"),
+            ("constant", "constant_joint.cfg", "kappa_max=inf"),
+            ("constant", "constant_joint.cfg", "mode=quasi shift=inf"),
+            ("constant", "constant_joint.cfg", "mode=quasi shift=-inf"),
+            ("naboko", "naboko_skew.cfg", "xi_max=inf"),
+            ("audit", "audit_jordan.cfg", "lam=inf"),
+        ],
+    )
+    def test_exit_two(self, tmp_path, command, config, override):
+        assert run(command, config, tmp_path, *override.split()) == 2
+        assert os.listdir(tmp_path) == []
+
+
 class TestByteStability:
     @pytest.mark.parametrize(
         "command,config",

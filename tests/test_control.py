@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from simgroup.control import (
     ObservedSystem,
@@ -18,6 +19,7 @@ from simgroup.control import (
 )
 from simgroup.exceptions import DimensionError, StabilityError
 from simgroup.opcore import expm_semigroup, matrix_to_json, operator_norm
+from simgroup.weightsolve import LyapunovTarget, certificate_check
 
 from conftest import random_stable
 
@@ -60,6 +62,16 @@ class TestObservabilityGramian:
         with pytest.raises(DimensionError):
             ObservedSystem(np.eye(2), np.eye(3))
 
+    def test_full_observation_long_horizon(self):
+        # the stiff mode's exp(-tau A*) reaches e^40 on this horizon
+        A = np.array([[-0.5, 1.0], [0.0, -4.0]])
+        rep = observability_gramian(ObservedSystem(A, np.eye(2)), 10.0)
+        P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(2))
+        E = expm_semigroup(A, 10.0)
+        H = E.conj().T @ E + P - E.conj().T @ P @ E
+        assert rep.beta == pytest.approx(float(np.linalg.eigvalsh(H)[-1]), rel=1e-12)
+        assert rep.exactly_observable
+
 
 class TestFiniteTimeTest:
     def test_full_observation_positive(self, rng):
@@ -95,6 +107,12 @@ class TestInfiniteGramian:
     def test_requires_strict_stability(self):
         with pytest.raises(StabilityError):
             infinite_gramian(ObservedSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)))
+
+    def test_residual_is_lyapunov_defect(self, rng):
+        A = random_stable(rng, 5)
+        rep = infinite_gramian(ObservedSystem(A, rng.standard_normal((5, 5))))
+        check = certificate_check(rep.certificate, LyapunovTarget(A, 0.0))
+        assert rep.certificate.residual == check.residual
 
 
 class TestDefectObservation:
@@ -202,6 +220,14 @@ class TestCesaro:
     def test_stable_means_vanish(self):
         out = cesaro_orbit_mean(np.diag([-1.0]), t_max=80.0)
         assert out["limsup_estimate"] <= 0.02
+
+    def test_stable_means_ordered(self, rng):
+        # G_t <= P with A* P + P A = -I, so every mean lies in [0, |P| / t]
+        A = random_stable(rng, 16, complex_entries=False)
+        out = cesaro_orbit_mean(A)
+        P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(16))
+        cap = float(np.linalg.eigvalsh(P)[-1]) / 25.0
+        assert 0.0 <= out["liminf_estimate"] <= out["limsup_estimate"] <= cap * (1 + 1e-9)
 
     def test_zero_observation(self):
         out = cesaro_orbit_mean(1j * np.diag([0.4]), C=np.zeros((1, 1)), t_max=10.0)

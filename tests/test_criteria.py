@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from simgroup.criteria import (
     average_renorm,
@@ -156,6 +157,25 @@ class TestAverageRenorm:
         ref = simpson_weight_average(JORDAN, np.diag([1.0, 4.0]), 1.0) / (M * M)
         assert operator_norm(cert.weight - ref) <= 1e-9 * operator_norm(ref)
 
+    def test_stiff_against_lyapunov_closed_form(self):
+        # spectrum from -0.1 to -40: exp(-tau1 A*) reaches e^40 at tau1 = 1
+        rng = np.random.default_rng(7)
+        X = np.eye(8) + 0.3 * rng.standard_normal((8, 8)) / math.sqrt(8)
+        A = np.linalg.solve(X, np.diag(-np.linspace(0.1, 40.0, 8)) @ X)
+        P_eq = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(8))
+        cert = average_renorm(A, P_eq, 1.0)
+        Y = scipy.linalg.solve_continuous_lyapunov(A.T, -P_eq)
+        E = expm_semigroup(A, 1.0)
+        M = sup_norm_on_interval(semigroup_from_generator(A), 1.0, inflate=0.0)
+        ref = (Y - E.T @ Y @ E) / (M * M)
+        assert operator_norm(cert.weight - ref) <= 1e-9 * operator_norm(ref)
+
+    def test_residual_is_lyapunov_defect(self):
+        cert = average_renorm(JORDAN, np.diag([1.0, 4.0]), 1.0)
+        rep = certificate_check(cert, LyapunovTarget(JORDAN.astype(complex), 0.0))
+        assert cert.residual == rep.residual
+        assert cert.kappa == rep.kappa
+
     def test_invalid_precondition(self):
         with pytest.raises(InvalidWeightError):
             average_renorm(JORDAN, np.eye(2), 1.0)  # identity does not certify tau=1
@@ -177,6 +197,15 @@ class TestLiapunovRenorm:
     def test_below_growth_bound_raises(self):
         with pytest.raises(StabilityError):
             liapunov_renorm(np.diag([0.5, -1.0]), 0.0)
+
+    def test_bad_certificate_rejected(self, monkeypatch):
+        # the identity weight misses the rate -0.5 of this Jordan block
+        def identity_verdict(A, shift, tol):
+            return joint_similarity_constant(np.diag([-1.0, -1.0]), tol=tol)
+
+        monkeypatch.setattr("simgroup.criteria.quasi_similarity_constant", identity_verdict)
+        with pytest.raises(StabilityError, match="violates the envelope"):
+            liapunov_renorm(JORDAN, -0.5)
 
 
 class TestSimconstAudit:

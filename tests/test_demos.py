@@ -22,3 +22,4 @@ def test_demo_runs(path, tmp_path):
         [sys.executable, path], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

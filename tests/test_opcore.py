@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from simgroup import exceptions
 from simgroup.opcore import (
     as_matrix,
     expm_semigroup,
+    gramian_integral,
     growth_bound,
     matrix_from_json,
     matrix_to_json,
@@ -52,6 +55,43 @@ class TestExpm:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             expm_semigroup(np.eye(2), -1.0)
+
+
+def _lyapunov_orbit_integral(A, Q, tau):
+    """``P - T(tau)* P T(tau)`` with ``A* P + P A = -Q``, for stable ``A``."""
+    P = scipy.linalg.solve_continuous_lyapunov(A.conj().T, -Q)
+    T = scipy.linalg.expm(tau * A)
+    return P - T.conj().T @ P @ T, P, T
+
+
+class TestGramianIntegral:
+    def test_long_horizon_closed_form(self):
+        # exp(-tau A*) reaches e^40 here: one block exponential over the
+        # whole horizon loses the integral in rounding
+        A = np.array([[-0.5, 1.0], [0.0, -4.0]])
+        ref, _, _ = _lyapunov_orbit_integral(A, np.eye(2), 10.0)
+        G = gramian_integral(A, np.eye(2), 10.0)
+        assert operator_norm(G - ref) <= 1e-12 * operator_norm(ref)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        complex_entries=st.booleans(),
+        margin=st.floats(0.05, 1.0),
+        tau=st.floats(1e-2, 1e2),
+    )
+    def test_matches_closed_form(self, seed, n, complex_entries, margin, tau):
+        rng = np.random.default_rng(seed)
+        A = random_stable(rng, n, margin=margin, complex_entries=complex_entries)
+        B = rng.standard_normal((n, n))
+        Q = B @ B.T
+        ref, P, T = _lyapunov_orbit_integral(A, Q, tau)
+        G = gramian_integral(A, Q, tau)
+        # the closed form itself carries rounding of order eps |P| (1 + |T|^2)
+        scale = operator_norm(P) * (1.0 + operator_norm(T) ** 2)
+        assert operator_norm(G - ref) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(G)[0] >= -1e-12 * scale
 
 
 class TestResolvent:

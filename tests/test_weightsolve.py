@@ -92,7 +92,7 @@ class TestLyapunovFeasible:
 
     def test_unstable_absent(self):
         A = np.diag([1.0, 0.0])
-        res = lyapunov_feasible(A, 0.0, 100.0, maxiter=800)
+        res = lyapunov_feasible(A, 0.0, 100.0)
         assert not res
 
 
