@@ -30,6 +30,7 @@ from .opcore import (
     matrix_from_json,
     matrix_to_json,
     min_singular_value,
+    norm_upper_bound,
     numerical_abscissa,
     operator_norm,
     resolvent,

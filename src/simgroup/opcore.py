@@ -31,6 +31,7 @@ from .exceptions import (
 __all__ = [
     "as_matrix",
     "operator_norm",
+    "norm_upper_bound",
     "min_singular_value",
     "spectral_radius",
     "growth_bound",
@@ -84,6 +85,21 @@ def operator_norm(T):
     if T.size == 0:
         return 0.0
     return float(np.linalg.norm(T, 2))
+
+
+def norm_upper_bound(X):
+    """Schur-test bound ``sqrt(norm(X, 1) * norm(X, inf))`` on ``operator_norm(X)``.
+
+    The value is ``>= operator_norm(X)`` for every ``X`` (I. Schur, 1911),
+    and equals it when ``X`` has at most one nonzero entry per row and
+    per column (a scaled partial permutation).  It takes absolute row and
+    column sums only, so for matrices of small integers it is computed
+    without rounding up to the final square root.
+    """
+    X = np.abs(np.atleast_2d(np.asarray(X)))
+    if X.size == 0:
+        return 0.0
+    return math.sqrt(float(X.sum(axis=0).max()) * float(X.sum(axis=1).max()))
 
 
 def min_singular_value(T):
@@ -378,8 +394,8 @@ def matrix_to_json(M):
     M = as_matrix(M)
     return {
         "n": int(M.shape[0]),
-        "re": [[float(x) for x in row] for row in M.real],
-        "im": [[float(x) for x in row] for row in M.imag],
+        "re": M.real.tolist(),
+        "im": M.imag.tolist(),
     }
 
 

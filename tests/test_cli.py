@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from simgroup import cli, gallery, opcore
 from simgroup.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -74,6 +76,52 @@ class TestGalleryCommand:
         samples = json.loads((tmp_path / "samples.json").read_text())
         (entry,) = samples.values()
         assert entry["snap_distance"] > 0
+
+
+def _corrupted(sem, edit):
+    """``sem`` with ``edit`` applied in place to every value."""
+
+    def ev(t):
+        X = sem.eval(t)
+        edit(X)
+        return X
+
+    return opcore.sampled_semigroup(sem.dim, ev, "corrupted " + sem.description, step=sem.step)
+
+
+class TestGallerySuitesCanFail:
+    def test_w_suite_exact_on_the_coupling(self):
+        suite = cli._w_suite(gallery.w_semigroup(16))
+        assert suite["passed"]
+        assert suite["checks"]["coupling_contraction_excess"]["value"] == 0.0
+
+    def test_w_suite_without_fill(self):
+        m = 16
+
+        def drop_fill(X):
+            X[:m, m:] = 0.0
+
+        suite = cli._w_suite(_corrupted(gallery.w_semigroup(m), drop_fill))
+        excess = suite["checks"]["coupling_contraction_excess"]
+        assert abs(excess["value"] - (math.sqrt(2.0) - 1.0)) <= 1e-15
+        assert not excess["pass"]
+        assert not suite["passed"]
+
+    def test_packel_suite_with_a_moved_reflection_entry(self):
+        a = gallery.DyadicSequence.powers_of_two("Zplus", 2)
+        m = 32
+        sem = gallery.packel_semigroup(a, gallery.GridSpace(max(a.values), m))
+        assert cli._packel_suite(sem, a)["passed"]
+
+        def move_entry(X):
+            rows, cols = np.nonzero(X[:m, m:])
+            if rows.size:
+                X[rows[0], m + cols[0]] = 0.0
+                X[rows[0], m + (cols[0] + 1) % m] = 1.0
+
+        suite = cli._packel_suite(_corrupted(sem, move_entry), a)
+        assert not suite["checks"]["reflection_identity_residual"]["pass"]
+        assert not suite["passed"]
 
 
 class TestAuditCommand:

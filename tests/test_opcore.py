@@ -15,6 +15,7 @@ from simgroup.opcore import (
     matrix_from_json,
     matrix_to_json,
     min_singular_value,
+    norm_upper_bound,
     numerical_abscissa,
     operator_norm,
     resolvent,
@@ -154,6 +155,31 @@ class TestNorms:
             B = rng.standard_normal((5, 5))
             P = B @ B.T + 0.1 * np.eye(5)
             assert spectral_radius(T) <= weighted_norm(T, P) * (1 + 1e-10)
+
+
+class TestNormUpperBound:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9))
+    def test_bounds_the_operator_norm(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        assert norm_upper_bound(X) >= operator_norm(X) * (1 - 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    def test_exact_on_scaled_partial_permutations(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scale = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+        scale[rng.random(n) < 0.3] = 0.0
+        X = np.zeros((n, n), dtype=complex)
+        X[np.arange(n), rng.permutation(n)] = scale
+        norm = operator_norm(X)
+        assert abs(norm_upper_bound(X) - norm) <= 1e-15 * norm
+
+    def test_row_and_column_sums(self):
+        # norm(X, 1) = 1 and norm(X, inf) = 2: the bound sqrt(2) is the norm here
+        assert norm_upper_bound(np.array([[1.0, 1.0]])) == math.sqrt(2.0)
+        assert norm_upper_bound(np.zeros((3, 3))) == 0.0
 
 
 class TestGrowthQuantities:
