@@ -67,7 +67,7 @@ def _jsonable(obj):
 
 
 def write_json(path, obj):
-    payload = json.dumps(_jsonable(obj), sort_keys=True, indent=1)
+    payload = json.dumps(_jsonable(obj), sort_keys=True)
     opcore.write_atomic(path, payload + "\n")
 
 
@@ -276,6 +276,8 @@ def _gallery_bundle(cfg):
         m = cfg.get_int("m", 64, positive=True)
         window = cfg.get_int("window", 2, positive=True)
         j_kind = cfg.get("J", "Zplus")
+        if j_kind not in ("Z", "Zplus", "Zminus"):
+            raise InputFormatError(f"unknown index set J '{j_kind}' (Z|Zplus|Zminus)")
         a = gallery.DyadicSequence.powers_of_two(j_kind, window)
         if j_kind == "Zminus":
             sem = gallery.packel_nilpotent_compression(a, 1.0, refine=max(1, m // 2 ** window))
@@ -290,12 +292,11 @@ def _gallery_bundle(cfg):
         if tpath:
             T = opcore.load_matrix(tpath)
         sem, P = gallery.bhat_skeide_semigroup(T, m)
-        suite = _bhat_suite(T, m)
+        suite = _bhat_suite(sem, T, P)
     elif kind == "riemann":
         m = cfg.get_int("m", 256, positive=True)
-        space = gallery.GridSpace(1.0, m)
-        sem = gallery.riemann_liouville_semigroup(space)
-        suite = _riemann_suite(space)
+        sem = gallery.riemann_liouville_semigroup(gallery.GridSpace(1.0, m))
+        suite = _riemann_suite(sem)
     elif kind == "lemerdy":
         n = cfg.get_int("n", 8, positive=True)
         sem = gallery.lemerdy_semigroup(n)
@@ -392,19 +393,18 @@ def _packel_suite(sem, a):
     )
 
 
-def _bhat_suite(T, m):
+def _bhat_suite(sem, T, P):
+    """Checks of the circle interpolant ``sem`` of ``T``'s powers, read with its weight ``P``."""
+    m = sem.dim // T.shape[0]
     interp = 0.0
     for n in (1, 2, 3):
-        B, _ = gallery.bhat_skeide(T, m, float(n))
         exact = np.kron(np.eye(m), np.linalg.matrix_power(T, n))
-        interp = max(interp, opcore.operator_norm(B - exact))
-    _, P = gallery.bhat_skeide(T, m, 0.0)
+        interp = max(interp, opcore.operator_norm(sem.eval(float(n)) - exact))
     S, Sinv = opcore.weight_factors(P)
     tnorm = opcore.operator_norm(T)
     excess = -math.inf
     for t in np.arange(0.1, 0.95, 0.1):
-        B, _ = gallery.bhat_skeide(T, m, float(t))
-        wn = opcore.operator_norm(S @ B @ Sinv)
+        wn = opcore.operator_norm(S @ sem.eval(float(t)) @ Sinv)
         excess = max(excess, wn - math.sqrt(1.0 / (1.0 - t) + t * tnorm * tnorm))
     slack = 16.0 * max(1.0, tnorm * tnorm) / m
     return _suite_result(
@@ -415,18 +415,15 @@ def _bhat_suite(T, m):
     )
 
 
-def _riemann_suite(space):
-    law = {}
-    for s, t in ((0.25, 0.25), (0.5, 0.5), (1.0, 0.5)):
-        Ts = gallery.riemann_liouville(space, s)
-        Tt = gallery.riemann_liouville(space, t)
-        Tst = gallery.riemann_liouville(space, s + t)
-        resid = opcore.operator_norm(Ts @ Tt - Tst)
-        law[f"law({s},{t})"] = resid
-    checks = {k: _check(v, 4.0 * space.step ** 0.25) for k, v in law.items()}
-    checks["spectral_radius_t_half"] = _check(
-        opcore.spectral_radius(gallery.riemann_liouville(space, 0.5)), 1.0
-    )
+def _riemann_suite(sem):
+    """Checks of the fractional-integration family ``sem`` on ``[0, 1]``, from four evaluations."""
+    T = {t: sem.eval(t) for t in (0.25, 0.5, 1.0, 1.5)}
+    tol = 4.0 * (1.0 / sem.dim) ** 0.25
+    checks = {
+        f"law({s},{t})": _check(opcore.operator_norm(T[s] @ T[t] - T[s + t]), tol)
+        for s, t in ((0.25, 0.25), (0.5, 0.5), (1.0, 0.5))
+    }
+    checks["spectral_radius_t_half"] = _check(opcore.spectral_radius(T[0.5]), 1.0)
     return _suite_result(checks)
 
 

@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 AUDIT_TOL = 0.01
+#: relative bracket width of the constants the bound audits compare
+_AUDIT_SOLVE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -201,15 +203,17 @@ def _member_constant(member, tol, kappa_max):
     return joint_similarity_constant(as_matrix(member), tol=tol, kappa_max=kappa_max)
 
 
-def classify(generator, t_grid=None, kappa_max=1e6, family=None, tol=1e-3):
+def classify(generator, t_grid=None, kappa_max=1e6, family=None):
     """Trichotomy classification of one semigroup, with optional family.
 
     ``generator`` is the matrix generator to classify, or None when only
     the family is reported (``case``, ``joint`` and both curves are then
     None); ``family`` is an optional sequence of generators or gridded
     semigroups (truncations of one construction) whose constants are
-    reported as a growth curve.
+    reported as a growth curve.  Every constant is bracketed to relative
+    width ``1e-3``.
     """
+    tol = 1e-3
     case = joint = curve = res_curve = None
     notes = ""
     if generator is not None:
@@ -258,14 +262,15 @@ def post_widder(A, t, n):
     return np.linalg.matrix_power(M, n)
 
 
-def sup_norm_on_interval(sem, tau, points=64, inflate=AUDIT_TOL):
+def sup_norm_on_interval(sem, tau, inflate=AUDIT_TOL):
     """Estimate ``sup norm(T(t))`` on ``[0, tau]`` by grid plus refinement.
 
-    A 1% inflation counters grid under-estimation of the true supremum
-    when the value feeds an audit; pass ``inflate=0`` for the raw grid
+    The grid has 65 points; 17 more refine around its maximum.  A 1%
+    inflation counters grid under-estimation of the true supremum when
+    the value feeds an audit; pass ``inflate=0`` for the raw grid
     maximum.
     """
-    ts = np.linspace(0.0, tau, points + 1)
+    ts = np.linspace(0.0, tau, 65)
     norms = [operator_norm(sem.eval(t)) for t in ts]
     k = int(np.argmax(norms))
     lo = ts[max(0, k - 1)]
@@ -344,26 +349,27 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None):
     )
 
 
-def liapunov_renorm(A, a, tol=1e-4):
+def liapunov_renorm(A, a):
     """Equivalent-norm certificate for the envelope ``exp(a t)``.
 
     Requires ``a`` strictly above the spectral bound; composes the
     shifted similarity constant and re-checks its certificate with
     :func:`~simgroup.weightsolve.certificate_check`.  A defect ``A*P +
     PA - 2aP <= eps I`` with ``P >= I`` gives ``norm(exp(tA))_P <= exp((a
-    + eps/2) t)`` for every ``t >= 0``; the certificate is rejected when
-    ``eps`` exceeds ``100 max(tol, 1e-9)``.
+    + eps/2) t)`` for every ``t >= 0``.  The constant is bracketed to
+    relative width ``1e-4``, and the certificate is rejected when ``eps``
+    exceeds ``1e-2``.
     """
     A = as_matrix(A, "generator")
     if not a > growth_bound(A):
         raise StabilityError(
             f"envelope rate {a} is not above the spectral bound {growth_bound(A):.6g}"
         )
-    v = quasi_similarity_constant(A, float(a), tol=tol)
+    v = quasi_similarity_constant(A, float(a), tol=1e-4)
     if not v.finite:
         raise StabilityError("no certificate found for a rate above the spectral bound")
     defect = certificate_check(v.certificate, LyapunovTarget(A, float(a))).residual
-    if defect > 100 * max(tol, 1e-9):
+    if defect > 1e-2:
         raise StabilityError(f"certificate violates the envelope by {defect:.3g}")
     return v.certificate
 
@@ -402,24 +408,24 @@ class BoundAudit:
         }
 
 
-def simconst_bound_audit(A, lam, tau, tol=1e-3, kappa_max=1e6):
+def simconst_bound_audit(A, lam, tau):
     """Audit the joint-constant bound assembled from shifted and one-time data.
 
     ``lhs`` is the joint constant; ``rhs = sqrt(2) C_shift (e^{2 lam} -
     1)/(2 lam) + 2 sqrt(2) C(T(tau)) M^2 max(1, sqrt(tau))`` with ``M``
     the supremum of the norms on ``[0, tau]``.  The right-hand side is
-    never below ``3 sqrt(2)``.  Marked vacuous when any ingredient is
-    unbounded.
+    never below ``3 sqrt(2)``.  Every constant is bracketed to relative
+    width ``1e-3``.  Marked vacuous when any ingredient is unbounded.
     """
     A = as_matrix(A, "generator")
     lam = float(lam)
     tau = float(tau)
     if lam <= 0 or tau <= 0:
         raise ValueError("lam and tau must be positive")
-    joint = joint_similarity_constant(A, tol=tol, kappa_max=kappa_max)
-    shifted = quasi_similarity_constant(A, lam, tol=tol, kappa_max=kappa_max)
+    joint = joint_similarity_constant(A, tol=_AUDIT_SOLVE_TOL)
+    shifted = quasi_similarity_constant(A, lam, tol=_AUDIT_SOLVE_TOL)
     sem = semigroup_from_generator(A)
-    one_time = discrete_similarity_constant(sem.eval(tau), tol=tol, kappa_max=kappa_max)
+    one_time = discrete_similarity_constant(sem.eval(tau), tol=_AUDIT_SOLVE_TOL)
     inputs = {
         "lam": lam,
         "tau": tau,
@@ -455,21 +461,23 @@ def factorization_from_certificate(T, cert, horizon):
     return HolbrookFactorization(amap=Sinv, bmap=S, inner=inner, horizon=int(horizon))
 
 
-def holbrook_bound_audit(T, fact, horizon=None, tol=1e-3, kappa_max=1e6, tail_tol=1e-10):
+def holbrook_bound_audit(T, fact):
     """Audit the quadratic-nearness bound for a power factorization.
 
     ``rhs = norm(amap) norm(bmap) + sqrt(sum_k norm(T^k - amap S(k)
-    bmap)^2)`` including the ``k = 0`` term ``norm(I - amap bmap)``;
-    the audit is inconclusive unless the defect tail has numerically
-    converged, and vacuous when ``C(T)`` is unbounded.
+    bmap)^2)`` over ``k = 0..fact.horizon``, including the ``k = 0``
+    term ``norm(I - amap bmap)``; ``lhs = C(T)`` is bracketed to relative
+    width ``1e-3``.  The audit is inconclusive unless the defect tail (the
+    last three terms) is below ``1e-10``, and vacuous when ``C(T)`` is
+    unbounded.
     """
     T = as_matrix(T)
-    N = int(horizon if horizon is not None else fact.horizon)
+    N = int(fact.horizon)
     for k in range(N + 1):
         if operator_norm(fact.inner.eval(float(k))) > 1.0 + 1e-9:
             raise InvalidWeightError("inner family is not contractive on the audited grid")
     defects = [fact.defect(T, k) for k in range(N + 1)]
-    verdict = discrete_similarity_constant(T, tol=tol, kappa_max=kappa_max)
+    verdict = discrete_similarity_constant(T, tol=_AUDIT_SOLVE_TOL)
     inputs = {
         "horizon": N,
         "amap_norm": operator_norm(fact.amap),
@@ -481,7 +489,7 @@ def holbrook_bound_audit(T, fact, horizon=None, tol=1e-3, kappa_max=1e6, tail_to
         return BoundAudit("holbrook-nearness-bound", math.inf, math.inf, inputs, "vacuous")
     rhs = inputs["amap_norm"] * inputs["bmap_norm"] + inputs["defect_sum"]
     lhs = verdict.constant
-    if inputs["tail"] > tail_tol:
+    if inputs["tail"] > 1e-10:
         return BoundAudit("holbrook-nearness-bound", lhs, rhs, inputs, "inconclusive")
     status = "satisfied" if lhs <= rhs * (1.0 + AUDIT_TOL) else "violated"
     return BoundAudit("holbrook-nearness-bound", lhs, rhs, inputs, status)
@@ -501,14 +509,14 @@ class IsometryReport:
     defect: Optional[float]
 
 
-def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6):
+def nagy_isometry_test(A, t_grid=None):
     """Two-sided orbit bounds and the time-averaged isometry weight.
 
     ``alpha``/``beta`` are the extreme singular values of ``exp(tA)``
-    over the grid; when they are bounded away from zero and infinity the
-    time average ``P = (1/T) integral exp(tA*) exp(tA) dt`` over the
-    grid's last time ``T`` (the orbit integral
-    :func:`~simgroup.opcore.gramian_integral`) renorms the
+    over the grid; when ``alpha > 1e-6``, ``beta < 1e6`` and the norms
+    do not climb at the end of the grid, the time average ``P = (1/T)
+    integral exp(tA*) exp(tA) dt`` over the grid's last time ``T`` (the
+    orbit integral :func:`~simgroup.opcore.gramian_integral`) renorms the
     semigroup toward an isometry, and the report carries the worst
     relative isometry defect ``max |norm(S E h) / norm(S h) - 1|`` over
     all vectors ``h`` and grid times, with ``S = P^{1/2}``: the largest
@@ -534,7 +542,7 @@ def nagy_isometry_test(A, t_grid=None, alpha_floor=1e-6, beta_cap=1e6):
     tail = max(norms[-fifth:])
     mid = max(norms[2 * fifth : 3 * fifth]) if len(norms) >= 5 else tail
     growing = tail > 1.1 * max(mid, 1e-300)
-    positive = alpha > alpha_floor and beta < beta_cap and not growing
+    positive = alpha > 1e-6 and beta < 1e6 and not growing
     if not positive:
         return IsometryReport(alpha, beta, False, None, None, None)
     T_max = float(t_grid[-1])
@@ -556,11 +564,12 @@ class SlopeReport:
     linear: bool
 
 
-def local_commutation_slope(t_sem, s_sem, amap, t_grid, intercept_tol=1e-8):
+def local_commutation_slope(t_sem, s_sem, amap, t_grid):
     """Least-squares slope of ``norm(T(t) A - A S(t))`` near ``t = 0``.
 
-    A vanishing fit intercept flags the ``O(t)`` local-commutation
-    behavior that transfers quasi-contractivity across ``amap``.
+    A vanishing fit intercept (at most ``1e-8`` of the largest distance,
+    or of 1) flags the ``O(t)`` local-commutation behavior that transfers
+    quasi-contractivity across ``amap``.
     """
     amap = np.asarray(amap, dtype=complex)
     ts = np.asarray(sorted(float(t) for t in t_grid))
@@ -573,4 +582,4 @@ def local_commutation_slope(t_sem, s_sem, amap, t_grid, intercept_tol=1e-8):
     coef, *_ = np.linalg.lstsq(X, ds, rcond=None)
     intercept, slope = float(coef[0]), float(coef[1])
     scale = max(1.0, float(np.max(ds)))
-    return SlopeReport(slope, intercept, abs(intercept) <= intercept_tol * scale)
+    return SlopeReport(slope, intercept, abs(intercept) <= 1e-8 * scale)

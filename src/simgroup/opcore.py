@@ -195,7 +195,8 @@ def gramian_integral(A, Q, tau):
     cannot swamp the integral in rounding.  ``k`` doublings ``G <- G +
     T* G T``, ``T <- T^2`` then reach ``tau``; for semidefinite ``Q``
     every doubling adds terms of one sign, so nothing cancels at long or
-    stiff horizons.
+    stiff horizons.  An integral beyond the floating-point range raises
+    :class:`~simgroup.exceptions.SaturationError`.
     """
     A = as_matrix(A, "generator")
     Q = as_matrix(Q, "Q")
@@ -209,17 +210,22 @@ def gramian_integral(A, Q, tau):
     E = scipy.linalg.expm((tau / 2**k) * M)
     T = E[n:, n:]
     G = T.conj().T @ E[:n, n:]
-    for _ in range(k):
-        G = G + T.conj().T @ G @ T
-        T = T @ T
-    return 0.5 * (G + G.conj().T)
+    # an overflow stays inf or nan through every later step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            G = G + T.conj().T @ G @ T
+            T = T @ T
+        G = 0.5 * (G + G.conj().T)
+    if not np.all(np.isfinite(G)):
+        raise SaturationError(f"orbit integral over [0, {tau:.6g}] overflows the floating range")
+    return G
 
 
-def resolvent(A, z, tol=1e-10):
-    """Return ``(z - A)^{-1}`` with residual ``norm((z-A)X - I) <= tol``.
+def resolvent(A, z):
+    """Return ``(z - A)^{-1}`` with residual ``norm((z-A)X - I) <= 1e-10``.
 
-    One step of iterative refinement is applied when the first solve does
-    not meet the residual target.
+    Up to two steps of iterative refinement are applied while the solve
+    does not meet the residual target.
 
     Raises
     ------
@@ -239,12 +245,12 @@ def resolvent(A, z, tol=1e-10):
     X = np.linalg.solve(B, I)
     res = operator_norm(B @ X - I)
     for _ in range(2):
-        if res <= tol:
+        if res <= 1e-10:
             break
         X = X - np.linalg.solve(B, B @ X - I)
         res = operator_norm(B @ X - I)
-    if not np.isfinite(res) or res > tol:
-        raise NearSingularError(f"resolvent residual {res:.3g} exceeds tolerance {tol:.3g}")
+    if not np.isfinite(res) or res > 1e-10:
+        raise NearSingularError(f"resolvent residual {res:.3g} exceeds tolerance 1e-10")
     return X
 
 

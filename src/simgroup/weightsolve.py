@@ -759,7 +759,8 @@ def _engine_feasibility(target, ctx, seed, kappa, tol):
     return FeasibilityResult(None, min(f, best_f), res.iterations, cert)
 
 
-def _feasibility(target, kappa, tol, warm):
+def _feasibility(target, kappa, tol, warm=None):
+    """Fixed-budget answer in the target's regime; ``warm`` is a previous certificate's weight."""
     ctx, seed = _seeded(target)
     if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
         return _engine_feasibility(target, ctx, seed, kappa, tol)
@@ -770,7 +771,7 @@ def _feasibility(target, kappa, tol, warm):
 # public feasibility surface
 
 
-def stein_feasible(operators, kappa, tol=None, warm=None):
+def stein_feasible(operators, kappa, tol=None):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``Ti* P Ti <= P``.
 
     Parameters
@@ -788,9 +789,9 @@ def stein_feasible(operators, kappa, tol=None, warm=None):
     -------
     FeasibilityResult
         For one strictly stable operator of dimension up to 32 the
-        answer is exact: the engine's bracket decides it, and ``warm``
-        is not used.  Otherwise ``certificate`` is None when no weight
-        was found: the box-clipped closed-form weights are tried, then,
+        answer is exact: the engine's bracket decides it.  Otherwise
+        ``certificate`` is None when no weight was found: the box-clipped
+        closed-form weights are tried, then,
         for one strictly stable operator, the convex right-hand-side
         search, which stops when its margin stalls (at most
         ``MAXITER_DEFAULT`` steps).  ``best_residual`` reports how close
@@ -806,10 +807,10 @@ def stein_feasible(operators, kappa, tol=None, warm=None):
     target = _realified(SteinTarget(ops))
     if tol is None:
         tol = _default_tol(target)
-    return _feasibility(target, kappa, tol, warm)
+    return _feasibility(target, kappa, tol)
 
 
-def lyapunov_feasible(A, shift, kappa, tol=None, warm=None):
+def lyapunov_feasible(A, shift, kappa, tol=None):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``A*P + PA <= 2 shift P``.
 
     A certificate makes ``exp(-shift t) exp(tA)`` a joint contraction in
@@ -823,7 +824,7 @@ def lyapunov_feasible(A, shift, kappa, tol=None, warm=None):
     target = _realified(LyapunovTarget(A, float(shift)))
     if tol is None:
         tol = _default_tol(target)
-    return _feasibility(target, kappa, tol, warm)
+    return _feasibility(target, kappa, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +928,8 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     if res:
         return best_cert, lower
 
-    # locate a feasible upper bracket; the closed-form certificates cap
-    # the search
+    # upper bracket: the best closed-form certificate within budget, else
+    # what a probe at the widest (most permissive) box surfaces
     if best_cert is None:
         best_cert = next(
             (c for c in _closed_form_certificates(target, ctx, feas_tol) if c.kappa <= kappa_max),
@@ -937,13 +938,7 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
         if best_cert is not None:
             warm = best_cert.weight
     if best_cert is None:
-        kap = max(2.0 * lower, 2.0)
-        while kap <= kappa_max * (1.0 + 1e-12):
-            if probe(kap):
-                break
-            kap *= 4.0
-        if best_cert is None and kap / 4.0 < kappa_max:
-            probe(kappa_max)
+        probe(kappa_max)
     if best_cert is None or best_cert.kappa > kappa_max * (1.0 + 1e-9):
         return None, kappa_max
 
@@ -963,13 +958,13 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     return best_cert, hi
 
 
-def _constant_verdict(target, floor, tol, kappa_max, feas_tol):
+def _constant_verdict(target, floor, tol, kappa_max):
     """Finite or infeasible verdict above the certified ``floor``.
 
-    The equation seed picks the regime (see the module notes).
+    The equation seed picks the regime (see the module notes); every
+    certificate passes the target's default feasibility tolerance.
     """
-    if feas_tol is None:
-        feas_tol = _default_tol(target)
+    feas_tol = _default_tol(target)
     ctx, seed = _seeded(target)
     if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
         return _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol)
@@ -985,7 +980,7 @@ def _constant_verdict(target, floor, tol, kappa_max, feas_tol):
     return SimilarityVerdict("finite", cert.kappa, cert, searched, lower=min(floor, cert.kappa))
 
 
-def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
+def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     """Similarity constant C(T) of a single operator, with certificate.
 
     Minimizes the condition number of a Stein certificate for ``T``,
@@ -1024,10 +1019,10 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_
             lower=floor,
         )
     target = _realified(SteinTarget((T,)))
-    return _constant_verdict(target, floor, tol, kappa_max, feas_tol)
+    return _constant_verdict(target, floor, tol, kappa_max)
 
 
-def _shifted_constant(A, shift, tol, kappa_max, feas_tol):
+def _shifted_constant(A, shift, tol, kappa_max):
     A = as_matrix(A, "generator")
     gb = growth_bound(A)
     if gb > shift + 1e-10:
@@ -1050,10 +1045,10 @@ def _shifted_constant(A, shift, tol, kappa_max, feas_tol):
             lower=floor,
         )
     target = _realified(LyapunovTarget(A, float(shift)))
-    return _constant_verdict(target, floor, tol, kappa_max, feas_tol)
+    return _constant_verdict(target, floor, tol, kappa_max)
 
 
-def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
+def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     """Joint similarity constant of the semigroup ``t -> exp(tA)``.
 
     A Lyapunov certificate ``A*P + PA <= 0`` renorms every ``exp(tA)``
@@ -1061,41 +1056,42 @@ def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol
     condition number of such a certificate, found within relative
     ``tol`` as in :func:`discrete_similarity_constant`.
     """
-    return _shifted_constant(A, 0.0, tol, kappa_max, feas_tol)
+    return _shifted_constant(A, 0.0, tol, kappa_max)
 
 
-def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT, feas_tol=None):
+def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     """Similarity constant of the rescaled semigroup ``exp(-shift t) exp(tA)``."""
-    return _shifted_constant(A, float(shift), tol, kappa_max, feas_tol)
+    return _shifted_constant(A, float(shift), tol, kappa_max)
 
 
-def min_quasi_shift(A, kappa_budget, tol=1e-3, feas_tol=None):
+def min_quasi_shift(A, kappa_budget):
     """Smallest shift admitting a certificate within the condition budget.
 
-    Bisects over ``shift`` in ``[growth_bound(A), numerical_abscissa(A)]``;
-    the upper endpoint is always feasible with ``P = I``, and feasibility
-    is monotone in the shift.  Returns the certified-feasible end of the
-    final bracket (an endpoint when the bracket is numerically empty).
+    Bisects over ``shift`` in ``[growth_bound(A), numerical_abscissa(A)]``
+    to width ``1e-3``, probing at the feasibility tolerance ``1e-8 max(1,
+    2 norm(A))``; the upper endpoint is always feasible with ``P = I``,
+    and feasibility is monotone in the shift.  Returns the
+    certified-feasible end of the final bracket (an endpoint when the
+    bracket is numerically empty).
     """
     A = as_matrix(A, "generator")
     if kappa_budget < 1.0:
         raise ValueError("kappa_budget must be >= 1")
     lo = growth_bound(A)
     hi = numerical_abscissa(A)
-    if not hi - lo > tol:
+    if not hi - lo > 1e-3:
         return lo
-    target_scale = max(1.0, 2.0 * operator_norm(A))
-    if feas_tol is None:
-        feas_tol = 1e-8 * target_scale
+    feas_tol = 1e-8 * max(1.0, 2.0 * operator_norm(A))
 
     def feasible(lam, warm=None):
-        return lyapunov_feasible(A, lam, kappa_budget, tol=feas_tol, warm=warm)
+        target = _realified(LyapunovTarget(A, float(lam)))
+        return _feasibility(target, kappa_budget, feas_tol, warm)
 
     res_lo = feasible(lo)
     if res_lo:
         return lo
     warm = None
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         res = feasible(mid, warm=warm)
         if res:

@@ -239,7 +239,7 @@ def test_criterion_7_audits_never_fail():
             holbrook_ok = False
             continue
         fact = factorization_from_certificate(T, v.certificate, 8)
-        aud = holbrook_bound_audit(T, fact, tol=1e-3)
+        aud = holbrook_bound_audit(T, fact)
         holbrook_ok = holbrook_ok and aud.satisfied
     report(
         7,

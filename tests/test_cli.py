@@ -67,6 +67,11 @@ class TestGalleryCommand:
     def test_unknown_kind_exit_two(self, tmp_path):
         assert run("gallery", "gallery_w.cfg", tmp_path, "kind=nope") == 2
 
+    def test_unknown_packel_index_set_exit_two(self, tmp_path, capsys):
+        assert run("gallery", "gallery_w.cfg", tmp_path, "kind=packel", "J=foo") == 2
+        assert "J 'foo'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("times", ["-0.5", "nan", "inf"])
     def test_bad_time_exit_two(self, tmp_path, times):
         assert run("gallery", "gallery_w.cfg", tmp_path, "m=16", f"times={times}") == 2
@@ -148,6 +153,15 @@ class TestObserveAndNaboko:
     @pytest.mark.parametrize("horizon", ["abc", "-1"])
     def test_bad_horizon_exit_two(self, tmp_path, horizon):
         assert run("observe", "observe_stable.cfg", tmp_path, f"horizon={horizon}") == 2
+
+    def test_overflowed_gramian_exit_two(self, tmp_path, capsys):
+        system = tmp_path / "system.json"
+        A = opcore.matrix_to_json(np.diag([400.0, 1.0]))
+        system.write_text(json.dumps({"A": A, "C": opcore.matrix_to_json(np.eye(2))}))
+        out = tmp_path / "out"
+        assert run("observe", "observe_stable.cfg", out, f"system={system}", "horizon=1.0") == 2
+        assert "overflows" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_nan_eps_exit_two(self, tmp_path):
         assert run("naboko", "naboko_skew.cfg", tmp_path, "eps=0.1,nan") == 2

@@ -113,7 +113,7 @@ class TestClassify:
     def test_finite_lemerdy_section_collapses(self):
         from simgroup.gallery import lemerdy_semigroup
 
-        rep = classify(lemerdy_semigroup(8).generator, tol=1e-3)
+        rep = classify(lemerdy_semigroup(8).generator)
         assert rep.case == "SimilarContraction"
         assert rep.joint.finite
 

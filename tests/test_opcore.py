@@ -94,6 +94,12 @@ class TestGramianIntegral:
         assert operator_norm(G - ref) <= 1e-12 * scale
         assert np.linalg.eigvalsh(G)[0] >= -1e-12 * scale
 
+    def test_overflow_raises_saturation(self):
+        # exp(400) squared is past float64: the doublings overflow, and
+        # RuntimeWarnings are errors under pytest
+        with pytest.raises(exceptions.SaturationError, match="overflows"):
+            gramian_integral(np.diag([400.0, 1.0]), np.eye(2), 1.0)
+
 
 class TestResolvent:
     def test_zero_generator(self):

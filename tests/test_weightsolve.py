@@ -124,10 +124,9 @@ class TestDiscreteConstant:
 
     def test_certificate_within_twice_tol(self, rng):
         T = expm_semigroup(random_stable(rng, 6), 0.7)
-        feas_tol = 1e-8
-        v = discrete_similarity_constant(T, tol=1e-3, feas_tol=feas_tol)
+        v = discrete_similarity_constant(T, tol=1e-3)
         rep = certificate_check(v.certificate, SteinTarget((T,)))
-        assert rep.worst <= 2 * max(feas_tol, 1e-8 * operator_norm(T) ** 2)
+        assert rep.worst <= 2 * max(1e-8, 1e-8 * operator_norm(T) ** 2)
 
 
 class TestJointConstant:
