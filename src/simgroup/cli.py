@@ -295,8 +295,9 @@ def _gallery_bundle(cfg):
         suite = _bhat_suite(sem, T, P)
     elif kind == "riemann":
         m = cfg.get_int("m", 256, positive=True)
-        sem = gallery.riemann_liouville_semigroup(gallery.GridSpace(1.0, m))
-        suite = _riemann_suite(sem)
+        space = gallery.GridSpace(1.0, m)
+        sem = gallery.riemann_liouville_semigroup(space)
+        suite = _riemann_suite(sem, space)
     elif kind == "lemerdy":
         n = cfg.get_int("n", 8, positive=True)
         sem = gallery.lemerdy_semigroup(n)
@@ -415,10 +416,10 @@ def _bhat_suite(sem, T, P):
     )
 
 
-def _riemann_suite(sem):
-    """Checks of the fractional-integration family ``sem`` on ``[0, 1]``, from four evaluations."""
+def _riemann_suite(sem, space):
+    """Checks of the fractional-integration family ``sem`` on ``space``, from four evaluations."""
     T = {t: sem.eval(t) for t in (0.25, 0.5, 1.0, 1.5)}
-    tol = 4.0 * (1.0 / sem.dim) ** 0.25
+    tol = 4.0 * space.step ** 0.25
     checks = {
         f"law({s},{t})": _check(opcore.operator_norm(T[s] @ T[t] - T[s + t]), tol)
         for s, t in ((0.25, 0.25), (0.5, 0.5), (1.0, 0.5))

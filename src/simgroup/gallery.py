@@ -449,13 +449,14 @@ def w_semigroup(m, inner=None):
     )
 
 
-def wrap_coupling_weight(m, inner_dim=1):
+def wrap_coupling_weight(m):
     """The weight ``Lambda* Lambda`` making the wrap coupling contractive.
 
     ``Lambda = [[I, I], [0, I]]`` in leg blocks; the induced norm is
-    ``norm(f + g)^2 + norm(g)^2``.
+    ``norm(f + g)^2 + norm(g)^2``.  Over an inner semigroup of dimension
+    ``d`` the weight is ``kron(wrap_coupling_weight(m), I_d)``.
     """
-    I = np.eye(m * inner_dim, dtype=complex)
+    I = np.eye(m, dtype=complex)
     top = np.hstack([I, I])
     bot = np.hstack([np.zeros_like(I), I])
     lam = np.vstack([top, bot])
@@ -596,7 +597,7 @@ def bhat_skeide_semigroup(T, circle_m):
 # idempotents and dilations
 
 
-def leftzero_idempotents(count, blocks=None, p=1, q=1):
+def leftzero_idempotents(count, blocks=None):
     """Idempotents ``E_n = [[I, 0], [D_n, 0]]`` with ``E_m E_n = E_m``.
 
     Pairwise distinct ``D_n`` make the family a left-zero representation
@@ -605,7 +606,7 @@ def leftzero_idempotents(count, blocks=None, p=1, q=1):
     """
     if blocks is None:
         blocks = [
-            ((-1.0) ** n * 2.0 ** (-(n // 2))) * np.ones((q, p)) for n in range(count)
+            ((-1.0) ** n * 2.0 ** (-(n // 2))) * np.ones((1, 1)) for n in range(count)
         ]
     if len(blocks) != count:
         raise DimensionError("need one block per idempotent")

@@ -353,7 +353,7 @@ class MatrixSemigroup:
         return f"MatrixSemigroup({self.description!r}, dim={self.dim}, kind={self.kind!r})"
 
 
-def semigroup_from_generator(A, description=None):
+def semigroup_from_generator(A):
     """Semigroup ``t -> exp(tA)`` with a cached spectral factorization."""
     A = as_matrix(A, "generator")
     ded = _eig_cached(A)
@@ -365,7 +365,7 @@ def semigroup_from_generator(A, description=None):
         A.shape[0],
         ev,
         kind="generator",
-        description=description or "exp(tA)",
+        description="exp(tA)",
         step=None,
     )
     sem.generator = A
@@ -429,14 +429,14 @@ def matrix_from_json(obj, name="matrix"):
     return as_matrix(M, name)
 
 
-def load_matrix(path, name=None):
-    """Read a matrix JSON file."""
+def load_matrix(path):
+    """Read a matrix JSON file; errors name the file's base name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return matrix_from_json(obj, name or os.path.basename(path))
+    return matrix_from_json(obj, os.path.basename(path))
 
 
 def write_atomic(path, data):

@@ -771,7 +771,7 @@ def _feasibility(target, kappa, tol, warm=None):
 # public feasibility surface
 
 
-def stein_feasible(operators, kappa, tol=None):
+def stein_feasible(operators, kappa):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``Ti* P Ti <= P``.
 
     Parameters
@@ -781,9 +781,9 @@ def stein_feasible(operators, kappa, tol=None):
         one dimension.
     kappa : float
         Condition budget, ``>= 1``.
-    tol : float, optional
-        Feasibility threshold on the worst defect eigenvalue, in
-        operator-norm units.
+
+    A weight certifies when its worst defect eigenvalue is at most
+    ``1e-8 max(1, max_i norm(Ti)^2)``.
 
     Returns
     -------
@@ -805,26 +805,24 @@ def stein_feasible(operators, kappa, tol=None):
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
     target = _realified(SteinTarget(ops))
-    if tol is None:
-        tol = _default_tol(target)
-    return _feasibility(target, kappa, tol)
+    return _feasibility(target, kappa, _default_tol(target))
 
 
-def lyapunov_feasible(A, shift, kappa, tol=None):
+def lyapunov_feasible(A, shift, kappa):
     """Search for ``P`` with ``I <= P <= kappa^2 I`` and ``A*P + PA <= 2 shift P``.
 
     A certificate makes ``exp(-shift t) exp(tA)`` a joint contraction in
-    the ``P`` inner product for all ``t >= 0``.  As for
-    :func:`stein_feasible`, a strictly stable ``A - shift I`` of dimension
-    up to 32 is decided exactly by the engine's bracket.
+    the ``P`` inner product for all ``t >= 0``.  A weight certifies when
+    its worst defect eigenvalue is at most ``1e-8 max(1, 2 norm(A) + 2
+    abs(shift))``.  As for :func:`stein_feasible`, a strictly stable
+    ``A - shift I`` of dimension up to 32 is decided exactly by the
+    engine's bracket.
     """
     A = as_matrix(A, "generator")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
     target = _realified(LyapunovTarget(A, float(shift)))
-    if tol is None:
-        tol = _default_tol(target)
-    return _feasibility(target, kappa, tol)
+    return _feasibility(target, kappa, _default_tol(target))
 
 
 # ---------------------------------------------------------------------------
@@ -928,19 +926,19 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     if res:
         return best_cert, lower
 
-    # upper bracket: the best closed-form certificate within budget, else
-    # what a probe at the widest (most permissive) box surfaces
-    if best_cert is None:
-        best_cert = next(
+    # upper bracket: the probe's certificate when it is within budget, else
+    # the best closed-form certificate within budget, else what a probe at
+    # the widest (most permissive) box surfaces
+    budget = kappa_max * (1.0 + 1e-9)
+    if best_cert is None or best_cert.kappa > budget:
+        closed = next(
             (c for c in _closed_form_certificates(target, ctx, feas_tol) if c.kappa <= kappa_max),
             None,
         )
-        if best_cert is not None:
-            warm = best_cert.weight
-    if best_cert is None:
-        probe(kappa_max)
-    if best_cert is None or best_cert.kappa > kappa_max * (1.0 + 1e-9):
-        return None, kappa_max
+        if closed is not None:
+            best_cert, warm = closed, closed.weight
+        elif not probe(kappa_max) and (best_cert is None or best_cert.kappa > budget):
+            return None, kappa_max
 
     lo = lower
     hi = max(best_cert.kappa, lo)

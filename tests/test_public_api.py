@@ -32,12 +32,12 @@ PUBLIC_FUNCTIONS = {
     "integration_functional": ("space",),
     "joint_similarity_constant": ("A", "tol", "kappa_max"),
     "left_shift": ("space",),
-    "leftzero_idempotents": ("count", "blocks", "p", "q"),
+    "leftzero_idempotents": ("count", "blocks"),
     "lemerdy_semigroup": ("n", "basis"),
     "liapunov_renorm": ("A", "a"),
-    "load_matrix": ("path", "name"),
+    "load_matrix": ("path",),
     "local_commutation_slope": ("t_sem", "s_sem", "amap", "t_grid"),
-    "lyapunov_feasible": ("A", "shift", "kappa", "tol"),
+    "lyapunov_feasible": ("A", "shift", "kappa"),
     "matrix_from_json": ("obj", "name"),
     "matrix_to_json": ("M",),
     "min_quasi_shift": ("A", "kappa_budget"),
@@ -64,18 +64,18 @@ PUBLIC_FUNCTIONS = {
     "save_matrix": ("M", "path"),
     "schaeffer_compression": ("U", "dim", "k"),
     "schaeffer_dilation": ("T", "horizon"),
-    "semigroup_from_generator": ("A", "description"),
+    "semigroup_from_generator": ("A",),
     "semigroup_law_residual": ("sem", "s", "t"),
     "simconst_bound_audit": ("A", "lam", "tau"),
     "small_time_constants": ("A", "t_grid", "tol", "kappa_max"),
     "spectral_radius": ("T",),
-    "stein_feasible": ("operators", "kappa", "tol"),
+    "stein_feasible": ("operators", "kappa"),
     "summing_basis": ("n",),
     "sup_norm_on_interval": ("sem", "tau", "inflate"),
     "w_semigroup": ("m", "inner"),
     "weight_factors": ("P",),
     "weighted_norm": ("T", "P"),
-    "wrap_coupling_weight": ("m", "inner_dim"),
+    "wrap_coupling_weight": ("m",),
     "wrap_fill": ("m",),
 }
 

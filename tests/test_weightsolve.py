@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from simgroup import weightsolve
@@ -125,6 +126,20 @@ class TestDiscreteConstant:
     def test_certificate_within_twice_tol(self, rng):
         T = expm_semigroup(random_stable(rng, 6), 0.7)
         v = discrete_similarity_constant(T, tol=1e-3)
+        rep = certificate_check(v.certificate, SteinTarget((T,)))
+        assert rep.worst <= 2 * max(1e-8, 1e-8 * operator_norm(T) ** 2)
+
+    def test_budget_below_the_seed_met_by_a_probe_at_the_budget(self):
+        # n = 34 is bisected.  The equation seed's kappa (2.04) and the
+        # first probe's nearest certificate (1.43) exceed the budget, but
+        # each 2x2 block has constant 4/3, so a weight within it exists.
+        T = np.kron(np.eye(17), np.array([[0.5, 1.0], [0.0, 0.5]]))
+        seed = scipy.linalg.solve_discrete_lyapunov(T.T, np.eye(34))
+        kappa_max = 1.4
+        assert math.sqrt(np.linalg.cond(seed)) > kappa_max
+        v = discrete_similarity_constant(T, kappa_max=kappa_max)
+        assert v.finite
+        assert v.lower <= v.constant <= kappa_max
         rep = certificate_check(v.certificate, SteinTarget((T,)))
         assert rep.worst <= 2 * max(1e-8, 1e-8 * operator_norm(T) ** 2)
 
