@@ -183,11 +183,18 @@ def _verdict_exit(verdict):
     return EXIT_INFEASIBLE
 
 
+def _kappa_max(cfg):
+    kappa_max = cfg.get_float("kappa_max", weightsolve.KAPPA_MAX_DEFAULT)
+    if kappa_max < 1.0:
+        raise InputFormatError("config key 'kappa_max' must be >= 1")
+    return kappa_max
+
+
 def cmd_constant(cfg, out):
     A = cfg.load_matrix("matrix")
     mode = cfg.get("mode", "joint")
     tol = cfg.get_float("tol", 1e-4, positive=True)
-    kappa_max = cfg.get_float("kappa_max", weightsolve.KAPPA_MAX_DEFAULT, positive=True)
+    kappa_max = _kappa_max(cfg)
     if mode == "discrete":
         verdict = weightsolve.discrete_similarity_constant(A, tol=tol, kappa_max=kappa_max)
     elif mode == "joint":
@@ -212,7 +219,7 @@ def cmd_classify(cfg, out):
     else:
         A = cfg.load_matrix("matrix")
     t_grid = cfg.get_grid("t_grid", default=None)
-    kappa_max = cfg.get_float("kappa_max", weightsolve.KAPPA_MAX_DEFAULT, positive=True)
+    kappa_max = _kappa_max(cfg)
     report = criteria.classify(A, t_grid=t_grid, kappa_max=kappa_max, family=family)
     write_json(
         os.path.join(out, "classification.json"),

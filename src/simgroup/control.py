@@ -299,24 +299,30 @@ class NabokoPoint:
         ) / ref
 
 
-def _gauss_panel(f, lo, hi, nodes, wts):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * sum(w * f(mid + half * x) for x, w in zip(nodes, wts))
+#: Gauss-Legendre rules of 8 and 16 nodes on [-1, 1]: the coarse and the
+#: fine estimate of each panel of :func:`_adaptive_line_integral`.
+_GAUSS_COARSE = np.polynomial.legendre.leggauss(8)
+_GAUSS_FINE = np.polynomial.legendre.leggauss(16)
+_GAUSS_NODES = np.concatenate([_GAUSS_COARSE[0], _GAUSS_FINE[0]])
 
 
 def _adaptive_line_integral(f, lo, hi, rel_tol, max_depth=12):
-    """Adaptive Gauss-Legendre on a line segment with interval halving."""
-    nodes, wts = np.polynomial.legendre.leggauss(8)
-    nodes2, wts2 = np.polynomial.legendre.leggauss(16)
+    """Adaptive Gauss-Legendre on a line segment with interval halving.
+
+    ``f`` maps an array of nodes to the array of integrand values; both
+    rules' nodes on a panel are evaluated in one call.
+    """
+    k = _GAUSS_COARSE[0].size
 
     def recurse(a, b, depth):
-        coarse = _gauss_panel(f, a, b, nodes, wts)
-        fine = _gauss_panel(f, a, b, nodes2, wts2)
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        vals = f(mid + half * _GAUSS_NODES)
+        coarse = half * float(_GAUSS_COARSE[1] @ vals[:k])
+        fine = half * float(_GAUSS_FINE[1] @ vals[k:])
         if abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300) or depth >= max_depth:
             return fine
-        m = 0.5 * (a + b)
-        return recurse(a, m, depth + 1) + recurse(m, b, depth + 1)
+        return recurse(a, mid, depth + 1) + recurse(mid, b, depth + 1)
 
     return recurse(lo, hi, 0)
 
@@ -342,21 +348,24 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     if C.shape[1] != n:
         raise DimensionError("observation dimension mismatch")
     Q = C.conj().T @ C
-    # resolvent applications via a cached eigendecomposition when safe
+    # C R(z) e_j for a vector of nodes z, one column per node: through a
+    # cached eigendecomposition when safe, else by stacked solves
     try:
         w_eig, V = np.linalg.eig(A)
         Vinv = np.linalg.inv(V)
         use_eig = np.linalg.cond(V) < 1e8
     except np.linalg.LinAlgError:
         use_eig = False
+    I = np.eye(n)
+    CV = C @ V if use_eig else None
 
-    def resolvent_apply(z, h):
+    def resolvent_columns(z, j):
         if use_eig:
-            return V @ ((Vinv @ h) / (z - w_eig))
-        return np.linalg.solve(z * np.eye(n) - A, h)
+            return CV @ (Vinv[:, j, None] / (z[None, :] - w_eig[:, None]))
+        rhs = np.broadcast_to(I[:, j, None], (z.size, n, 1))
+        return C @ np.linalg.solve(z[:, None, None] * I - A, rhs)[..., 0].T
 
     out = []
-    basis = np.eye(n, dtype=complex)
     panels = max(4, int(quad_m) // 8)
     for eps in eps_list:
         eps = float(eps)
@@ -370,18 +379,16 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
         plan_vals = []
         edges = np.linspace(-xi_max, xi_max, panels + 1)
         for j in range(n):
-            h = basis[:, j]
-
-            def f(xi, h=h):
-                r = C @ resolvent_apply(eps + 1j * xi, h)
-                return float(np.real(np.vdot(r, r)))
+            def f(xi, j=j):
+                R = resolvent_columns(eps + 1j * xi, j)
+                return (R.real**2 + R.imag**2).sum(axis=0)
 
             val = sum(
                 _adaptive_line_integral(f, edges[i], edges[i + 1], 1e-6)
                 for i in range(panels)
             )
             quad_vals.append(eps * val)
-            plan_vals.append(2.0 * math.pi * eps * float(np.real(np.vdot(h, X @ h))))
+            plan_vals.append(2.0 * math.pi * eps * float(X[j, j].real))
         out.append(
             NabokoPoint(
                 eps=eps,

@@ -12,6 +12,7 @@ cache a spectral factorization of its generator but is otherwise
 stateless.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -62,6 +63,29 @@ _EXP_SATURATION = 700.0
 #: Eigenvector condition number above which expm falls back to
 #: scaling-and-squaring.
 _EIG_COND_LIMIT = 1e6
+
+
+def _one_blas_thread():
+    """Give every loaded OpenBLAS pool one thread, unless a thread variable is set.
+
+    numpy and scipy each load their own OpenBLAS; at the dimensions here
+    (n up to a few hundred) their worker threads contend and make the
+    dense kernels slower than one thread.  Each pool is reached through a
+    module linked against it; another BLAS has no such symbol and is left
+    alone.
+    """
+    if any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    for module in (np.linalg._umath_linalg, scipy.linalg._fblas):
+        lib = ctypes.CDLL(module.__file__)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(ctypes.c_int(1))
+                break
+
+
+_one_blas_thread()
 
 
 def as_matrix(a, name="matrix"):

@@ -43,7 +43,9 @@ Every verdict carries a certified lower bound next to its constant.
 Certificates are always re-checked independently of the solver
 (:func:`certificate_check`); infeasibility of a probe never masquerades
 as a theorem: the verdict ``unbounded`` is only ever backed by spectral
-or norm-growth evidence.
+or norm-growth evidence.  A strictly stable target has a finite
+constant, so a sampled norm above the budget makes it ``infeasible``,
+with that norm as ``lower``.
 """
 
 import math
@@ -991,11 +993,16 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     the unit circle get their best closed-form certificate (see the
     module notes).
 
-    Verdicts: ``unbounded`` on spectral evidence (``r(T) > 1``, or power
-    norms exceeding the budget, which bound C(T) from below); otherwise
-    ``finite`` with certificate, or ``infeasible`` past ``kappa_max``.
+    Verdicts: ``unbounded`` on spectral evidence (``r(T) > 1``, or, for
+    ``T`` with eigenvalues on the unit circle, power norms exceeding the
+    budget); otherwise ``finite`` with certificate, or ``infeasible``
+    past ``kappa_max``, which for strictly stable ``T`` includes a power
+    norm above the budget (then ``lower`` is that norm).  ``kappa_max``
+    must be ``>= 1``.
     """
     T = as_matrix(T)
+    if kappa_max < 1.0:
+        raise ValueError("kappa_max must be >= 1")
     r = spectral_radius(T)
     if r > 1.0 + 1e-10:
         return SimilarityVerdict(
@@ -1007,21 +1014,31 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
             lower=math.inf,
         )
     floor = _discrete_norm_floor(T, kappa_max)
-    if floor > kappa_max:
-        return SimilarityVerdict(
-            "unbounded",
-            math.inf,
-            None,
-            kappa_max,
-            evidence=f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)",
-            lower=floor,
-        )
     target = _realified(SteinTarget((T,)))
+    if floor > kappa_max:
+        return _over_budget(
+            target, floor, kappa_max, f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)"
+        )
     return _constant_verdict(target, floor, tol, kappa_max)
+
+
+def _over_budget(target, floor, kappa_max, evidence):
+    """Verdict when a probed norm ``floor`` already exceeds ``kappa_max``.
+
+    A strictly stable target (its equation seed exists) has a finite
+    constant, at least ``floor``, so the budget is too small:
+    ``infeasible``.  Otherwise, or when a probed norm overflowed float64
+    (``floor`` is inf), the norm growth is the ``unbounded`` evidence.
+    """
+    if math.isfinite(floor) and _seeded(target)[1] is not None:
+        return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=floor)
+    return SimilarityVerdict("unbounded", math.inf, None, kappa_max, evidence=evidence, lower=floor)
 
 
 def _shifted_constant(A, shift, tol, kappa_max):
     A = as_matrix(A, "generator")
+    if kappa_max < 1.0:
+        raise ValueError("kappa_max must be >= 1")
     gb = growth_bound(A)
     if gb > shift + 1e-10:
         return SimilarityVerdict(
@@ -1033,16 +1050,11 @@ def _shifted_constant(A, shift, tol, kappa_max):
             lower=math.inf,
         )
     floor = _continuous_norm_floor(A, shift, kappa_max)
-    if floor > kappa_max:
-        return SimilarityVerdict(
-            "unbounded",
-            math.inf,
-            None,
-            kappa_max,
-            evidence="semigroup norms exceed the budget (marginal defective spectrum)",
-            lower=floor,
-        )
     target = _realified(LyapunovTarget(A, float(shift)))
+    if floor > kappa_max:
+        return _over_budget(
+            target, floor, kappa_max, "semigroup norms exceed the budget (marginal defective spectrum)"
+        )
     return _constant_verdict(target, floor, tol, kappa_max)
 
 
@@ -1052,7 +1064,8 @@ def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     A Lyapunov certificate ``A*P + PA <= 0`` renorms every ``exp(tA)``
     into a contraction simultaneously; the constant is the smallest
     condition number of such a certificate, found within relative
-    ``tol`` as in :func:`discrete_similarity_constant`.
+    ``tol`` and with the verdicts of :func:`discrete_similarity_constant`,
+    semigroup norms taking the place of power norms.
     """
     return _shifted_constant(A, 0.0, tol, kappa_max)
 

@@ -1,10 +1,3 @@
-import os
-
-# one OpenBLAS thread per process: the solver's small dense kernels run
-# several times slower with more, and the value must be set before numpy
-# loads either OpenBLAS copy (numpy's and scipy's)
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 import pytest
 

@@ -38,6 +38,16 @@ class TestConstantCommand:
             == 3
         )
 
+    def test_budget_below_the_norm_floor_exit_four(self, tmp_path):
+        assert run("constant", "constant_joint.cfg", tmp_path, "kappa_max=1.5") == 4
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["status"] == "infeasible"
+        assert verdict["lower"] == pytest.approx(1.558, abs=1e-3)
+
+    @pytest.mark.parametrize("command", ["constant", "classify"])
+    def test_budget_below_one_exit_two(self, tmp_path, command):
+        assert run(command, "constant_joint.cfg", tmp_path, "kappa_max=0.5") == 2
+
     def test_missing_file_exit_two(self, tmp_path):
         assert run("constant", "constant_discrete.cfg", tmp_path, "matrix=/nope.json") == 2
 

@@ -192,7 +192,54 @@ class TestDuality:
             _gramian_identity_residual(JORDAN, np.eye(2), np.eye(3), 1.0)
 
 
+def _naboko_per_node(A, eps, xi_max=200.0, quad_m=32):
+    """Quadrature extremes of :func:`naboko_integral` with one resolvent solve per node.
+
+    The same Gauss rules, panels, halving and ``1e-6`` panel test, each
+    node evaluated on its own.
+    """
+    n = A.shape[0]
+    rules = [np.polynomial.legendre.leggauss(k) for k in (8, 16)]
+
+    def integrate(f, a, b, depth=0):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        coarse, fine = (half * sum(w * f(mid + half * x) for x, w in zip(*rule)) for rule in rules)
+        if abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300) or depth >= 12:
+            return fine
+        return integrate(f, a, mid, depth + 1) + integrate(f, mid, b, depth + 1)
+
+    edges = np.linspace(-xi_max, xi_max, max(4, quad_m // 8) + 1)
+    vals = []
+    for h in np.eye(n):
+
+        def f(xi, h=h):
+            r = np.linalg.solve((eps + 1j * xi) * np.eye(n) - A, h)
+            return float(np.vdot(r, r).real)
+
+        vals.append(eps * sum(integrate(f, a, b) for a, b in zip(edges[:-1], edges[1:])))
+    return min(vals), max(vals)
+
+
 class TestNaboko:
+    @pytest.mark.parametrize(
+        "A",
+        [
+            # diagonalizable: the eigendecomposition path
+            np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+            @ np.diag([0.7j, -0.4 + 1.1j, -1.3])
+            @ np.linalg.inv(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
+            # one Jordan block: the stacked-solve path
+            np.diag([-0.3] * 3) + np.diag([1.0, 1.0], 1),
+        ],
+        ids=["diagonalizable", "defective"],
+    )
+    def test_batched_nodes_match_per_node_evaluation(self, A):
+        for eps in (0.1, 0.5):
+            p = naboko_integral(A, [eps])[0]
+            lo, hi = _naboko_per_node(A, eps)
+            assert p.quad_min == pytest.approx(lo, rel=1e-12)
+            assert p.quad_max == pytest.approx(hi, rel=1e-12)
+
     def test_skew_approaches_pi(self):
         pts = naboko_integral(1j * np.diag([0.3, -0.7, 1.1]), [0.05])
         p = pts[0]

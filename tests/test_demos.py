@@ -16,7 +16,7 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, tmp_path):
     src = os.path.join(ROOT, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, path], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -259,3 +262,50 @@ class TestMatrixJson:
     def test_as_matrix_rejects_nonfinite(self):
         with pytest.raises(exceptions.DimensionError):
             as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+#: Variables OpenBLAS reads its thread count from.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: Prints the thread count of each OpenBLAS pool (numpy's, scipy's) that
+#: a ``*openblas_get_num_threads*`` symbol reads.
+_READ_POOLS = """
+import ctypes, json
+import numpy
+import simgroup
+import scipy.linalg
+counts = []
+for module in (numpy.linalg._umath_linalg, scipy.linalg._fblas):
+    lib = ctypes.CDLL(module.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            counts.append(getattr(lib, name)())
+            break
+print(json.dumps(counts))
+"""
+
+
+def _pool_threads(**thread_vars):
+    """Pool thread counts after ``import numpy; import simgroup`` in a clean process."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(thread_vars)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_POOLS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS pool found")
+    return counts
+
+
+class TestBlasThreadPolicy:
+    def test_import_sets_one_thread_per_pool(self):
+        # numpy loads its pool first; the import still reaches it
+        assert set(_pool_threads()) == {1}
+
+    def test_thread_variable_wins(self):
+        assert set(_pool_threads(OPENBLAS_NUM_THREADS="2")) == {2}

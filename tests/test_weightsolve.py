@@ -144,6 +144,18 @@ class TestDiscreteConstant:
         assert rep.worst <= 2 * max(1e-8, 1e-8 * operator_norm(T) ** 2)
 
 
+    def test_budget_below_the_power_norm_floor_is_infeasible(self):
+        # strictly stable with constant 4/3: a power norm above the budget
+        # bounds the constant from below, it is no growth evidence
+        v = discrete_similarity_constant(np.array([[0.5, 1.0], [0.0, 0.5]]), kappa_max=1.2)
+        assert v.status == "infeasible"
+        assert 1.2 < v.lower <= 4.0 / 3.0
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="kappa_max"):
+            discrete_similarity_constant(RANK_ONE, kappa_max=0.99)
+
+
 class TestJointConstant:
     def test_skew_is_one(self):
         v = joint_similarity_constant(np.array([[0.4j, 0], [0, -1.2j]]))
@@ -157,6 +169,19 @@ class TestJointConstant:
     def test_nilpotent_unbounded(self):
         v = joint_similarity_constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert v.status == "unbounded"
+
+    def test_budget_below_the_semigroup_norm_floor_is_infeasible(self):
+        # the constant is 2; exp(tA) reaches norm 1.558 on the floor's grid
+        v = joint_similarity_constant(JORDAN, kappa_max=1.5)
+        assert v.status == "infeasible" and v.evidence == ""
+        assert v.lower == pytest.approx(1.558, abs=1e-3)
+        assert joint_similarity_constant(JORDAN, kappa_max=1.99).status == "infeasible"
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="kappa_max"):
+            joint_similarity_constant(JORDAN, kappa_max=0.5)
+        with pytest.raises(ValueError, match="kappa_max"):
+            quasi_similarity_constant(JORDAN, 0.5, kappa_max=0.5)
 
     def test_continuous_norm_floor(self, rng):
         A = random_stable(rng, 4)
