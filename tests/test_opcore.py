@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
 
 from simgroup import exceptions
 from simgroup.opcore import (
@@ -28,7 +27,7 @@ from simgroup.opcore import (
     weighted_norm,
 )
 
-from conftest import random_stable
+from conftest import fixed_examples, random_stable
 
 
 class TestExpm:
@@ -77,15 +76,20 @@ class TestGramianIntegral:
         G = gramian_integral(A, np.eye(2), 10.0)
         assert operator_norm(G - ref) <= 1e-12 * operator_norm(ref)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        complex_entries=st.booleans(),
-        margin=st.floats(0.05, 1.0),
-        tau=st.floats(1e-2, 1e2),
-    )
-    def test_matches_closed_form(self, seed, n, complex_entries, margin, tau):
+    def test_matches_closed_form(self):
+        for example in fixed_examples(
+            1,
+            40,
+            seed=(0, 2**32 - 1),
+            n=(1, 6),
+            complex_entries=(False, True),
+            margin=(0.05, 1.0),
+            tau=(1e-2, 1e2),
+        ):
+            self._check_closed_form(**example)
+
+    @staticmethod
+    def _check_closed_form(seed, n, complex_entries, margin, tau):
         rng = np.random.default_rng(seed)
         A = random_stable(rng, n, margin=margin, complex_entries=complex_entries)
         B = rng.standard_normal((n, n))
@@ -167,23 +171,23 @@ class TestNorms:
 
 
 class TestNormUpperBound:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9))
-    def test_bounds_the_operator_norm(self, seed, rows, cols):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        assert norm_upper_bound(X) >= operator_norm(X) * (1 - 1e-12)
+    def test_bounds_the_operator_norm(self):
+        for example in fixed_examples(2, 60, seed=(0, 2**32 - 1), rows=(1, 9), cols=(1, 9)):
+            rng = np.random.default_rng(example["seed"])
+            rows, cols = example["rows"], example["cols"]
+            X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            assert norm_upper_bound(X) >= operator_norm(X) * (1 - 1e-12)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
-    def test_exact_on_scaled_partial_permutations(self, seed, n):
-        rng = np.random.default_rng(seed)
-        scale = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
-        scale[rng.random(n) < 0.3] = 0.0
-        X = np.zeros((n, n), dtype=complex)
-        X[np.arange(n), rng.permutation(n)] = scale
-        norm = operator_norm(X)
-        assert abs(norm_upper_bound(X) - norm) <= 1e-15 * norm
+    def test_exact_on_scaled_partial_permutations(self):
+        for example in fixed_examples(3, 60, seed=(0, 2**32 - 1), n=(1, 9)):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            scale = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+            scale[rng.random(n) < 0.3] = 0.0
+            X = np.zeros((n, n), dtype=complex)
+            X[np.arange(n), rng.permutation(n)] = scale
+            norm = operator_norm(X)
+            assert abs(norm_upper_bound(X) - norm) <= 1e-15 * norm
 
     def test_row_and_column_sums(self):
         # norm(X, 1) = 1 and norm(X, inf) = 2: the bound sqrt(2) is the norm here

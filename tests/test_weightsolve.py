@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
 
 from simgroup import weightsolve
 from simgroup.exceptions import DimensionError, SaturationError
@@ -23,7 +22,7 @@ from simgroup.weightsolve import (
     stein_feasible,
 )
 
-from conftest import random_stable
+from conftest import fixed_examples, random_stable
 from oracles import grid_similarity_constant
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
@@ -437,15 +436,20 @@ class TestConditionEngine:
         assert out["lower"] == v.lower
         assert 2.0 * (1 - 1e-4) <= v.lower <= 2.0 <= v.constant
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 6),
-        complex_entries=st.booleans(),
-        discrete=st.booleans(),
-        margin=st.floats(0.05, 1.0),
-    )
-    def test_bracket_properties(self, seed, n, complex_entries, discrete, margin):
+    def test_bracket_properties(self):
+        for example in fixed_examples(
+            4,
+            30,
+            seed=(0, 2**32 - 1),
+            n=(2, 6),
+            complex_entries=(False, True),
+            discrete=(False, True),
+            margin=(0.05, 1.0),
+        ):
+            self._check_bracket(**example)
+
+    @staticmethod
+    def _check_bracket(seed, n, complex_entries, discrete, margin):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n, n)) * 2.0 / math.sqrt(n)
         if complex_entries:
