@@ -60,7 +60,6 @@ from .gallery import (
     DyadicSequence,
     GridSpace,
     HolbrookFactorization,
-    OperatorFamily,
     bhat_skeide,
     bhat_skeide_semigroup,
     evolution_semigroup,

@@ -29,7 +29,6 @@ from .opcore import (
 __all__ = [
     "GridSpace",
     "DyadicSequence",
-    "OperatorFamily",
     "HolbrookFactorization",
     "right_shift",
     "left_shift",
@@ -226,27 +225,6 @@ class DyadicSequence:
         return tuple(space.steps_of(v, "sequence value") for v in self.values)
 
 
-class OperatorFamily:
-    """Grid-aligned family ``t -> V(t)`` that need not be a semigroup."""
-
-    def __init__(self, dim, eval_fn, description, step):
-        self.dim = int(dim)
-        self.description = description
-        self.step = step
-        self._eval = eval_fn
-
-    def snap(self, t):
-        t = float(t)
-        if t < 0:
-            raise ValueError("times must be nonnegative")
-        k = round(t / self.step)
-        return k * self.step, abs(t - k * self.step)
-
-    def eval(self, t):
-        ta, _ = self.snap(t)
-        return self._eval(ta)
-
-
 def _reflection_matrix(cells, k, m):
     """0/1 reflection matrix of ``V_a(k*step)`` on an ``m``-cell grid.
 
@@ -279,7 +257,8 @@ def packel_reflection(a, space):
     ``V_a(0) = 0``; for aligned times the coupling identity
     ``V_a(s+t) = L(s) V_a(t) + V_a(s) R(t)`` holds exactly whenever all
     of ``s, t`` are at least the smallest window value (always, for
-    ``Zplus`` windows).
+    ``Zplus`` windows).  The family is sampled on the grid but need not
+    satisfy the semigroup law.
     """
     cells = a.cell_indices(space)
     m = space.m
@@ -288,7 +267,7 @@ def packel_reflection(a, space):
         k, _ = space.snap(t)
         return _reflection_matrix(cells, k, m)
 
-    return OperatorFamily(m, ev, f"packel reflection ({a.kind})", space.step)
+    return sampled_semigroup(m, ev, f"packel reflection ({a.kind})", space.step)
 
 
 def packel_semigroup(a, space):
@@ -398,7 +377,8 @@ def periodic_shift(m):
 def wrap_fill(m):
     """Fill family ``V(t)``: the wrapped tail poured onto ``[0, t)``.
 
-    ``V(1) = I`` and ``V(t) = R_p(t-1)`` for ``t >= 1``.
+    ``V(1) = I`` and ``V(t) = R_p(t-1)`` for ``t >= 1``.  The family is
+    sampled on the grid but need not satisfy the semigroup law.
     """
 
     def ev(t):
@@ -414,7 +394,7 @@ def wrap_fill(m):
         V[i, (i - k) % m] = 1.0
         return V
 
-    return OperatorFamily(m, ev, "wrap fill", step=1.0 / m)
+    return sampled_semigroup(m, ev, "wrap fill", step=1.0 / m)
 
 
 def w_semigroup(m, inner=None):

@@ -176,7 +176,7 @@ def _eig_cached(A):
     return w, V, Vinv, cond
 
 
-def expm_semigroup(A, t, _eig=None):
+def expm_semigroup(A, t):
     """Evaluate ``exp(t*A)`` for ``t >= 0``.
 
     Uses the eigendecomposition of ``A`` when the eigenvector basis is
@@ -190,12 +190,16 @@ def expm_semigroup(A, t, _eig=None):
         If ``t * growth_bound(A)`` exceeds the floating-point range.
     """
     A = as_matrix(A)
+    return _expm_with(A, _eig_cached(A), t)
+
+
+def _expm_with(A, ded, t):
+    """:func:`expm_semigroup` given ``ded = _eig_cached(A)``, which one generator's times share."""
     t = float(t)
     if t < 0:
         raise ValueError("semigroup evaluation requires t >= 0")
     if t == 0.0:
         return np.eye(A.shape[0], dtype=complex)
-    ded = _eig if _eig is not None else _eig_cached(A)
     if ded is not None:
         w = ded[0]
         if t * float(np.max(w.real)) > _EXP_SATURATION:
@@ -336,7 +340,8 @@ class MatrixSemigroup:
 
     Two kinds exist: ``generator`` semigroups evaluate ``exp(tA)`` from a
     fixed generator, and ``sampled`` semigroups evaluate a closed-form
-    sampler (the gallery constructions).  Sampled kinds may carry a grid
+    sampler (the gallery constructions, including coupling families that
+    need not satisfy the semigroup law).  Sampled kinds may carry a grid
     ``step``; times are then snapped to the nearest multiple and the snap
     distance is reported on request, since the gallery identities are
     exact only for aligned times.
@@ -382,8 +387,8 @@ def semigroup_from_generator(A):
     A = as_matrix(A, "generator")
     ded = _eig_cached(A)
 
-    def ev(t, _A=A, _ded=ded):
-        return expm_semigroup(_A, t, _eig=_ded)
+    def ev(t):
+        return _expm_with(A, ded, t)
 
     sem = MatrixSemigroup(
         A.shape[0],

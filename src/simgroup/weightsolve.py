@@ -48,6 +48,7 @@ constant, so a sampled norm above the budget makes it ``infeasible``,
 with that norm as ``lower``.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -93,8 +94,49 @@ MAXITER_DEFAULT = 5000
 # targets and result records
 
 
+class _Target:
+    """Solver state of a target, each part computed at most once.
+
+    The equation context and seed exist for strictly stable
+    single-constraint targets; the seed picks the solver regime (see the
+    module notes).
+    """
+
+    def scale(self):
+        return self._scale
+
+    @cached_property
+    def _context(self):
+        """The target's :class:`_EquationContext`, or None."""
+        return _EquationContext.for_target(self)
+
+    @cached_property
+    def _seed(self):
+        """Interior feasible point from the Stein/Lyapunov *equation*, or None.
+
+        Solving ``T* X T - X = -I`` (resp. ``Abar* X + X Abar = -I``)
+        yields a strictly feasible Hermitian PD weight whenever the target
+        is strictly stable; normalized to eig_min = 1 it doubles as an
+        upper bracket for the similarity constant.
+        """
+        if self._context is None:
+            return None
+        X = self._context.solve(np.eye(self.dim, dtype=_native_dtype(self)))
+        if X is None:
+            return None
+        w = np.linalg.eigvalsh(X)
+        if w[0] <= 0 or not np.all(np.isfinite(w)):
+            return None
+        return X / w[0]
+
+    @cached_property
+    def _closed_forms(self):
+        """Every closed-form weight: the seed, then :func:`_spectral_seeds`."""
+        return [P for P in (self._seed, *_spectral_seeds(self)) if P is not None]
+
+
 @dataclass(frozen=True)
-class SteinTarget:
+class SteinTarget(_Target):
     """Joint contractivity constraints ``Ti* P Ti <= P``."""
 
     operators: tuple
@@ -103,16 +145,13 @@ class SteinTarget:
     def dim(self):
         return self.operators[0].shape[0]
 
-    def scale(self):
-        return self._scale
-
     @cached_property
     def _scale(self):
         return max(1.0, max(operator_norm(T) ** 2 for T in self.operators))
 
 
 @dataclass(frozen=True)
-class LyapunovTarget:
+class LyapunovTarget(_Target):
     """Quasi-dissipativity constraint ``A* P + P A <= 2 shift P``."""
 
     generator: np.ndarray
@@ -121,9 +160,6 @@ class LyapunovTarget:
     @property
     def dim(self):
         return self.generator.shape[0]
-
-    def scale(self):
-        return self._scale
 
     @cached_property
     def _scale(self):
@@ -248,28 +284,6 @@ def _project_box(P, kappa2):
 def _kappa_of(P):
     w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
     return float(math.sqrt(max(w[-1], 0.0) / max(w[0], np.finfo(float).tiny)))
-
-
-def _equation_seed(target, ctx=None):
-    """Interior feasible point from the Stein/Lyapunov *equation*, if stable.
-
-    Solving ``T* X T - X = -I`` (resp. ``Abar* X + X Abar = -I``) yields a
-    strictly feasible Hermitian PD weight whenever the target is strictly
-    stable; normalized to eig_min = 1 it doubles as an upper bracket for
-    the similarity constant.  ``ctx`` is the target's
-    :class:`_EquationContext`, built here when not given.
-    """
-    if ctx is None:
-        ctx = _EquationContext.for_target(target)
-        if ctx is None:
-            return None
-    X = ctx.solve(np.eye(target.dim, dtype=_native_dtype(target)))
-    if X is None:
-        return None
-    w = np.linalg.eigvalsh(X)
-    if w[0] <= 0 or not np.all(np.isfinite(w)):
-        return None
-    return X / w[0]
 
 
 def _diagonalizer_weight(M):
@@ -454,7 +468,7 @@ def _is_strictly_stable(target):
     return growth_bound(target.generator) < target.shift - 1e-9
 
 
-def _cone_certificate(target, P, tol, ctx):
+def _cone_certificate(target, P):
     """Restore ``P`` exactly onto the constraint cone and certify it there.
 
     One equation solve (through the target's :class:`_EquationContext`)
@@ -464,7 +478,7 @@ def _cone_certificate(target, P, tol, ctx):
     D = _defects(target, P)[0]
     w, U = np.linalg.eigh(0.5 * (D + D.conj().T))
     if w[-1] > 0.0:
-        X = ctx.solve((U * np.maximum(w, 0.0)) @ U.conj().T)
+        X = target._context.solve((U * np.maximum(w, 0.0)) @ U.conj().T)
         if X is None:
             return None
         P = 0.5 * (P + X + (P + X).conj().T)
@@ -474,7 +488,7 @@ def _cone_certificate(target, P, tol, ctx):
     P = P / pw[0]
     kp = _kappa_of(P)
     f = _penalty(target, P)
-    if f > _effective_tol(target, kp, tol):
+    if f > _effective_tol(target, kp):
         return None
     return WeightCertificate(P, kp, max(f, 0.0))
 
@@ -491,7 +505,7 @@ def _proj_spectraplex(Q):
     return (U * np.maximum(w - theta, 0.0)) @ U.conj().T
 
 
-def _qspace_rounds(target, kappa, tol, ctx, Q0=None):
+def _qspace_rounds(target, kappa, Q0=None):
     """Convex margin minimization in right-hand-side space.
 
     For strictly stable single-constraint targets the defect map ``L`` is
@@ -506,6 +520,7 @@ def _qspace_rounds(target, kappa, tol, ctx, Q0=None):
     iterates_formed)``.
     """
     n = target.dim
+    ctx = target._context
     kappa2 = kappa * kappa
     Q = _proj_spectraplex(Q0) if Q0 is not None else np.eye(n, dtype=_native_dtype(target)) / n
     best_rel = np.inf
@@ -526,13 +541,12 @@ def _qspace_rounds(target, kappa, tol, ctx, Q0=None):
             best_rel, best_P = rel, P
         # acceptance is against the full spectral penalty, in which the
         # box excess eig_max(P) - kappa^2 counts like a defect violation
-        if val <= _effective_tol(target, kappa, tol) * float(w[0]):
+        if val <= _effective_tol(target, kappa) * float(w[0]):
             Pn = P / w[0]
             f = _penalty(target, Pn)
             box = max(0.0, float(np.linalg.eigvalsh(Pn)[-1]) - kappa2)
             kp = _kappa_of(Pn)
-            tol_eff = _effective_tol(target, kp, tol)
-            if max(f, box) <= tol_eff:
+            if max(f, box) <= _effective_tol(target, max(kappa, kp)):
                 cert = WeightCertificate(Pn, kp, max(f, box, 0.0))
                 return cert, cert, it + 1
             # fell marginally outside the box; report as nearest
@@ -555,74 +569,69 @@ def _qspace_rounds(target, kappa, tol, ctx, Q0=None):
         Q = _proj_spectraplex(Q - (val / gn2) * G)
     nearest = None
     if best_P is not None:
-        nearest = _cone_certificate(target, best_P, tol, ctx)
+        nearest = _cone_certificate(target, best_P)
     return None, nearest, it + 1
 
 
-def _default_tol(target):
-    return 1e-8 * target.scale()
+def _effective_tol(target, kappa):
+    """Feasibility tolerance of a weight at condition ``kappa``.
 
-
-def _effective_tol(target, kappa, tol):
-    # float64 floor: forming the defect at weight scale kappa^2 already
-    # carries rounding of this order.
-    return max(tol, 8e-16 * target.scale() * kappa * kappa)
-
-
-def _closed_form_probe(target, candidates, kappa, tol):
-    """First probe of every feasibility path: closed-form weights.
-
-    ``candidates`` lie in the ``kappa`` box already; the first whose
-    penalty is within the effective ``tol`` certifies.  Returns
-    ``(result, best_P, best_f)``, where ``result`` is None unless a
-    candidate certifies or the box is the singleton ``{I}``, which
-    leaves nothing to search.
+    ``scale max(1e-8, 8e-16 kappa^2)``: the ``1e-8`` relative tolerance
+    the public probes document, raised to the float64 floor, since
+    forming the defect at weight scale ``kappa^2`` already carries
+    rounding of that order.
     """
+    return max(1e-8 * target.scale(), 8e-16 * target.scale() * kappa * kappa)
+
+
+def _closed_form_probe(target, kappa, weights):
+    """First probe of every fixed-budget path: closed-form weights.
+
+    ``I``, then each of ``weights`` (None skipped) clipped to the
+    ``kappa`` box; the first whose penalty is within the tolerance at
+    ``kappa`` certifies.  Returns ``(result, best_P, best_f)``, where
+    ``result`` is None unless a candidate certifies or the box is the
+    singleton ``{I}``, which leaves nothing to search.
+    """
+    kappa2 = kappa * kappa
+    tol = _effective_tol(target, kappa)
+    I = np.eye(target.dim, dtype=_native_dtype(target))
+    clipped = (_project_box(P, kappa2) for P in weights if P is not None)
     best_P = None
     best_f = np.inf
-    for P0 in candidates:
+    for P0 in itertools.chain([I], clipped):
         f0 = _penalty(target, P0)
         if f0 < best_f:
             best_f, best_P = f0, P0
         if f0 <= tol:
             cert = WeightCertificate(P0, _kappa_of(P0), max(f0, 0.0))
             return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
-    if kappa * kappa <= 1.0 + 1e-14:
+    if kappa2 <= 1.0 + 1e-14:
         return FeasibilityResult(None, best_f, 0), best_P, best_f
     return None, best_P, best_f
 
 
-def _solve_feasibility(target, kappa, tol, warm=None, qwarm=None, ctx=None):
+def _solve_feasibility(target, kappa, warm=None, qwarm=None):
     """Fixed-budget feasibility: closed-form weights, then the convex search.
 
-    The closed-form candidates (identity, warm start, equation seed and
-    spectral seeds, each clipped to the box) come first.  Given the
-    target's equation context ``ctx``, the best of them is restored onto
-    the constraint cone once and the convex right-hand-side search runs
-    from ``qwarm``; without one the candidates alone answer.
+    The closed-form candidates (see :func:`_closed_form_probe`) come
+    first.  For a target with an equation seed, the best of them is
+    restored onto the constraint cone once and the convex right-hand-side
+    search runs from ``qwarm``; without one the candidates alone answer.
     ``warm``/``qwarm`` carry the previous probe's weight and cone
     right-hand side across a bisection.
     """
-    n = target.dim
     kappa = float(kappa)
-    tol = _effective_tol(target, kappa, tol)
-    kappa2 = kappa * kappa
-
-    candidates = [np.eye(n, dtype=_native_dtype(target))]
-    for P in (warm, _equation_seed(target, ctx), *_spectral_seeds(target)):
-        if P is not None:
-            candidates.append(_project_box(P, kappa2))
-
-    done, best_P, best_f = _closed_form_probe(target, candidates, kappa, tol)
+    done, best_P, best_f = _closed_form_probe(target, kappa, (warm, *target._closed_forms))
     if done is not None:
         return done
-    if ctx is None:
+    if target._seed is None:
         return FeasibilityResult(None, best_f, 0)
 
-    nearest = _cone_certificate(target, best_P, tol, ctx)
+    nearest = _cone_certificate(target, best_P)
     if nearest is not None and nearest.kappa <= kappa:
         return FeasibilityResult(nearest, nearest.residual, 0, nearest)
-    cert, near, iterations = _qspace_rounds(target, kappa, tol, ctx, Q0=qwarm)
+    cert, near, iterations = _qspace_rounds(target, kappa, Q0=qwarm)
     if cert is not None:
         return FeasibilityResult(cert, cert.residual, iterations, cert)
     if near is not None and (nearest is None or near.kappa < nearest.kappa):
@@ -661,19 +670,6 @@ def _realified(target):
 _ENGINE_DIM_LIMIT = 32
 
 
-def _seeded(target):
-    """The target's equation context and seed ``L^{-1}(-I)``, or ``(None, None)``.
-
-    The seed exists for strictly stable single-constraint targets and
-    picks the solver regime: without it the closed-form weights decide,
-    with it the exact engine up to ``_ENGINE_DIM_LIMIT`` and the
-    bisection above.
-    """
-    ctx = _EquationContext.for_target(target)
-    seed = None if ctx is None else _equation_seed(target, ctx)
-    return (None, None) if seed is None else (ctx, seed)
-
-
 def _constraint_terms(target):
     """``L(X) = sum s M* X N`` for the defect map of a single-constraint target."""
     I = np.eye(target.dim, dtype=_native_dtype(target))
@@ -684,14 +680,7 @@ def _constraint_terms(target):
     return [(Abar, I, 1.0), (I, Abar, 1.0)]
 
 
-def _engine_first_probe(target, seed, kappa, tol):
-    """:func:`_closed_form_probe` with ``I`` and the clipped equation seed."""
-    I = np.eye(target.dim, dtype=_native_dtype(target))
-    candidates = [I, _project_box(seed, kappa * kappa)]
-    return _closed_form_probe(target, candidates, kappa, _effective_tol(target, kappa, tol))
-
-
-def _engine_solve(target, ctx, seed, tol, feas_tol, budget=None):
+def _engine_solve(target, tol, budget=None):
     """Engine bracket and a certificate.
 
     The engine's weight is strictly feasible in exact arithmetic; it is
@@ -700,17 +689,18 @@ def _engine_solve(target, ctx, seed, tol, feas_tol, budget=None):
     restores it onto the cone, and failing that the equation seed,
     which is strictly feasible, certifies.
     """
+    seed = target._seed
     res = _condition_sdp.solve(_constraint_terms(target), seed, tol, budget=budget)
     f = _penalty(target, res.weight)
-    if f <= _effective_tol(target, res.kappa, feas_tol):
+    if f <= _effective_tol(target, res.kappa):
         return res, WeightCertificate(res.weight, res.kappa, max(f, 0.0))
-    cert = _cone_certificate(target, res.weight, feas_tol, ctx)
+    cert = _cone_certificate(target, res.weight)
     if cert is None:
         cert = WeightCertificate(seed, _kappa_of(seed), max(_penalty(target, seed), 0.0))
     return res, cert
 
 
-def _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol):
+def _engine_constant(target, floor, tol, kappa_max):
     """Verdict of the exact engine.
 
     A closed-form weight certifying the norm floor answers first, so
@@ -720,11 +710,11 @@ def _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol):
     floor, or a numerically singular Newton system) is reported in
     ``evidence``.
     """
-    done, _, _ = _engine_first_probe(target, seed, floor, feas_tol)
+    done, _, _ = _closed_form_probe(target, floor, (target._seed,))
     if done is not None and done.certificate is not None:
         cert = done.certificate
         return SimilarityVerdict("finite", cert.kappa, cert, floor, lower=min(floor, cert.kappa))
-    res, cert = _engine_solve(target, ctx, seed, tol, feas_tol)
+    res, cert = _engine_solve(target, tol)
     # the floor may exceed the constant by rounding; the dual bound may not
     lower = max(min(floor, res.kappa), res.lower)
     if lower > kappa_max or cert.kappa > kappa_max * (1.0 + 1e-9):
@@ -737,7 +727,7 @@ def _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol):
     )
 
 
-def _engine_feasibility(target, ctx, seed, kappa, tol):
+def _engine_feasibility(target, kappa):
     """Fixed-budget answer of the exact engine.
 
     The engine runs until its bracket puts the constant below the budget
@@ -747,26 +737,25 @@ def _engine_feasibility(target, ctx, seed, kappa, tol):
     box-clipped engine weight against the feasibility tolerance; if that
     fails too, there is no certificate, and ``nearest`` is the engine's.
     """
-    done, _, best_f = _engine_first_probe(target, seed, kappa, tol)
+    done, _, best_f = _closed_form_probe(target, kappa, (target._seed,))
     if done is not None:
         return done
-    res, cert = _engine_solve(target, ctx, seed, 0.0, tol, budget=kappa)
+    res, cert = _engine_solve(target, 0.0, budget=kappa)
     if cert.kappa <= kappa:
         return FeasibilityResult(cert, cert.residual, res.iterations, cert)
     P = _project_box(res.weight, kappa * kappa)
     f = _penalty(target, P)
-    if res.lower <= kappa and f <= _effective_tol(target, kappa, tol):
+    if res.lower <= kappa and f <= _effective_tol(target, kappa):
         clipped = WeightCertificate(P, _kappa_of(P), max(f, 0.0))
         return FeasibilityResult(clipped, clipped.residual, res.iterations, clipped)
     return FeasibilityResult(None, min(f, best_f), res.iterations, cert)
 
 
-def _feasibility(target, kappa, tol, warm=None):
+def _feasibility(target, kappa, warm=None):
     """Fixed-budget answer in the target's regime; ``warm`` is a previous certificate's weight."""
-    ctx, seed = _seeded(target)
-    if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
-        return _engine_feasibility(target, ctx, seed, kappa, tol)
-    return _solve_feasibility(target, kappa, tol, warm=warm, ctx=ctx)
+    if target._seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
+        return _engine_feasibility(target, kappa)
+    return _solve_feasibility(target, kappa, warm=warm)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +795,7 @@ def stein_feasible(operators, kappa):
         raise DimensionError("all operators must share one dimension")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    target = _realified(SteinTarget(ops))
-    return _feasibility(target, kappa, _default_tol(target))
+    return _feasibility(_realified(SteinTarget(ops)), kappa)
 
 
 def lyapunov_feasible(A, shift, kappa):
@@ -823,8 +811,7 @@ def lyapunov_feasible(A, shift, kappa):
     A = as_matrix(A, "generator")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    target = _realified(LyapunovTarget(A, float(shift)))
-    return _feasibility(target, kappa, _default_tol(target))
+    return _feasibility(_realified(LyapunovTarget(A, float(shift))), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -877,32 +864,30 @@ def _continuous_norm_floor(A, shift, kappa_max):
 # bisection driver
 
 
-def _closed_form_certificates(target, ctx, feas_tol):
+def _closed_form_certificates(target):
     """Closed-form weights that certify at their own kappa, best first.
 
-    ``I``, the equation seed and the spectral seeds, unclipped; each is
-    kept if its penalty passes the feasibility tolerance at its kappa.
+    ``I`` and the target's closed-form weights, unclipped; each is kept
+    if its penalty passes the feasibility tolerance at its kappa.
     """
     I = np.eye(target.dim, dtype=_native_dtype(target))
     certs = []
-    for P in (I, _equation_seed(target, ctx), *_spectral_seeds(target)):
-        if P is None:
-            continue
+    for P in (I, *target._closed_forms):
         kappa = _kappa_of(P)
         f = _penalty(target, P)
-        if f <= _effective_tol(target, kappa, feas_tol):
+        if f <= _effective_tol(target, kappa):
             certs.append(WeightCertificate(P, kappa, max(f, 0.0)))
     return sorted(certs, key=lambda c: c.kappa)
 
 
-def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
+def _bisect_constant(target, lower, kappa_max, rel_tol):
     """Log-scale bisection over kappa with warm-started feasibility probes.
 
-    For strictly stable targets with equation context ``ctx``.  An
-    infeasible probe may still surface a certificate slightly above its
-    budget (see :class:`FeasibilityResult`); the upper bracket is
-    tightened with every certificate seen, so the reported constant is
-    always backed by an actual weight.  Returns ``(certificate,
+    For targets with an equation seed.  An infeasible probe may still
+    surface a certificate slightly above its budget (see
+    :class:`FeasibilityResult`); the upper bracket is tightened with
+    every certificate seen, so the reported constant is always backed by
+    an actual weight.  Returns ``(certificate,
     searched_kappa_max)``, with no certificate up to ``kappa_max``
     reported as ``(None, kappa_max)``.
     """
@@ -911,7 +896,7 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     best_cert = None
 
     def probe(kap):
-        res = _solve_feasibility(target, kap, feas_tol, warm=warm, qwarm=qwarm, ctx=ctx)
+        res = _solve_feasibility(target, kap, warm=warm, qwarm=qwarm)
         absorb(res.certificate)
         absorb(res.nearest)
         return res
@@ -934,7 +919,7 @@ def _bisect_constant(target, ctx, lower, kappa_max, rel_tol, feas_tol):
     budget = kappa_max * (1.0 + 1e-9)
     if best_cert is None or best_cert.kappa > budget:
         closed = next(
-            (c for c in _closed_form_certificates(target, ctx, feas_tol) if c.kappa <= kappa_max),
+            (c for c in _closed_form_certificates(target) if c.kappa <= kappa_max),
             None,
         )
         if closed is not None:
@@ -962,17 +947,15 @@ def _constant_verdict(target, floor, tol, kappa_max):
     """Finite or infeasible verdict above the certified ``floor``.
 
     The equation seed picks the regime (see the module notes); every
-    certificate passes the target's default feasibility tolerance.
+    certificate passes the feasibility tolerance (:func:`_effective_tol`).
     """
-    feas_tol = _default_tol(target)
-    ctx, seed = _seeded(target)
-    if seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
-        return _engine_constant(target, ctx, seed, floor, tol, kappa_max, feas_tol)
-    if seed is not None:
-        cert, searched = _bisect_constant(target, ctx, floor, kappa_max, tol, feas_tol)
+    if target._seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
+        return _engine_constant(target, floor, tol, kappa_max)
+    if target._seed is not None:
+        cert, searched = _bisect_constant(target, floor, kappa_max, tol)
     else:
         # no interior to search from: the best closed-form certificate decides
-        certs = _closed_form_certificates(target, None, feas_tol)
+        certs = _closed_form_certificates(target)
         cert = next((c for c in certs if c.kappa <= kappa_max), None)
         searched = kappa_max if cert is None else cert.kappa
     if cert is None:
@@ -1030,7 +1013,7 @@ def _over_budget(target, floor, kappa_max, evidence):
     ``infeasible``.  Otherwise, or when a probed norm overflowed float64
     (``floor`` is inf), the norm growth is the ``unbounded`` evidence.
     """
-    if math.isfinite(floor) and _seeded(target)[1] is not None:
+    if math.isfinite(floor) and target._seed is not None:
         return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=floor)
     return SimilarityVerdict("unbounded", math.inf, None, kappa_max, evidence=evidence, lower=floor)
 
@@ -1078,28 +1061,24 @@ def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
 def min_quasi_shift(A, kappa_budget):
     """Smallest shift admitting a certificate within the condition budget.
 
-    Bisects over ``shift`` in ``[growth_bound(A), numerical_abscissa(A)]``
-    to width ``1e-3``, probing at the feasibility tolerance ``1e-8 max(1,
-    2 norm(A))``; the upper endpoint is always feasible with ``P = I``,
-    and feasibility is monotone in the shift.  Returns the
-    certified-feasible end of the final bracket (an endpoint when the
-    bracket is numerically empty).
+    Probes ``growth_bound(A)`` first, then bisects over ``shift`` in
+    ``[growth_bound(A), numerical_abscissa(A)]`` to width ``1e-3``; each
+    probe is :func:`lyapunov_feasible` at that shift.  The upper endpoint
+    is always feasible with ``P = I``, and feasibility is monotone in the
+    shift.  Returns the certified-feasible end of the final bracket (the
+    upper endpoint when the bracket is narrower than ``1e-3`` and the
+    growth bound fails).
     """
     A = as_matrix(A, "generator")
     if kappa_budget < 1.0:
         raise ValueError("kappa_budget must be >= 1")
     lo = growth_bound(A)
     hi = numerical_abscissa(A)
-    if not hi - lo > 1e-3:
-        return lo
-    feas_tol = 1e-8 * max(1.0, 2.0 * operator_norm(A))
 
     def feasible(lam, warm=None):
-        target = _realified(LyapunovTarget(A, float(lam)))
-        return _feasibility(target, kappa_budget, feas_tol, warm)
+        return _feasibility(_realified(LyapunovTarget(A, float(lam))), kappa_budget, warm)
 
-    res_lo = feasible(lo)
-    if res_lo:
+    if feasible(lo):
         return lo
     warm = None
     while hi - lo > 1e-3:

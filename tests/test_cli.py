@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from simgroup import cli, gallery, opcore
+from simgroup import cli, gallery, opcore, weightsolve
 from simgroup.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -37,6 +37,18 @@ class TestConstantCommand:
             run("constant", "constant_discrete.cfg", tmp_path, "matrix=../data/supercritical.json")
             == 3
         )
+
+    def test_quasi_mode_weight_is_certified(self, tmp_path):
+        assert run("constant", "constant_joint.cfg", tmp_path, "mode=quasi", "shift=-0.5") == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["status"] == "finite"
+        A = opcore.load_matrix(os.path.join(DEMO, "..", "data", "jordan_shifted.json"))
+        target = weightsolve.LyapunovTarget(A, -0.5)
+        P = opcore.matrix_from_json(verdict["P"])
+        cert = weightsolve.WeightCertificate(P, verdict["constant"], 0.0)
+        rep = weightsolve.certificate_check(cert, target)
+        assert rep.worst <= 1e-8 * target.scale()
+        assert rep.kappa == pytest.approx(verdict["constant"], rel=1e-9)
 
     def test_budget_below_the_norm_floor_exit_four(self, tmp_path):
         assert run("constant", "constant_joint.cfg", tmp_path, "kappa_max=1.5") == 4
@@ -73,6 +85,16 @@ class TestGalleryCommand:
         assert run("gallery", "gallery_riemann.cfg", tmp_path, "m=128") == 0
         payload = json.loads((tmp_path / "gallery.json").read_text())
         assert any(k.startswith("law(") for k in payload["suite"]["checks"])
+
+    def test_lemerdy_suite_passes(self, tmp_path):
+        assert run("gallery", "gallery_w.cfg", tmp_path, "kind=lemerdy") == 0
+        assert json.loads((tmp_path / "gallery.json").read_text())["suite"]["passed"]
+
+    @pytest.mark.parametrize("index_set", ["Zplus", "Z", "Zminus"])
+    def test_packel_suite_passes(self, tmp_path, index_set):
+        overrides = ("kind=packel", f"J={index_set}", "m=32")
+        assert run("gallery", "gallery_w.cfg", tmp_path, *overrides) == 0
+        assert json.loads((tmp_path / "gallery.json").read_text())["suite"]["passed"]
 
     def test_unknown_kind_exit_two(self, tmp_path):
         assert run("gallery", "gallery_w.cfg", tmp_path, "kind=nope") == 2

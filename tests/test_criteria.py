@@ -110,6 +110,17 @@ class TestClassify:
                 DyadicSequence.powers_of_two("Zminus", k), 1.0
             )
 
+    def test_family_of_generators_and_of_generator_semigroups(self):
+        # matrices and generator semigroups both get their joint constant
+        gens = [np.diag([-1.0, -2.0]), JORDAN]
+        expected = [
+            (float(i), joint_similarity_constant(A, tol=1e-3).constant) for i, A in enumerate(gens)
+        ]
+        for fam in (gens, [semigroup_from_generator(A) for A in gens]):
+            rep = classify(None, family=fam)
+            assert list(rep.family_curve) == expected
+            assert rep.family_diverging
+
     def test_finite_lemerdy_section_collapses(self):
         from simgroup.gallery import lemerdy_semigroup
 

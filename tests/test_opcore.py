@@ -182,7 +182,8 @@ class TestNormUpperBound:
         for example in fixed_examples(3, 60, seed=(0, 2**32 - 1), n=(1, 9)):
             rng = np.random.default_rng(example["seed"])
             n = example["n"]
-            scale = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+            scale = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            scale = scale * 10.0 ** rng.uniform(-3, 3, n)
             scale[rng.random(n) < 0.3] = 0.0
             X = np.zeros((n, n), dtype=complex)
             X[np.arange(n), rng.permutation(n)] = scale

@@ -22,7 +22,7 @@ PUBLIC_FUNCTIONS = {
     "discrete_similarity_constant": ("T", "tol", "kappa_max"),
     "duality_check": ("sys", "tau"),
     "evolution_semigroup": ("inner", "space"),
-    "expm_semigroup": ("A", "t", "_eig"),
+    "expm_semigroup": ("A", "t"),
     "factorization_from_certificate": ("T", "cert", "horizon"),
     "finite_time_observability_test": ("sys", "tau"),
     "growth_bound": ("A",),

@@ -224,6 +224,19 @@ class TestMinQuasiShift:
         with pytest.raises(ValueError):
             min_quasi_shift(JORDAN, 0.9)
 
+    @pytest.mark.parametrize(
+        "A,budget",
+        [([[0.0, 1e-4], [0.0, 0.0]], 2.0), ([[-1.0, 5e-4], [0.0, -1.0]], 1.0)],
+        ids=["nilpotent", "jordan"],
+    )
+    def test_narrow_bracket_shift_is_certified(self, A, budget):
+        # numerical abscissa and growth bound lie within 1e-3, and no weight
+        # within the budget certifies the growth bound
+        A = np.array(A)
+        shift = min_quasi_shift(A, budget)
+        assert lyapunov_feasible(A, shift, budget)
+        assert shift == numerical_abscissa(A)
+
 
 class TestCertificateCheck:
     def test_identity_on_contraction(self):
@@ -470,7 +483,7 @@ class TestConditionEngine:
         assert rep.worst <= 2.0 * _feasibility_tol(target, v.constant)
         assert abs(rep.kappa - v.constant) <= 1e-6 * v.constant
         assert v.constant >= floor * (1.0 - 1e-9)
-        seed_weight = weightsolve._equation_seed(weightsolve._realified(target))
+        seed_weight = weightsolve._realified(target)._seed
         assert v.constant <= weightsolve._kappa_of(seed_weight) * (1.0 + 1e-9)
 
 
@@ -501,3 +514,25 @@ class TestTargetScale:
         assert target.scale() == expected
         monkeypatch.setattr(weightsolve, "operator_norm", lambda T: pytest.fail("recomputed"))
         assert target.scale() == expected
+
+    def test_solver_state_computed_once_per_verdict(self, monkeypatch):
+        # n = 34 is bisected: every probe reads the target's context, seed
+        # and spectral weights, which are computed once
+        counts = {"context": 0, "spectral": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return call
+
+        context = weightsolve._EquationContext
+        monkeypatch.setattr(context, "for_target", counted("context", context.for_target))
+        monkeypatch.setattr(
+            weightsolve, "_spectral_seeds", counted("spectral", weightsolve._spectral_seeds)
+        )
+        T = np.kron(np.eye(17), np.array([[0.5, 1.0], [0.0, 0.5]]))
+        v = discrete_similarity_constant(T, tol=1e-2)
+        assert v.finite
+        assert counts == {"context": 1, "spectral": 1}
