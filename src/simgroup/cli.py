@@ -11,9 +11,10 @@ entries.  Outputs are JSON reports and CSV curves written atomically
 with LF line endings and deterministic float formatting, so identical
 inputs produce identical bytes.
 
-Exit codes: 0 success, 2 input error, 3 unbounded verdict, 4 infeasible
-or budget exhaustion, 5 precondition failure; audit-style commands exit
-1 when a checked inequality is violated.
+Exit codes: 0 success, 2 input error (also a size too large to
+allocate), 3 unbounded verdict, 4 infeasible or budget exhaustion, 5
+precondition failure; audit-style commands exit 1 when a checked
+inequality is violated.
 """
 
 import argparse
@@ -317,31 +318,47 @@ def _gallery_bundle(cfg):
     return kind, sem, suite, times
 
 
+def _sparse_values(sem, ks, step):
+    """``{k: sem.eval(k * step)}`` over the grid indices ``ks``, as CSR arrays.
+
+    ``scipy.sparse`` is imported here, not with the package.
+    """
+    from scipy.sparse import csr_array
+
+    return {k: csr_array(sem.eval(k * step)) for k in sorted(ks)}
+
+
 def _w_suite(sem):
     """Checks of the wrap coupling ``W = [[R_p, V], [0, R]]``, read from ``sem``'s blocks.
 
     The fill and unit-time identities hold exactly on the aligned grid;
     their residuals are Schur bounds (:func:`opcore.norm_upper_bound`),
     never below the norm and equal to it on partial permutations, zero
-    included.  The contraction in the
-    weight ``P = Lambda* Lambda``, ``Lambda = [[I, I], [0, I]]``, is checked
-    in ``Lambda`` coordinates: ``norm(P^{1/2} W P^{-1/2}) = norm(Lambda W
-    Lambda^{-1})`` because ``Lambda P^{-1/2}`` is unitary.  For ``W = [[a,
-    b], [c, d]]`` that matrix is ``[[a + c, (b + d) - (a + c)], [c, d -
-    c]]``; its entries are small integers, so its Schur bound is exact
-    arithmetic up to the final square root, with no ``P^{1/2}`` formed.
+    included.  The fill loop evaluates each grid time it reads once, as
+    a sparse matrix, and forms ``R_p(s) V(t) + V(s) R(t)`` as the one
+    sparse product ``W(s)[:m] @ W(t)[:, m:]``.  While the diagonal blocks
+    are partial permutations, each entry of that product is a sum of at
+    most two products with a unit factor, whatever ``V`` holds, so the
+    densified difference the bound reads equals the dense one bit for
+    bit.  The contraction in the weight ``P = Lambda* Lambda``, ``Lambda
+    = [[I, I], [0, I]]``, is checked in ``Lambda`` coordinates:
+    ``norm(P^{1/2} W P^{-1/2}) = norm(Lambda W Lambda^{-1})`` because
+    ``Lambda P^{-1/2}`` is unitary.  For ``W = [[a, b], [c, d]]`` that
+    matrix is ``[[a + c, (b + d) - (a + c)], [c, d - c]]``; its entries
+    are small integers, so its Schur bound is exact arithmetic up to the
+    final square root, with no ``P^{1/2}`` formed.
     """
     m = sem.dim // 2
     bound = opcore.norm_upper_bound
+    ks = range(0, 2 * m + 1, max(1, m // 8))
+    W = _sparse_values(sem, {i + j for i in ks for j in ks}, 1.0 / m)
+    fill = {k: X[:m, m:] for k, X in W.items()}
+    top = {k: W[k][:m] for k in ks}
+    right = {k: W[k][:, m:] for k in ks}
     worst = 0.0
-    grid = [k / m for k in range(0, 2 * m + 1, max(1, m // 8))]
-    for s in grid:
-        Ws = sem.eval(s)
-        for t in grid:
-            Wt = sem.eval(t)
-            lhs = sem.eval(s + t)[:m, m:]
-            rhs = Ws[:m, :m] @ Wt[:m, m:] + Ws[:m, m:] @ Wt[m:, m:]
-            worst = max(worst, bound(lhs - rhs))
+    for i in ks:
+        for j in ks:
+            worst = max(worst, bound(fill[i + j].toarray() - (top[i] @ right[j]).toarray()))
     W1 = sem.eval(1.0)
     endpoint = max(bound(W1[:m, :m] - np.eye(m)), bound(W1[:m, m:] - np.eye(m)))
     space = gallery.GridSpace(1.0, m)
@@ -376,19 +393,21 @@ def _packel_suite(sem, a):
     itself hold exactly, and ``V_a`` is a partial permutation, so every
     value is a Schur bound (:func:`opcore.norm_upper_bound`).  The law
     value bounds the numerator of :func:`opcore.semigroup_law_residual`,
-    which its scale ``max(1, ...)`` only lowers.
+    which its scale ``max(1, ...)`` only lowers.  As in :func:`_w_suite`,
+    each time of the pair loop is evaluated once, as a sparse matrix, and
+    ``T(s) T(t)`` is one sparse product; with partial-permutation
+    diagonal blocks its entries are again sums of at most two products
+    with a unit factor, so every value is the dense one bit for bit.
     """
     m, step = sem.dim // 2, sem.step
     bound = opcore.norm_upper_bound
     lo = min(a.values)
     ks = [int(round((lo + i * step) / step)) for i in range(0, m, max(1, m // 6))]
+    T = _sparse_values(sem, {i + j for i in ks for j in ks}.union(ks), step)
     worst = law = 0.0
     for i in ks:
-        s = i * step
-        Ts = sem.eval(s)
         for j in ks:
-            t = j * step
-            D = sem.eval(s + t) - Ts @ sem.eval(t)
+            D = (T[i + j] - T[i] @ T[j]).toarray()
             worst = max(worst, bound(D[:m, m:]))
             law = max(law, bound(D))
     vnorm = max(bound(sem.eval(k * step)[:m, m:]) for k in range(1, 2 * m))
@@ -575,6 +594,10 @@ def main(argv=None):
         return COMMANDS[args.command](cfg, out)
     except InputFormatError as exc:
         print(f"simgroup: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # a size numpy refuses to allocate, such as gallery m=10**8
+        print(f"simgroup: input error: too large for memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StabilityError as exc:
         print(f"simgroup: precondition failed: {exc}", file=sys.stderr)

@@ -534,34 +534,47 @@ def bhat_skeide(T, circle_m, t):
     give exactly ``I (x) T^n``.  Returns ``(matrix, weight)`` where the
     block-diagonal weight ``I + r T*T`` (``r`` the cell midpoint)
     certifies the quasi-contraction envelope
-    ``sqrt(1/(1-t) + t norm(T)^2)`` up to ``O(1/m)``.
+    ``sqrt(1/(1-t) + t norm(T)^2)`` up to ``O(1/m)``.  The weight does
+    not depend on ``t``; :func:`bhat_skeide_semigroup` builds it once.
     """
     T = as_matrix(T)
     m = int(circle_m)
+    return _bhat_skeide_matrix(T, m, t), _bhat_skeide_weight(T, m)
+
+
+def _bhat_skeide_matrix(T, m, t):
+    """The matrix of :func:`bhat_skeide` alone, for a validated ``T``."""
     K = int(round(t * m))
     if K < 0:
         raise ValueError("time must be nonnegative")
     q, k = divmod(K, m)
-    d = T.shape[0]
     i = np.arange(m)
     Cwrap = np.zeros((m, m), dtype=complex)
     Cmain = np.zeros((m, m), dtype=complex)
     Cwrap[i[:k], (i[:k] - k) % m] = 1.0
     Cmain[i[k:], i[k:] - k] = 1.0
     Tq = np.linalg.matrix_power(T, q)
-    B = np.kron(Cwrap, T @ Tq) + np.kron(Cmain, Tq)
+    return np.kron(Cwrap, T @ Tq) + np.kron(Cmain, Tq)
+
+
+def _bhat_skeide_weight(T, m):
+    """The block-diagonal weight ``I + r T*T`` of :func:`bhat_skeide`."""
     r = (np.arange(m) + 0.5) / m
-    blocks = [np.eye(d, dtype=complex) + ri * (T.conj().T @ T) for ri in r]
-    P = scipy.linalg.block_diag(*blocks)
-    return B, P
+    blocks = [np.eye(T.shape[0], dtype=complex) + ri * (T.conj().T @ T) for ri in r]
+    return scipy.linalg.block_diag(*blocks)
 
 
 def bhat_skeide_semigroup(T, circle_m):
-    """The circle interpolant as a semigroup, with its envelope weight."""
+    """The circle interpolant as a semigroup, with its envelope weight.
+
+    Evaluations form only the matrix of :func:`bhat_skeide`; the weight,
+    the same at every time, is built once here.
+    """
     T = as_matrix(T)
+    m = int(circle_m)
 
     def ev(t):
-        return bhat_skeide(T, circle_m, t)[0]
+        return _bhat_skeide_matrix(T, m, t)
 
     sem = sampled_semigroup(
         circle_m * T.shape[0],
@@ -569,8 +582,7 @@ def bhat_skeide_semigroup(T, circle_m):
         f"circle interpolant (m={circle_m})",
         step=1.0 / circle_m,
     )
-    _, P = bhat_skeide(T, circle_m, 0.0)
-    return sem, P
+    return sem, _bhat_skeide_weight(T, m)
 
 
 # ---------------------------------------------------------------------------

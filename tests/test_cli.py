@@ -108,6 +108,14 @@ class TestGalleryCommand:
     def test_bad_time_exit_two(self, tmp_path, times):
         assert run("gallery", "gallery_w.cfg", tmp_path, "m=16", f"times={times}") == 2
 
+    def test_size_numpy_refuses_exit_two(self, tmp_path, capsys):
+        # 10**8 cells ask for a 568 PiB array, which numpy refuses before allocating
+        assert run("gallery", "gallery_w.cfg", tmp_path, "m=100000000") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simgroup: input error: too large for memory")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_snap_distance_reported(self, tmp_path):
         assert run("gallery", "gallery_w.cfg", tmp_path, "m=16", "times=0.13") == 0
         samples = json.loads((tmp_path / "samples.json").read_text())
@@ -149,16 +157,117 @@ class TestGallerySuitesCanFail:
         m = 32
         sem = gallery.packel_semigroup(a, gallery.GridSpace(max(a.values), m))
         assert cli._packel_suite(sem, a)["passed"]
-
-        def move_entry(X):
-            rows, cols = np.nonzero(X[:m, m:])
-            if rows.size:
-                X[rows[0], m + cols[0]] = 0.0
-                X[rows[0], m + (cols[0] + 1) % m] = 1.0
-
-        suite = cli._packel_suite(_corrupted(sem, move_entry), a)
+        suite = cli._packel_suite(_corrupted(sem, _move_first_entry(m)), a)
         assert not suite["checks"]["reflection_identity_residual"]["pass"]
         assert not suite["passed"]
+
+    def test_w_suite_with_a_moved_fill_entry(self):
+        m = 16
+        suite = cli._w_suite(_corrupted(gallery.w_semigroup(m), _move_first_entry(m)))
+        fill = suite["checks"]["fill_identity_residual"]
+        assert fill["value"] == math.sqrt(2.0)
+        assert not fill["pass"]
+        assert not suite["passed"]
+
+    def test_w_suite_with_a_dense_fill_matches_dense_products(self):
+        m = 16
+        E = _dense_perturbation(m, seed=7)
+        sem = _corrupted(gallery.w_semigroup(m), _add_to_corner(E))
+        values = {k: c["value"] for k, c in cli._w_suite(sem)["checks"].items()}
+        assert values == _dense_w_values(sem)
+        assert values["fill_identity_residual"] > 1e-3
+
+    @pytest.mark.parametrize("index_set", ["Zplus", "Zminus"])
+    def test_packel_suite_with_a_dense_reflection_matches_dense_products(self, index_set):
+        a = gallery.DyadicSequence.powers_of_two(index_set, 2)
+        m = 32
+        if index_set == "Zminus":
+            base = gallery.packel_nilpotent_compression(a, 1.0, refine=m // 4)
+        else:
+            base = gallery.packel_semigroup(a, gallery.GridSpace(max(a.values), m))
+        E = _dense_perturbation(m, seed=11)
+        sem = _corrupted(base, _add_to_corner(E))
+        values = {k: c["value"] for k, c in cli._packel_suite(sem, a)["checks"].items()}
+        assert values == _dense_packel_values(sem, a)
+        assert values["reflection_identity_residual"] > 1e-3
+
+
+def _move_first_entry(m):
+    """Edit moving the fill block's first nonzero entry one column to the right."""
+
+    def move_entry(X):
+        rows, cols = np.nonzero(X[:m, m:])
+        if rows.size:
+            X[rows[0], m + cols[0]] = 0.0
+            X[rows[0], m + (cols[0] + 1) % m] = 1.0
+
+    return move_entry
+
+
+def _dense_perturbation(m, seed):
+    rng = np.random.default_rng(seed)
+    return 1e-3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+
+
+def _add_to_corner(E):
+    """Edit adding ``E`` to the upper-right (coupling) block."""
+    m = E.shape[0]
+
+    def add(X):
+        X[:m, m:] += E
+
+    return add
+
+
+def _dense_w_values(sem):
+    """The values of :func:`cli._w_suite`, from dense products of every evaluation."""
+    m = sem.dim // 2
+    bound = opcore.norm_upper_bound
+    grid = [k / m for k in range(0, 2 * m + 1, max(1, m // 8))]
+    worst = 0.0
+    for s in grid:
+        Ws = sem.eval(s)
+        for t in grid:
+            Wt = sem.eval(t)
+            rhs = Ws[:m, :m] @ Wt[:m, m:] + Ws[:m, m:] @ Wt[m:, m:]
+            worst = max(worst, bound(sem.eval(s + t)[:m, m:] - rhs))
+    W1 = sem.eval(1.0)
+    space = gallery.GridSpace(1.0, m)
+    Q, half = gallery.integration_functional(space), space.embed_indicator(0.5)
+    intq = 0.0
+    for k in range(0, 2 * m + 1, max(1, m // 16)):
+        t = k / m
+        expect = 0.0 if t <= 0.5 else (t - 0.5 if t <= 1.0 else 0.5)
+        intq = max(intq, abs(complex((Q @ sem.eval(t)[:m, m:] @ half)[0]).real - expect))
+    Lam = np.block([[np.eye(m), np.eye(m)], [np.zeros((m, m)), np.eye(m)]])
+    Laminv = np.block([[np.eye(m), -np.eye(m)], [np.zeros((m, m)), np.eye(m)]])
+    contraction = max(bound(Lam @ sem.eval(k / m) @ Laminv) - 1.0 for k in range(3 * m + 1))
+    return {
+        "fill_identity_residual": worst,
+        "unit_time_identity": max(bound(W1[:m, :m] - np.eye(m)), bound(W1[:m, m:] - np.eye(m))),
+        "integrated_fill_values": intq,
+        "coupling_contraction_excess": contraction,
+    }
+
+
+def _dense_packel_values(sem, a):
+    """The values of :func:`cli._packel_suite`, from dense products of every evaluation."""
+    m, step = sem.dim // 2, sem.step
+    bound = opcore.norm_upper_bound
+    lo = min(a.values)
+    ks = [int(round((lo + i * step) / step)) for i in range(0, m, max(1, m // 6))]
+    worst = law = 0.0
+    for i in ks:
+        for j in ks:
+            D = sem.eval((i + j) * step) - sem.eval(i * step) @ sem.eval(j * step)
+            worst = max(worst, bound(D[:m, m:]))
+            law = max(law, bound(D))
+    vnorm = max(bound(sem.eval(k * step)[:m, m:]) for k in range(1, 2 * m))
+    return {
+        "reflection_identity_residual": worst,
+        "reflection_norm_excess": max(0.0, vnorm - 1.0),
+        "semigroup_law_residual": law,
+    }
 
 
 class TestAuditCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from simgroup import gallery
 from simgroup.exceptions import NotContractionError, WindowError
 from simgroup.gallery import (
     DyadicSequence,
@@ -311,6 +312,23 @@ class TestBhatSkeide:
     def test_semigroup_wrapper_law(self):
         sem, _ = bhat_skeide_semigroup(np.array([[0.5]]), 32)
         assert semigroup_law_residual(sem, 5 / 32, 9 / 32) <= 1e-12
+
+    @pytest.mark.parametrize("T", [np.array([[0.5]]), np.array([[0.3, 1.0], [-0.2, 0.7j]])])
+    def test_semigroup_evaluates_the_interpolant(self, T):
+        sem, P = bhat_skeide_semigroup(T, 16)
+        for t in (0.0, 0.3, 1.0, 2.5):
+            B, P_t = bhat_skeide(T, 16, t)
+            assert sem.eval(t).tobytes() == B.tobytes()
+            assert P.tobytes() == P_t.tobytes()
+
+    def test_semigroup_builds_its_weight_once(self, monkeypatch):
+        calls = []
+        build = gallery._bhat_skeide_weight
+        monkeypatch.setattr(gallery, "_bhat_skeide_weight", lambda *a: calls.append(a) or build(*a))
+        sem, _ = bhat_skeide_semigroup(np.array([[0.5]]), 16)
+        for k in range(10):
+            sem.eval(k / 4)
+        assert len(calls) == 1
 
 
 class TestLeftZeroIdempotents:
