@@ -269,7 +269,13 @@ def solve(terms, seed, tol, budget=None):
         W22 = W2 @ W2
         H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ W22 @ R)
         H[-1, -1] = float(np.real(np.trace(W22)))
-        dsc = 1.0 / np.sqrt(np.diag(H))
+        # near a marginal target rounding can leave a non-positive diagonal
+        # entry or a non-finite one: like a failed factorization, that
+        # ends the solve with the best bracket so far
+        d = np.diag(H)
+        if not (np.all(d > 0.0) and np.all(np.isfinite(H))):
+            break
+        dsc = 1.0 / np.sqrt(d)
         chol = _cholesky(H * np.outer(dsc, dsc))
         if chol is None:
             break

@@ -47,29 +47,52 @@ def _fmt(x):
     return str(x)
 
 
-def _jsonable(obj):
+def _json_text(obj):
+    """JSON text of ``obj``, with sorted keys and ``json.dumps``'s separators.
+
+    numpy scalars and arrays are written as the Python values they hold,
+    complex numbers as ``{"im": ..., "re": ...}`` and other infinite
+    floats as the strings ``"inf"``/``"-inf"``.  A 2-D float64 array
+    formats each distinct float64 bit pattern once and joins the strings:
+    gallery samples hold a few hundred distinct values among tens of
+    thousands of entries.
+    """
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list) and set(map(type, obj)) <= {float} and not any(map(math.isinf, obj)):
-        # matrix rows: plain floats other than +-inf pass unchanged, checked at C level
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return _fmt(x) if math.isinf(x) else x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be strings")
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(obj[k])}" for k in sorted(obj)) + "}"
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+            return _matrix_text(obj)
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if type(obj) is list and set(map(type, obj)) <= {float} and not any(map(math.isinf, obj)):
+            return json.dumps(obj)  # plain floats other than +-inf, formatted at C level
+        return "[" + ", ".join(map(_json_text, obj)) + "]"
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
+        return json.dumps({"re": obj.real, "im": obj.imag}, sort_keys=True)
+    if isinstance(obj, (np.floating, float)):
+        obj = float(obj)
+        if math.isinf(obj):
+            obj = _fmt(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    return json.dumps(obj)
+
+
+def _matrix_text(a):
+    # np.unique over the bit patterns keeps -0.0 apart from 0.0
+    distinct, index = np.unique(a.view(np.int64), return_inverse=True)
+    texts = np.array(
+        [repr(x) if math.isfinite(x) else _json_text(x) for x in distinct.view(float).tolist()],
+        dtype=object,
+    )
+    rows = texts[index].reshape(a.shape).tolist()
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def write_json(path, obj):
-    payload = json.dumps(_jsonable(obj), sort_keys=True)
-    opcore.write_atomic(path, payload + "\n")
+    opcore.write_atomic(path, _json_text(obj) + "\n")
 
 
 def write_csv(path, header, rows):
@@ -346,7 +369,9 @@ def _w_suite(sem):
     ``Lambda P^{-1/2}`` is unitary.  For ``W = [[a, b], [c, d]]`` that
     matrix is ``[[a + c, (b + d) - (a + c)], [c, d - c]]``; its entries
     are small integers, so its Schur bound is exact arithmetic up to the
-    final square root, with no ``P^{1/2}`` formed.
+    final square root, with no ``P^{1/2}`` formed.  That loop edits each
+    evaluation in place, so ``sem.eval`` must return a fresh array on
+    every call, as :func:`gallery.w_semigroup`'s sampler does.
     """
     m = sem.dim // 2
     bound = opcore.norm_upper_bound
@@ -371,7 +396,7 @@ def _w_suite(sem):
         intq = max(intq, abs(complex((Q @ sem.eval(t)[:m, m:] @ half)[0]).real - expect))
     contraction = -math.inf
     for k in range(0, 3 * m + 1):
-        X = sem.eval(k / m).copy()
+        X = sem.eval(k / m)
         X[:m] += X[m:]  # Lambda W: add the second leg's rows to the first's
         X[:, m:] -= X[:, :m]  # (Lambda W) Lambda^{-1}: subtract the first leg's columns
         contraction = max(contraction, bound(X) - 1.0)
@@ -472,7 +497,7 @@ def cmd_gallery(cfg, out):
     samples = {}
     for t in times:
         M, snap = sem.eval_with_snap(float(t))
-        samples[_fmt(float(t))] = {"snap_distance": snap, "matrix": opcore.matrix_to_json(M)}
+        samples[_fmt(float(t))] = {"snap_distance": snap, "matrix": opcore._matrix_fields(M)}
     write_json(os.path.join(out, "gallery.json"), {"kind": kind, "dim": sem.dim, "suite": suite})
     write_json(os.path.join(out, "samples.json"), samples)
     return EXIT_OK if suite["passed"] else EXIT_AUDIT

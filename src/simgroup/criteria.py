@@ -18,13 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidWeightError, StabilityError
+from .exceptions import InvalidWeightError, SimgroupError, StabilityError
 from .opcore import (
     MatrixSemigroup,
+    _singular_values,
     as_matrix,
     gramian_integral,
     growth_bound,
-    min_singular_value,
     numerical_abscissa,
     operator_norm,
     resolvent,
@@ -138,7 +138,7 @@ def small_time_constants(A, t_grid=None, tol=1e-4, kappa_max=1e6):
         try:
             v = discrete_similarity_constant(sem.eval(t), tol=tol, kappa_max=kappa_max)
             pts.append(CurvePoint(t, v))
-        except Exception as exc:  # propagate per point
+        except SimgroupError as exc:  # recorded per point
             pts.append(CurvePoint(t, None, error=str(exc)))
     return ConstantCurve("time", tuple(pts))
 
@@ -159,7 +159,7 @@ def resolvent_constants(A, lam_grid, tol=1e-4, kappa_max=1e6):
             R = lam * resolvent(A, lam)
             v = discrete_similarity_constant(R, tol=tol, kappa_max=kappa_max)
             pts.append(CurvePoint(lam, v))
-        except Exception as exc:
+        except SimgroupError as exc:
             pts.append(CurvePoint(lam, None, error=str(exc)))
     return ConstantCurve("resolvent", tuple(pts))
 
@@ -531,9 +531,9 @@ def nagy_isometry_test(A, t_grid=None):
     beta = 0.0
     norms = []
     for t in t_grid:
-        E = sem.eval(t)
-        alpha = min(alpha, min_singular_value(E))
-        norms.append(operator_norm(E))
+        sv = _singular_values(sem.eval(t))
+        alpha = min(alpha, float(sv[-1]))
+        norms.append(float(sv[0]))
         beta = max(beta, norms[-1])
     # norms still climbing at the end of the grid mean beta is a grid
     # artifact, not a bound for the half-line; windowed maxima are robust

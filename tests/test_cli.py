@@ -376,3 +376,85 @@ class TestByteStability:
         assert files1 == sorted(os.listdir(out2))
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def _old_jsonable(obj):
+    """The tree ``write_json`` encoded with ``json.dumps(..., sort_keys=True)`` before."""
+    if isinstance(obj, dict):
+        return {k: _old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list) and set(map(type, obj)) <= {float} and not any(map(math.isinf, obj)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        return ("inf" if x > 0 else "-inf") if math.isinf(x) else x
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _old_jsonable(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
+def _old_json_text(obj):
+    return json.dumps(_old_jsonable(obj), sort_keys=True)
+
+
+#: float64 values whose formatting differs in kind: signed zeros, the
+#: smallest subnormal, an integer-valued float printed in exponent form,
+#: an inexact decimal, and the non-finite values
+ODD_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1, math.inf, -math.inf, math.nan)
+
+
+class TestJsonWriter:
+    def test_scalar_fields(self):
+        for x in ODD_FLOATS:
+            for value in (x, np.float64(x), [x], (x, 1), {"v": x}, complex(x, -x)):
+                obj = {"b": value, "a": [1, np.int64(2), "s", None, True]}
+                assert cli._json_text(obj) == _old_json_text(obj), value
+
+    def test_matrices(self):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((7, 7))
+        few = rng.choice(np.array(ODD_FLOATS), (9, 9))
+        for M in (dense, few, np.zeros((3, 3)), np.array([[0.0, -0.0], [5e-324, -0.0]])):
+            for obj in (opcore.matrix_to_json(np.where(np.isfinite(M), M, 0.0)),
+                        {"re": M.tolist()}, M, [M.tolist(), M.tolist()]):
+                assert cli._json_text(obj) == _old_json_text(obj)
+
+    def test_not_matrices(self):
+        arrays = (np.ones((2, 2), dtype=np.float32) / 3, np.arange(4).reshape(2, 2), np.zeros((2, 0)),
+                  np.array([[1j, -0.0]]), np.array([0.1, -0.0]))
+        lists = ([], [[]], [[1.0], [2.0, 3.0]], [[1.0, 2]], [[1.0], (2.0,)], [[np.float64(1.0)]])
+        for obj in arrays + lists:
+            assert cli._json_text(obj) == _old_json_text(obj)
+
+    @pytest.mark.parametrize(
+        "command,config,overrides",
+        [
+            ("gallery", "gallery_w.cfg", ()),
+            ("gallery", "gallery_bhat.cfg", ()),
+            ("gallery", "gallery_riemann.cfg", ()),
+            ("gallery", "gallery_w.cfg", ("kind=packel", "m=32")),
+            ("constant", "constant_discrete.cfg", ()),
+            ("classify", "classify_packel.cfg", ()),
+            ("observe", "observe_stable.cfg", ()),
+            ("naboko", "naboko_skew.cfg", ()),
+        ],
+    )
+    def test_command_outputs(self, tmp_path, monkeypatch, command, config, overrides):
+        written = {}
+        write_json = cli.write_json
+
+        def record(path, obj):
+            written[path] = obj
+            write_json(path, obj)
+
+        monkeypatch.setattr(cli, "write_json", record)
+        run(command, config, tmp_path, *overrides)
+        assert written
+        for path, obj in written.items():
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == _old_json_text(obj) + "\n", path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from simgroup import criteria
 from simgroup.criteria import (
     average_renorm,
     average_renorm_factor_audit,
@@ -46,6 +47,7 @@ from conftest import random_stable
 from oracles import simpson_weight_average
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
+NEAR_MARGINAL_JORDAN = ((1 - 1e-5, 0.5), (1 - 1e-5, 1.0), (1 - 1e-5, 4.0), (1 - 1e-6, 0.1))
 
 
 class TestSmallTimeCurve:
@@ -66,6 +68,33 @@ class TestSmallTimeCurve:
         curve = small_time_constants(A, [0.05, 40.0])
         for p in curve.points:
             assert p.verdict.status == "unbounded"
+
+    @pytest.mark.parametrize("r, b", NEAR_MARGINAL_JORDAN)
+    def test_near_marginal_jordan_step_is_a_verdict_point(self, r, b):
+        # exp(A) = [[r, b], [0, r]] up to rounding
+        A = np.array([[math.log(r), b / r], [0.0, math.log(r)]])
+        (p,) = small_time_constants(A, [1.0]).points
+        assert not p.error
+        assert p.verdict.finite
+
+
+class TestCurvesPropagateCrashes:
+    """Only a package error becomes an ``error`` point; a crash propagates."""
+
+    @pytest.fixture
+    def crashing_solver(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("solver crash")
+
+        monkeypatch.setattr(criteria, "discrete_similarity_constant", crash)
+
+    def test_small_time_curve(self, crashing_solver):
+        with pytest.raises(RuntimeError, match="solver crash"):
+            small_time_constants(JORDAN, [0.1])
+
+    def test_resolvent_curve(self, crashing_solver):
+        with pytest.raises(RuntimeError, match="solver crash"):
+            resolvent_constants(JORDAN, [2.0])
 
 
 class TestResolventCurve:
@@ -327,6 +356,26 @@ class TestIsometryAndSlope:
                 worst = max(worst, abs(ratio - 1.0))
         assert worst > 0.1
         assert rep.defect == pytest.approx(worst, rel=1e-9)
+
+    def test_orbit_bounds_match_two_svds_per_time(self):
+        rng = np.random.default_rng(11)
+        X = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        generators = [
+            random_stable(rng, 5, complex_entries=False),
+            random_stable(rng, 5, complex_entries=True),
+            np.linalg.solve(X, np.diag(1j * np.array([0.3, -0.7, 1.1, 1.9, -1.4])) @ X),
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        ]
+        grid = np.linspace(0.25, 20.0, 33)
+        for A in generators:
+            rep = nagy_isometry_test(A, grid)
+            sem = semigroup_from_generator(A)
+            # the old route: two complex SVDs of each complex-typed value
+            values = [sem.eval(t) for t in grid]
+            alpha = min(float(scipy.linalg.svdvals(E)[-1]) for E in values)
+            beta = max(float(np.linalg.norm(E, 2)) for E in values)
+            assert rep.beta == pytest.approx(beta, rel=1e-14)
+            assert abs(rep.alpha - alpha) <= 1e-14 * beta
 
     def test_slope_identical_semigroups(self):
         sem = semigroup_from_generator(JORDAN)

@@ -220,6 +220,11 @@ class TestWrapCoupling:
         for k in range(0, 3 * m + 1, 5):
             assert operator_norm(S @ W.eval(k / m) @ Sinv) <= 1.0 + 1e-10
 
+    def test_values_share_no_memory(self):
+        # cli._w_suite edits each value in place
+        W = w_semigroup(8)
+        assert not np.shares_memory(W.eval(0.25), W.eval(0.25))
+
     def test_tensored_inner(self):
         inner = semigroup_from_generator(np.array([[-0.2 + 0.9j]]))
         m = 16

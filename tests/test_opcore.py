@@ -170,6 +170,50 @@ class TestNorms:
             assert spectral_radius(T) <= weighted_norm(T, P) * (1 + 1e-10)
 
 
+class TestRealKernels:
+    """Real-valued data takes the real kernels, with the complex kernels' values."""
+
+    def test_norms_of_real_valued_complex_input_match_the_complex_svd(self):
+        for example in fixed_examples(
+            4, 40, seed=(0, 2**32 - 1), n=(1, 48), scale=(1e-3, 1e3), rank_deficient=(False, True)
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            M = example["scale"] * rng.standard_normal((n, n))
+            if example["rank_deficient"]:
+                M[:, 0] = 0.0
+            M = M.astype(complex)
+            sv = np.linalg.svd(M, compute_uv=False)
+            assert operator_norm(M) == pytest.approx(sv[0], rel=1e-14)
+            assert abs(min_singular_value(M) - sv[-1]) <= 1e-14 * sv[0]
+
+    def test_real_generator_values_are_real(self):
+        jordan = np.array([[-1.0, 4.0], [0.0, -1.0]])  # scaling-and-squaring route
+        for example in fixed_examples(
+            5, 20, seed=(0, 2**32 - 1), n=(1, 24), t=(1e-3, 1e2), jordan=(False, True)
+        ):
+            if example["jordan"]:
+                A = jordan
+            else:
+                rng = np.random.default_rng(example["seed"])
+                A = random_stable(rng, example["n"], complex_entries=False)
+            E = semigroup_from_generator(A).eval(example["t"])
+            assert E.dtype == complex
+            assert not E.imag.any()
+            ref = scipy.linalg.expm(example["t"] * A)
+            assert operator_norm(E - ref) <= 1e-10 * max(1.0, operator_norm(ref))
+
+    def test_complex_generator_values_keep_their_imaginary_part(self):
+        A = np.array([[1j, 1.0], [0.0, -1.0]])
+        assert semigroup_from_generator(A).eval(1.0).imag.any()
+
+    def test_real_orbit_integral_keeps_complex_storage(self):
+        A = np.array([[-0.5, 1.0], [0.0, -4.0]])
+        G = gramian_integral(A, np.eye(2), 3.0)
+        assert G.dtype == complex
+        assert not G.imag.any()
+
+
 class TestNormUpperBound:
     def test_bounds_the_operator_norm(self):
         for example in fixed_examples(2, 60, seed=(0, 2**32 - 1), rows=(1, 9), cols=(1, 9)):

@@ -27,6 +27,9 @@ from oracles import grid_similarity_constant
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
 RANK_ONE = np.array([[0.0, 2.0], [0.0, 0.0]])
+#: ``(r, b)`` of the strictly stable ``[[r, b], [0, r]]`` whose solve met a
+#: non-finite Newton matrix
+NEAR_MARGINAL_JORDAN = ((1 - 1e-5, 0.5), (1 - 1e-5, 1.0), (1 - 1e-5, 4.0), (1 - 1e-6, 0.1))
 
 
 class TestSteinFeasible:
@@ -153,6 +156,19 @@ class TestDiscreteConstant:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa_max"):
             discrete_similarity_constant(RANK_ONE, kappa_max=0.99)
+
+    @pytest.mark.parametrize("r, b", NEAR_MARGINAL_JORDAN)
+    def test_near_marginal_jordan_block_reports_its_bracket(self, r, b):
+        # rounding leaves the Newton matrix a NaN diagonal entry; the
+        # solve ends with its best bracket instead of raising
+        T = np.array([[r, b], [0.0, r]])
+        v = discrete_similarity_constant(T)
+        assert v.finite
+        assert 1.0 <= v.lower <= v.constant
+        assert "wider than tol" in v.evidence
+        rep = certificate_check(v.certificate, SteinTarget((T,)))
+        assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
+        assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
 
 
 class TestJointConstant:
