@@ -17,6 +17,7 @@ generator but is otherwise stateless.
 """
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -210,15 +211,17 @@ def expm_semigroup(A, t):
         If ``t * growth_bound(A)`` exceeds the floating-point range.
     """
     A = as_matrix(A)
-    return _expm_with(A, _eig_cached(A), t)
+    return _expm_with(A, _eig_cached(A), lambda: growth_bound(A), t)
 
 
-def _expm_with(A, ded, t):
-    """:func:`expm_semigroup` given ``ded = _eig_cached(A)``, which one generator's times share.
+def _expm_with(A, ded, growth, t):
+    """:func:`expm_semigroup` given ``ded = _eig_cached(A)`` and ``growth() = growth_bound(A)``.
 
-    ``exp(tA)`` of a real generator is real: the rounding-level imaginary
-    part the complex eigenbasis product leaves is dropped, so the value's
-    norms take the real kernels.
+    One generator's times share both; ``growth`` is called only on the
+    scaling-and-squaring route, where ``ded`` is None.  ``exp(tA)`` of a
+    real generator is real: the rounding-level imaginary part the complex
+    eigenbasis product leaves is dropped, so the value's norms take the
+    real kernels.
     """
     t = float(t)
     if t < 0:
@@ -234,7 +237,7 @@ def _expm_with(A, ded, t):
         _, V, Vinv, _ = ded
         E = (V * np.exp(t * w)) @ Vinv
     else:
-        if t * growth_bound(A) > _EXP_SATURATION:
+        if t * growth() > _EXP_SATURATION:
             raise SaturationError("t * spectral abscissa overflows the floating range")
         E = scipy.linalg.expm(t * A)
     if not A.imag.any():
@@ -415,12 +418,18 @@ class MatrixSemigroup:
 
 
 def semigroup_from_generator(A):
-    """Semigroup ``t -> exp(tA)`` with a cached spectral factorization."""
+    """Semigroup ``t -> exp(tA)`` with a cached spectral factorization.
+
+    A generator whose eigenbasis is refused takes scaling-and-squaring at
+    every time; its growth bound is computed on the first such time and
+    reused.
+    """
     A = as_matrix(A, "generator")
     ded = _eig_cached(A)
+    growth = functools.cache(lambda: growth_bound(A))
 
     def ev(t):
-        return _expm_with(A, ded, t)
+        return _expm_with(A, ded, growth, t)
 
     sem = MatrixSemigroup(
         A.shape[0],

@@ -837,14 +837,36 @@ def _discrete_norm_floor(T, kappa_max):
     return lb
 
 
-def _continuous_norm_floor(A, shift, kappa_max):
+def _continuous_norm_floor(target, kappa_max):
     """Lower bound on the shifted joint constant from a log time grid.
+
+    ``T(t) = exp(t (A - shift I))`` of the :class:`LyapunovTarget` is
+    sampled at ``t = 10^-2 ... 10^8`` (41 points), and the largest norm
+    is the floor.  The grid stops early on either of two conditions:
+
+    - the floor exceeds ``kappa_max``;
+    - a sample has ``norm(T(t_k)) * kappa_seed <= 1/2``, with
+      ``kappa_seed`` the kappa of the target's equation seed.
+
+    The second stop leaves the floor unchanged.  The seed renorms ``T``
+    into a contraction, so ``norm(T(s)) <= kappa_seed`` for every ``s``,
+    and for every ``t >= t_k``
+
+        norm(T(t)) <= norm(T(t_k)) norm(T(t - t_k)) <= 1/2 < 1 <= floor.
+
+    The factor 2 absorbs the rounding in the samples and in
+    ``kappa_seed``.  A target without a seed (critical spectrum) runs
+    the whole grid.
 
     Returns inf when a sampled exponential overflows the floating-point
     range; every other error propagates.
     """
-    Abar = A - shift * np.eye(A.shape[0])
-    sem = semigroup_from_generator(Abar)
+    sem = semigroup_from_generator(target.generator - target.shift * np.eye(target.dim))
+    kappa_seed = math.inf
+    if target._seed is not None:
+        # a seed that rounding left indefinite or singular gives inf: no stop
+        with np.errstate(over="ignore"):
+            kappa_seed = _kappa_of(target._seed)
     lb = 1.0
     for t in np.logspace(-2, 8, 41):
         try:
@@ -855,7 +877,7 @@ def _continuous_norm_floor(A, shift, kappa_max):
             return np.inf
         nrm = operator_norm(E)
         lb = max(lb, nrm)
-        if lb > kappa_max:
+        if lb > kappa_max or nrm * kappa_seed <= 0.5:
             break
     return lb
 
@@ -1032,8 +1054,8 @@ def _shifted_constant(A, shift, tol, kappa_max):
             evidence=f"growth bound {gb:.12g} exceeds shift {shift:.12g}",
             lower=math.inf,
         )
-    floor = _continuous_norm_floor(A, shift, kappa_max)
     target = _realified(LyapunovTarget(A, float(shift)))
+    floor = _continuous_norm_floor(target, kappa_max)
     if floor > kappa_max:
         return _over_budget(
             target, floor, kappa_max, "semigroup norms exceed the budget (marginal defective spectrum)"

@@ -280,6 +280,23 @@ class TestSemigroupValue:
         for s, t in ((0.3, 1.1), (2.0, 2.0), (0.05, 1.7)):
             assert semigroup_law_residual(sem, s, t) <= 1e-10
 
+    def test_refused_eigenbasis_takes_one_growth_bound(self, monkeypatch):
+        # a Jordan block's eigenbasis is refused: every time takes
+        # scaling-and-squaring, whose saturation check needs the growth bound
+        A = np.array([[-1.0, 4.0], [0.0, -1.0]])
+        times = np.logspace(-2, 8, 41)
+        expected = [expm_semigroup(A, t) for t in times]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        sem = semigroup_from_generator(A)
+        for t, E in zip(times, expected):
+            assert np.array_equal(sem.eval(t), E)
+        assert len(calls) == 1
+        calls.clear()
+        expm_semigroup(A, 1.0)
+        assert len(calls) == 1
+
     def test_snap_reporting(self):
         from simgroup.opcore import sampled_semigroup
 

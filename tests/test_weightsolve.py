@@ -9,7 +9,14 @@ import scipy.linalg
 from simgroup import weightsolve
 from simgroup.exceptions import DimensionError, SaturationError
 from simgroup.gallery import DyadicSequence, lemerdy_semigroup, packel_nilpotent_compression
-from simgroup.opcore import expm_semigroup, numerical_abscissa, operator_norm, resolvent
+from simgroup.opcore import (
+    as_matrix,
+    expm_semigroup,
+    numerical_abscissa,
+    operator_norm,
+    resolvent,
+    semigroup_from_generator,
+)
 from simgroup.weightsolve import (
     LyapunovTarget,
     SteinTarget,
@@ -203,6 +210,7 @@ class TestJointConstant:
         v = joint_similarity_constant(A, tol=1e-3)
         sup_norm = max(operator_norm(expm_semigroup(A, t)) for t in np.geomspace(0.01, 5, 25))
         assert v.constant >= sup_norm * (1 - 1e-6)
+        assert v.lower >= min(_full_grid_floor(A, 0.0, weightsolve.KAPPA_MAX_DEFAULT), v.constant)
 
 
 class TestQuasiConstant:
@@ -501,6 +509,74 @@ class TestConditionEngine:
         assert v.constant >= floor * (1.0 - 1e-9)
         seed_weight = weightsolve._realified(target)._seed
         assert v.constant <= weightsolve._kappa_of(seed_weight) * (1.0 + 1e-9)
+
+
+def _full_grid_floor(A, shift, kappa_max):
+    """The continuous norm floor over all 41 grid times, without the seed stop."""
+    A = as_matrix(A)
+    sem = semigroup_from_generator(A - shift * np.eye(A.shape[0]))
+    lb = 1.0
+    for t in np.logspace(-2, 8, 41):
+        lb = max(lb, operator_norm(sem.eval(t)))
+        if lb > kappa_max:
+            break
+    return lb
+
+
+def _seed_stopped_floor(A, shift, kappa_max):
+    target = weightsolve._realified(LyapunovTarget(as_matrix(A), float(shift)))
+    return weightsolve._continuous_norm_floor(target, kappa_max)
+
+
+class TestContinuousNormFloor:
+    """The seed stop ends the grid early and leaves the floor bit-identical."""
+
+    @staticmethod
+    def _assert_full_grid_floor(A, shift=0.0):
+        for kappa_max in (1e3, 1e6):
+            assert _seed_stopped_floor(A, shift, kappa_max) == _full_grid_floor(A, shift, kappa_max)
+
+    def test_random_stable_generators(self):
+        for example in fixed_examples(
+            11, 16, seed=(0, 2**32 - 1), n=(2, 16), complex_entries=(False, True), gap=(1e-4, 1.0)
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            M = rng.standard_normal((n, n)) * 2.0 / math.sqrt(n)
+            if example["complex_entries"]:
+                M = M + 1j * rng.standard_normal((n, n)) * 2.0 / math.sqrt(n)
+            gap = example["gap"]
+            self._assert_full_grid_floor(M - (np.max(np.linalg.eigvals(M).real) + gap) * np.eye(n))
+
+    def test_jordan_blocks(self):
+        for example in fixed_examples(12, 16, eps=(1e-6, 1.0), b=(1e-2, 100.0)):
+            eps, b = example["eps"], example["b"]
+            self._assert_full_grid_floor(np.array([[-eps, b], [0.0, -eps]]))
+
+    def test_nilpotents_at_a_quasi_shift(self):
+        for example in fixed_examples(13, 16, eps=(1e-6, 1.0), b=(1e-2, 100.0)):
+            eps, b = example["eps"], example["b"]
+            self._assert_full_grid_floor(np.array([[0.0, b], [0.0, 0.0]]), eps)
+
+    def test_shift_operator_minus_eps(self):
+        N = np.eye(8, k=1)
+        for example in fixed_examples(14, 8, eps=(1e-6, 1.0)):
+            self._assert_full_grid_floor(N - example["eps"] * np.eye(8))
+
+    def test_stops_once_the_seed_bounds_the_tail(self, monkeypatch):
+        times = []
+
+        def counting(A):
+            sem = semigroup_from_generator(A)
+            ev = sem.eval
+            sem.eval = lambda t: times.append(t) or ev(t)
+            return sem
+
+        monkeypatch.setattr(weightsolve, "semigroup_from_generator", counting)
+        assert joint_similarity_constant(JORDAN).finite
+        # the floor's grid has 41 times up to 1e8; exp(tA) has decayed below
+        # 1/(2 kappa_seed) by t = 10
+        assert len(times) <= 15 and max(times) <= 10.0
 
 
 class TestNormFloorErrors:
