@@ -9,9 +9,24 @@ role of the Stein inequality is played by the Lyapunov inequality
 exp(shift * t)`` for all ``t >= 0`` at once.
 
 The squared constant is the optimum of the linear semidefinite program
-``min t`` over ``I <= P <= t I`` with the defect ``L(P) <= 0``.  The
-equation seed ``L^{-1}(-I)``, which exists exactly for strictly stable
-single-constraint targets, picks one solver per regime:
+``min t`` over ``I <= P <= t I`` with the defect ``L(P) <= 0``.  For one
+operator or generator the solver writes ``L`` in one pair form ``L(X) =
+c (M* X F + F* X M)``: ``(A - shift I, I)`` with ``c = 1`` for a
+Lyapunov target, and ``(T - I, T + I)`` with ``c = 1/2`` for a Stein
+target, by the cogenerator identity (Sz.-Nagy, Foias, Bercovici and
+Kerchy, *Harmonic Analysis of Operators on Hilbert Space*, Ch. III)
+
+    T*XT - X = (1/2) [(T-I)* X (T+I) + (T+I)* X (T-I)].
+
+The engine, the equation solves and the strict-stability test read this
+form only.  Its Stein terms do not cancel: ``T*XT - X`` subtracts two
+``norm(X)``-sized terms down to a ``(1 - r(T))``-relative remainder,
+which left the engine's near-marginal constants about twice too high.  The target counts as
+strictly stable when every eigenvalue of the pencil ``(M, F)`` has real
+part below ``-1e-9``.  The recomputed defect of a certificate
+(:func:`certificate_check`) stays the literal one, independent of the
+form.  The equation seed ``L^{-1}(-I)``, which exists exactly for
+strictly stable single-constraint targets, picks one solver per regime:
 
 * **No seed** (several operators, or critical spectrum): the cone has
   no interior to search.  The verdict is the best closed-form
@@ -97,9 +112,10 @@ MAXITER_DEFAULT = 5000
 class _Target:
     """Solver state of a target, each part computed at most once.
 
-    The equation context and seed exist for strictly stable
-    single-constraint targets; the seed picks the solver regime (see the
-    module notes).
+    A single-operator target writes its defect map in one pair form
+    ``L(X) = c (M* X F + F* X M)`` (:attr:`_form`).  The equation
+    context and seed exist for strictly stable targets; the seed picks
+    the solver regime (see the module notes).
     """
 
     def scale(self):
@@ -107,17 +123,19 @@ class _Target:
 
     @cached_property
     def _context(self):
-        """The target's :class:`_EquationContext`, or None."""
+        """The target's :class:`_EquationContext`, or None unless strictly stable."""
         return _EquationContext.for_target(self)
 
     @cached_property
     def _seed(self):
         """Interior feasible point from the Stein/Lyapunov *equation*, or None.
 
-        Solving ``T* X T - X = -I`` (resp. ``Abar* X + X Abar = -I``)
-        yields a strictly feasible Hermitian PD weight whenever the target
-        is strictly stable; normalized to eig_min = 1 it doubles as an
-        upper bracket for the similarity constant.
+        Solving ``L(X) = -I`` yields a strictly feasible Hermitian PD
+        weight whenever the target is strictly stable; normalized to
+        eig_min = 1 it doubles as an upper bracket for the similarity
+        constant.  A solution whose smallest eigenvalue is below its
+        rounding level ``n eps eig_max`` is not positive definite in
+        float64, so it is no seed.
         """
         if self._context is None:
             return None
@@ -125,7 +143,7 @@ class _Target:
         if X is None:
             return None
         w = np.linalg.eigvalsh(X)
-        if w[0] <= 0 or not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(w)) or w[0] <= self.dim * np.finfo(float).eps * w[-1]:
             return None
         return X / w[0]
 
@@ -149,6 +167,15 @@ class SteinTarget(_Target):
     def _scale(self):
         return max(1.0, max(operator_norm(T) ** 2 for T in self.operators))
 
+    @cached_property
+    def _form(self):
+        """``(T - I, T + I, 1/2)`` for one operator (see the module notes), or None."""
+        if len(self.operators) != 1:
+            return None
+        T = self.operators[0]
+        I = np.eye(self.dim)
+        return T - I, T + I, 0.5
+
 
 @dataclass(frozen=True)
 class LyapunovTarget(_Target):
@@ -164,6 +191,11 @@ class LyapunovTarget(_Target):
     @cached_property
     def _scale(self):
         return max(1.0, 2.0 * operator_norm(self.generator) + 2.0 * abs(self.shift))
+
+    @cached_property
+    def _form(self):
+        """``(A - shift I, None, 1)``: ``F = I``, written None so that no solve applies it."""
+        return self.generator - self.shift * np.eye(self.dim), None, 1.0
 
 
 @dataclass(frozen=True)
@@ -314,9 +346,9 @@ def _spectral_seeds(target):
     equation seed nor the diagonalizer exists.  Returns the weights that
     exist, diagonalizer first, normalized to ``eig_min = 1``.
     """
+    if target._form is None:
+        return []
     if isinstance(target, SteinTarget):
-        if len(target.operators) != 1:
-            return []
         M = target.operators[0]
 
         def critical(lam):
@@ -325,7 +357,7 @@ def _spectral_seeds(target):
         def admissible(lam):
             return abs(lam) <= 1.0 + 1e-12
     else:
-        M = target.generator - target.shift * np.eye(target.dim)
+        M = target._form[0]
 
         def critical(lam):
             return lam.real >= -1e-9
@@ -385,47 +417,44 @@ def _spectral_seeds(target):
 class _EquationContext:
     """Cached Schur factorization for one target's defect-equation solves.
 
-    The defect map ``L`` of a strictly stable single-constraint target is
-    a linear bijection; this context solves ``L(X) = -Q`` and the adjoint
-    ``L*(Z) = M`` with one LAPACK ``trsyl`` call each, reusing a single
-    Schur decomposition.  The Stein case is reduced to the continuous one
-    through the Cayley transform ``S = (T - I)(T + I)^{-1}``, using
+    The defect map ``L(X) = c (M* X F + F* X M)`` of the target's pair
+    form (:attr:`_Target._form`) is a linear bijection exactly when every
+    eigenvalue of the pencil ``(M, F)`` lies in the open left half-plane;
+    :meth:`for_target` requires a margin of ``1e-9`` and returns None
+    otherwise (an eigenvalue ``-1`` of a Stein operator makes ``F``
+    singular and its pencil eigenvalue infinite).  The pairs of both
+    targets commute, so with ``S = M F^{-1}``
 
-        T*XT - X = (1/2) (T+I)* (S*X + X S) (T+I).
+        L(X) = c F* (S* X + X S) F,
 
-    :meth:`for_target` returns None for targets that are not strictly
-    stable single constraints.
+    and this context solves ``L(X) = -Q`` and the adjoint ``L*(Z) = R``
+    with one LAPACK ``trsyl`` call each on a single Schur decomposition
+    of ``S``, after the congruence by ``F^{-1}`` (none for ``F = I``).
     """
 
-    def __init__(self, theta, U, trsyl):
+    def __init__(self, theta, U, lu, c):
         self._theta = theta
         self._U = U
-        self._trsyl = trsyl
-        self._lu = None  # Stein only: LU of (T + I)
+        self._trsyl = scipy.linalg.get_lapack_funcs(("trsyl",), (theta,))
+        self._lu = lu  # LU of F, or None for F = I
+        self._inv_c = 1.0 / c
 
     @classmethod
     def for_target(cls, target):
-        if not _is_strictly_stable(target):
+        if target._form is None:
             return None
+        M, F, c = target._form
         try:
-            if isinstance(target, SteinTarget):
-                T = target.operators[0]
-                n = T.shape[0]
-                F = T + np.eye(n)
+            mu = scipy.linalg.eigvals(M, F)
+            if not (np.all(np.isfinite(mu)) and np.max(mu.real) < -1e-9):
+                return None
+            lu = None
+            S = M
+            if F is not None:
                 lu = scipy.linalg.lu_factor(F)
-                S = scipy.linalg.lu_solve(lu, (T - np.eye(n)).conj().T, trans=2).conj().T
-                theta, U = scipy.linalg.schur(S)
-                if np.iscomplexobj(S):
-                    theta, U = scipy.linalg.schur(S, output="complex")
-                ctx = cls(theta, U, scipy.linalg.get_lapack_funcs(("trsyl",), (theta,)))
-                ctx._lu = lu
-                return ctx
-            Abar = target.generator - target.shift * np.eye(target.dim)
-            if np.iscomplexobj(Abar):
-                theta, U = scipy.linalg.schur(Abar, output="complex")
-            else:
-                theta, U = scipy.linalg.schur(Abar)
-            return cls(theta, U, scipy.linalg.get_lapack_funcs(("trsyl",), (theta,)))
+                S = scipy.linalg.lu_solve(lu, M.conj().T, trans=2).conj().T
+            theta, U = scipy.linalg.schur(S, output="complex" if np.iscomplexobj(S) else "real")
+            return cls(theta, U, lu, c)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
             return None
 
@@ -442,30 +471,20 @@ class _EquationContext:
             return None
         return X
 
-    def _stein_rhs(self, Q, adjoint):
-        # primal: 2 F^{-*} Q F^{-1};  adjoint: 2 F^{-1} M F^{-*}
-        lu = self._lu
-        if adjoint:
-            Y = scipy.linalg.lu_solve(lu, Q)
-            return 2.0 * scipy.linalg.lu_solve(lu, Y.conj().T).conj().T
-        Y = scipy.linalg.lu_solve(lu, Q, trans=2)
-        return 2.0 * scipy.linalg.lu_solve(lu, Y.conj().T, trans=2).conj().T
+    def _congruence(self, Q, trans):
+        """``G Q G* / c`` for ``G = F^{-*}`` (``trans=2``) or ``G = F^{-1}`` (``trans=0``)."""
+        if self._lu is None:
+            return self._inv_c * Q
+        Y = scipy.linalg.lu_solve(self._lu, Q, trans=trans)
+        return self._inv_c * scipy.linalg.lu_solve(self._lu, Y.conj().T, trans=trans).conj().T
 
     def solve(self, Q):
         """Hermitian ``X`` with ``defect(X) = -Q``."""
-        rhs = -Q if self._lu is None else -self._stein_rhs(Q, adjoint=False)
-        return self._sylvester(rhs, trana="C", tranb="N")
+        return self._sylvester(-self._congruence(Q, trans=2), trana="C", tranb="N")
 
-    def solve_adjoint(self, M):
-        """Hermitian ``Z`` with ``L*(Z) = M``."""
-        rhs = M if self._lu is None else self._stein_rhs(M, adjoint=True)
-        return self._sylvester(rhs, trana="N", tranb="C")
-
-
-def _is_strictly_stable(target):
-    if isinstance(target, SteinTarget):
-        return len(target.operators) == 1 and spectral_radius(target.operators[0]) < 1.0 - 1e-9
-    return growth_bound(target.generator) < target.shift - 1e-9
+    def solve_adjoint(self, R):
+        """Hermitian ``Z`` with ``L*(Z) = R``."""
+        return self._sylvester(self._congruence(R, trans=0), trana="N", tranb="C")
 
 
 def _cone_certificate(target, P):
@@ -588,8 +607,8 @@ def _closed_form_probe(target, kappa, weights):
     """First probe of every fixed-budget path: closed-form weights.
 
     ``I``, then each of ``weights`` (None skipped) clipped to the
-    ``kappa`` box; the first whose penalty is within the tolerance at
-    ``kappa`` certifies.  Returns ``(result, best_P, best_f)``, where
+    ``kappa`` box; the first whose penalty is within the tolerance at its
+    own kappa certifies.  Returns ``(result, best_P, best_f)``, where
     ``result`` is None unless a candidate certifies or the box is the
     singleton ``{I}``, which leaves nothing to search.
     """
@@ -603,9 +622,12 @@ def _closed_form_probe(target, kappa, weights):
         f0 = _penalty(target, P0)
         if f0 < best_f:
             best_f, best_P = f0, P0
+        # the box caps the candidate's own kappa, and so its tolerance, at ``tol``
         if f0 <= tol:
-            cert = WeightCertificate(P0, _kappa_of(P0), max(f0, 0.0))
-            return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
+            kp = _kappa_of(P0)
+            if f0 <= _effective_tol(target, kp):
+                cert = WeightCertificate(P0, kp, max(f0, 0.0))
+                return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
     if kappa2 <= 1.0 + 1e-14:
         return FeasibilityResult(None, best_f, 0), best_P, best_f
     return None, best_P, best_f
@@ -671,13 +693,11 @@ _ENGINE_DIM_LIMIT = 32
 
 
 def _constraint_terms(target):
-    """``L(X) = sum s M* X N`` for the defect map of a single-constraint target."""
-    I = np.eye(target.dim, dtype=_native_dtype(target))
-    if isinstance(target, SteinTarget):
-        T = target.operators[0]
-        return [(T, T, 1.0), (I, I, -1.0)]
-    Abar = target.generator - target.shift * I
-    return [(Abar, I, 1.0), (I, Abar, 1.0)]
+    """``L(X) = sum s N1* X N2`` for the pair form of a single-constraint target."""
+    M, F, c = target._form
+    if F is None:
+        F = np.eye(target.dim, dtype=_native_dtype(target))
+    return [(M, F, c), (F, M, c)]
 
 
 def _engine_solve(target, tol, budget=None):
@@ -861,12 +881,8 @@ def _continuous_norm_floor(target, kappa_max):
     Returns inf when a sampled exponential overflows the floating-point
     range; every other error propagates.
     """
-    sem = semigroup_from_generator(target.generator - target.shift * np.eye(target.dim))
-    kappa_seed = math.inf
-    if target._seed is not None:
-        # a seed that rounding left indefinite or singular gives inf: no stop
-        with np.errstate(over="ignore"):
-            kappa_seed = _kappa_of(target._seed)
+    sem = semigroup_from_generator(target._form[0])
+    kappa_seed = math.inf if target._seed is None else _kappa_of(target._seed)
     lb = 1.0
     for t in np.logspace(-2, 8, 41):
         try:
@@ -1030,12 +1046,12 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
 def _over_budget(target, floor, kappa_max, evidence):
     """Verdict when a probed norm ``floor`` already exceeds ``kappa_max``.
 
-    A strictly stable target (its equation seed exists) has a finite
+    A strictly stable target (its equation context exists) has a finite
     constant, at least ``floor``, so the budget is too small:
     ``infeasible``.  Otherwise, or when a probed norm overflowed float64
     (``floor`` is inf), the norm growth is the ``unbounded`` evidence.
     """
-    if math.isfinite(floor) and target._seed is not None:
+    if math.isfinite(floor) and target._context is not None:
         return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=floor)
     return SimilarityVerdict("unbounded", math.inf, None, kappa_max, evidence=evidence, lower=floor)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -34,9 +35,24 @@ from oracles import grid_similarity_constant
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
 RANK_ONE = np.array([[0.0, 2.0], [0.0, 0.0]])
-#: ``(r, b)`` of the strictly stable ``[[r, b], [0, r]]`` whose solve met a
-#: non-finite Newton matrix
-NEAR_MARGINAL_JORDAN = ((1 - 1e-5, 0.5), (1 - 1e-5, 1.0), (1 - 1e-5, 4.0), (1 - 1e-6, 0.1))
+#: ``(r, b)`` of strictly stable ``[[r, b], [0, r]]`` whose Stein defect
+#: ``T*PT - P`` cancels to a ``(1 - r)``-relative remainder; the engine
+#: closes them in the pair form.  The first four once met a non-finite
+#: Newton matrix, and all read about twice the constant
+NEAR_MARGINAL_JORDAN = (
+    (1 - 1e-5, 0.5),
+    (1 - 1e-5, 1.0),
+    (1 - 1e-5, 4.0),
+    (1 - 1e-6, 0.1),
+    (1 - 1e-4, 0.5),
+    (1 - 1e-4, 4.0),
+    (1 - 1e-5, 2.0),
+    (1 - 1e-6, 1.0),
+)
+#: nearer the circle, where the engine's bracket still stops wide
+NEARER_MARGINAL_JORDAN = ((1 - 1e-6, 0.5), (1 - 1e-7, 0.1))
+#: the shift on C^8, whose ``N - eps I`` has norms far above ``1 / eps``
+SHIFT8 = np.eye(8, k=1)
 
 
 class TestSteinFeasible:
@@ -67,6 +83,12 @@ class TestSteinFeasible:
     def test_kappa_below_one_rejected(self):
         with pytest.raises(ValueError):
             stein_feasible([np.eye(2)], 0.5)
+
+    def test_no_certificate_from_a_budget_sized_tolerance(self):
+        # I has defect 2.0e-4, within the tolerance at kappa 1e6 but not at
+        # its own kappa 1; the spectral radius is 1.0001
+        res = stein_feasible([np.diag([1.0001, 0.5])], 1e6)
+        assert not res
 
     def test_monotone_replay(self, rng):
         T = 0.8 * random_stable(rng, 4, margin=0.0)
@@ -103,6 +125,10 @@ class TestLyapunovFeasible:
     def test_unstable_absent(self):
         A = np.diag([1.0, 0.0])
         res = lyapunov_feasible(A, 0.0, 100.0)
+        assert not res
+
+    def test_no_certificate_from_a_budget_sized_tolerance(self):
+        res = lyapunov_feasible(np.diag([1e-4, -1.0]), 0.0, 1e6)
         assert not res
 
 
@@ -166,8 +192,18 @@ class TestDiscreteConstant:
 
     @pytest.mark.parametrize("r, b", NEAR_MARGINAL_JORDAN)
     def test_near_marginal_jordan_block_reports_its_bracket(self, r, b):
-        # rounding leaves the Newton matrix a NaN diagonal entry; the
-        # solve ends with its best bracket instead of raising
+        T = np.array([[r, b], [0.0, r]])
+        tol = 1e-4
+        v = discrete_similarity_constant(T, tol=tol)
+        assert v.finite and v.evidence == ""
+        assert v.lower <= v.constant <= (1.0 + tol) * v.lower
+        assert v.constant == pytest.approx(b / (2.0 * (1.0 - r)), rel=1e-3)
+        rep = certificate_check(v.certificate, SteinTarget((T,)))
+        assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
+        assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
+
+    @pytest.mark.parametrize("r, b", NEARER_MARGINAL_JORDAN)
+    def test_nearer_marginal_jordan_block_reports_its_wide_bracket(self, r, b):
         T = np.array([[r, b], [0.0, r]])
         v = discrete_similarity_constant(T)
         assert v.finite
@@ -176,6 +212,22 @@ class TestDiscreteConstant:
         rep = certificate_check(v.certificate, SteinTarget((T,)))
         assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
         assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
+
+    def test_eigenvalue_minus_one_needs_no_cayley_solve(self):
+        # T + I is singular: the pencil (T - I, T + I) has an infinite
+        # eigenvalue, so no equation context is built from it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = discrete_similarity_constant(np.diag([-1.0, 0.5]))
+        assert v.finite and v.constant == 1.0
+
+    def test_strictly_stable_power_norms_over_budget_are_infeasible(self):
+        # the equation seed of this target is not positive definite in
+        # float64, but its spectrum, 0.951, is strictly stable
+        T = scipy.linalg.expm(SHIFT8 - 0.05 * np.eye(8))
+        v = discrete_similarity_constant(T)
+        assert v.status == "infeasible" and v.evidence == ""
+        assert v.lower == pytest.approx(1.444e6, rel=1e-3)
 
 
 class TestJointConstant:
@@ -202,6 +254,18 @@ class TestJointConstant:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa_max"):
             joint_similarity_constant(JORDAN, kappa_max=0.5)
+
+    def test_strictly_stable_semigroup_norms_over_budget_are_infeasible(self):
+        v = joint_similarity_constant(SHIFT8 - 0.05 * np.eye(8))
+        assert v.status == "infeasible" and v.evidence == ""
+        assert v.lower == pytest.approx(1.356e6, rel=1e-3)
+
+    def test_no_certificate_from_a_budget_sized_tolerance(self):
+        # norm(exp(tA)) reaches 1.7e14; at the semigroup-norm floor the
+        # budget's tolerance would have let I certify with residual 1.87
+        v = joint_similarity_constant(SHIFT8 - 0.00705 * np.eye(8), kappa_max=1e300)
+        assert v.status == "infeasible"
+        assert v.lower >= 1e14
         with pytest.raises(ValueError, match="kappa_max"):
             quasi_similarity_constant(JORDAN, 0.5, kappa_max=0.5)
 
@@ -596,6 +660,57 @@ class TestNormFloorErrors:
         self._failing_semigroup(monkeypatch, SaturationError("overflow"))
         v = joint_similarity_constant(JORDAN)
         assert v.status == "unbounded"
+
+
+class TestPairForm:
+    """One constraint form ``L(X) = c (M* X F + F* X M)`` for both targets."""
+
+    @staticmethod
+    def _random_targets():
+        for example in fixed_examples(
+            15, 12, seed=(0, 2**32 - 1), n=(1, 8), complex_entries=(False, True), shift=(0.01, 2.0)
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            M = rng.standard_normal((n, n))
+            if example["complex_entries"]:
+                M = M + 1j * rng.standard_normal((n, n))
+            yield SteinTarget((M,)), rng
+            yield LyapunovTarget(M, example["shift"]), rng
+
+    def test_terms_reproduce_the_defect(self):
+        for target, rng in self._random_targets():
+            n = target.dim
+            X = rng.standard_normal((n, n))
+            if np.iscomplexobj(target._form[0]):
+                X = X + 1j * rng.standard_normal((n, n))
+            X = X + X.conj().T
+            L = sum(s * (N1.conj().T @ X @ N2) for N1, N2, s in weightsolve._constraint_terms(target))
+            (D,) = weightsolve._defects(target, X)
+            scale = target.scale() * np.linalg.norm(X, 2)
+            assert np.linalg.norm(L - D, 2) <= 1e-13 * scale
+
+    def test_context_solves_the_defect_equation(self):
+        for target, rng in self._random_targets():
+            if target._context is None:
+                continue
+            n = target.dim
+            Q = rng.standard_normal((n, n))
+            Q = Q @ Q.T
+            X = target._context.solve(Q)
+            (D,) = weightsolve._defects(target, X)
+            assert np.linalg.norm(D + Q, 2) <= 1e-8 * target.scale() * np.linalg.norm(X, 2)
+
+    def test_several_operators_have_no_form(self):
+        target = SteinTarget((0.5 * np.eye(2), 0.25 * np.eye(2)))
+        assert target._form is None and target._context is None and target._seed is None
+
+    def test_seed_is_positive_definite_at_float64_resolution(self):
+        # L^{-1}(-I) is positive definite in exact arithmetic, but its
+        # float64 solution has eigenvalues [-2.17e9, 3.95e29]
+        target = LyapunovTarget(SHIFT8 - 0.00705 * np.eye(8), 0.0)
+        assert target._context is not None
+        assert target._seed is None
 
 
 class TestTargetScale:
