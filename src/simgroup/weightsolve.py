@@ -21,9 +21,12 @@ Kerchy, *Harmonic Analysis of Operators on Hilbert Space*, Ch. III)
 The engine, the equation solves and the strict-stability test read this
 form only.  Its Stein terms do not cancel: ``T*XT - X`` subtracts two
 ``norm(X)``-sized terms down to a ``(1 - r(T))``-relative remainder,
-which left the engine's near-marginal constants about twice too high.  The target counts as
-strictly stable when every eigenvalue of the pencil ``(M, F)`` has real
-part below ``-1e-9``.  The recomputed defect of a certificate
+which left the engine's near-marginal constants about twice too high.
+The target counts as strictly stable when every eigenvalue ``mu`` of the
+pencil ``(M, F)`` is finite with a margin of ``1e-9`` on the spectrum it
+stands for: ``Re mu < -1e-9`` for ``A - shift I``, and ``r(T) < 1 -
+1e-9`` for ``mu = (lam - 1) / (lam + 1)``, wherever ``lam`` lies on the
+circle.  The recomputed defect of a certificate
 (:func:`certificate_check`) stays the literal one, independent of the
 form.  The equation seed ``L^{-1}(-I)``, which exists exactly for
 strictly stable single-constraint targets, picks one solver per regime:
@@ -420,9 +423,9 @@ class _EquationContext:
     The defect map ``L(X) = c (M* X F + F* X M)`` of the target's pair
     form (:attr:`_Target._form`) is a linear bijection exactly when every
     eigenvalue of the pencil ``(M, F)`` lies in the open left half-plane;
-    :meth:`for_target` requires a margin of ``1e-9`` and returns None
-    otherwise (an eigenvalue ``-1`` of a Stein operator makes ``F``
-    singular and its pencil eigenvalue infinite).  The pairs of both
+    :meth:`for_target` requires the margin of the module notes and
+    returns None otherwise (an eigenvalue ``-1`` of a Stein operator
+    makes ``F`` singular and its pencil eigenvalue infinite).  The pairs of both
     targets commute, so with ``S = M F^{-1}``
 
         L(X) = c F* (S* X + X S) F,
@@ -446,7 +449,13 @@ class _EquationContext:
         M, F, c = target._form
         try:
             mu = scipy.linalg.eigvals(M, F)
-            if not (np.all(np.isfinite(mu)) and np.max(mu.real) < -1e-9):
+            if not np.all(np.isfinite(mu)):
+                return None
+            # the margin 1e-9 on the spectrum of A - shift I, or 1e-9 on
+            # r(T) wherever the eigenvalue lam of T lies on the circle:
+            # Re mu = (|lam|^2 - 1) |1 - mu|^2 / 4 for the Stein pair
+            margin = 1e-9 if F is None else 0.5e-9 * np.abs(1.0 - mu) ** 2
+            if not np.all(mu.real < -margin):
                 return None
             lu = None
             S = M
@@ -613,7 +622,6 @@ def _closed_form_probe(target, kappa, weights):
     singleton ``{I}``, which leaves nothing to search.
     """
     kappa2 = kappa * kappa
-    tol = _effective_tol(target, kappa)
     I = np.eye(target.dim, dtype=_native_dtype(target))
     clipped = (_project_box(P, kappa2) for P in weights if P is not None)
     best_P = None
@@ -622,12 +630,10 @@ def _closed_form_probe(target, kappa, weights):
         f0 = _penalty(target, P0)
         if f0 < best_f:
             best_f, best_P = f0, P0
-        # the box caps the candidate's own kappa, and so its tolerance, at ``tol``
-        if f0 <= tol:
-            kp = _kappa_of(P0)
-            if f0 <= _effective_tol(target, kp):
-                cert = WeightCertificate(P0, kp, max(f0, 0.0))
-                return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
+        kp = _kappa_of(P0)
+        if f0 <= _effective_tol(target, kp):
+            cert = WeightCertificate(P0, kp, max(f0, 0.0))
+            return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
     if kappa2 <= 1.0 + 1e-14:
         return FeasibilityResult(None, best_f, 0), best_P, best_f
     return None, best_P, best_f
@@ -882,7 +888,12 @@ def _continuous_norm_floor(target, kappa_max):
     range; every other error propagates.
     """
     sem = semigroup_from_generator(target._form[0])
-    kappa_seed = math.inf if target._seed is None else _kappa_of(target._seed)
+    kappa_seed = math.inf
+    if target._seed is not None:
+        # the recomputed eigenvalues of a barely definite seed may round to
+        # <= 0; the overflowing kappa is inf: no stop
+        with np.errstate(over="ignore"):
+            kappa_seed = _kappa_of(target._seed)
     lb = 1.0
     for t in np.logspace(-2, 8, 41):
         try:

@@ -221,6 +221,15 @@ class TestDiscreteConstant:
             v = discrete_similarity_constant(np.diag([-1.0, 0.5]))
         assert v.finite and v.constant == 1.0
 
+    @pytest.mark.parametrize("lam", [1 - 1e-12, -(1 - 1e-12)])
+    def test_stability_margin_is_the_same_around_the_circle(self, lam):
+        # within 1e-9 of the unit circle, at 1 or at -1, a defective
+        # eigenvalue counts as peripheral: no equation context
+        T = np.array([[lam, 0.1], [0.0, lam]])
+        assert SteinTarget((T,))._context is None
+        v = discrete_similarity_constant(T)
+        assert v.status == "unbounded" and "defective" in v.evidence
+
     def test_strictly_stable_power_norms_over_budget_are_infeasible(self):
         # the equation seed of this target is not positive definite in
         # float64, but its spectrum, 0.951, is strictly stable
@@ -254,6 +263,8 @@ class TestJointConstant:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="kappa_max"):
             joint_similarity_constant(JORDAN, kappa_max=0.5)
+        with pytest.raises(ValueError, match="kappa_max"):
+            quasi_similarity_constant(JORDAN, 0.5, kappa_max=0.5)
 
     def test_strictly_stable_semigroup_norms_over_budget_are_infeasible(self):
         v = joint_similarity_constant(SHIFT8 - 0.05 * np.eye(8))
@@ -266,8 +277,6 @@ class TestJointConstant:
         v = joint_similarity_constant(SHIFT8 - 0.00705 * np.eye(8), kappa_max=1e300)
         assert v.status == "infeasible"
         assert v.lower >= 1e14
-        with pytest.raises(ValueError, match="kappa_max"):
-            quasi_similarity_constant(JORDAN, 0.5, kappa_max=0.5)
 
     def test_continuous_norm_floor(self, rng):
         A = random_stable(rng, 4)
@@ -675,8 +684,11 @@ class TestPairForm:
             M = rng.standard_normal((n, n))
             if example["complex_entries"]:
                 M = M + 1j * rng.standard_normal((n, n))
-            yield SteinTarget((M,)), rng
-            yield LyapunovTarget(M, example["shift"]), rng
+            mu = np.linalg.eigvals(M)
+            shift = example["shift"]
+            # strictly stable: r(T) = 0.9, and A - shift I has abscissa -2 shift
+            yield SteinTarget((0.9 * M / np.max(np.abs(mu)),)), rng
+            yield LyapunovTarget(M - (np.max(mu.real) + shift) * np.eye(n), shift), rng
 
     def test_terms_reproduce_the_defect(self):
         for target, rng in self._random_targets():
@@ -692,8 +704,7 @@ class TestPairForm:
 
     def test_context_solves_the_defect_equation(self):
         for target, rng in self._random_targets():
-            if target._context is None:
-                continue
+            assert target._context is not None
             n = target.dim
             Q = rng.standard_normal((n, n))
             Q = Q @ Q.T
