@@ -24,6 +24,11 @@ assembled in ``O(n^4)``: every term of the Hessian has the form
 ``tr(X A Y B)``, a gather from the ``n^2 x n^2`` matrix ``kron(A,
 B^T)`` of ``n x n`` factors -- the ``n^2``-dimensional constraint map is
 never formed as a matrix.
+
+One Newton step costs one stacked ``eigh`` of the three barrier blocks,
+one stacked ``eigvalsh`` of the scaled search directions for the line
+search, one ``potrf`` of the Newton matrix and one or two ``potrs``
+(a second one after ``mu`` shrinks), plus that ``O(n^4)`` gather.
 """
 
 from dataclasses import dataclass
@@ -116,8 +121,8 @@ class _HermitianBasis:
         return H
 
 
-def _cholesky(H):
-    """Cholesky factor of the unit-diagonal Newton matrix.
+def _cholesky(H, potrf):
+    """Upper Cholesky factor of the unit-diagonal Newton matrix.
 
     Near the optimum the Hessian's condition number grows like
     ``mu^-2``; once rounding makes it numerically indefinite, a ridge of
@@ -127,50 +132,34 @@ def _cholesky(H):
     need the upper rungs.
     """
     for ridge in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-        try:
-            return scipy.linalg.cho_factor(H + ridge * np.eye(len(H)))
-        except np.linalg.LinAlgError:
-            continue
+        c, info = potrf(H + ridge * np.eye(len(H)), lower=False, clean=False)
+        if info == 0:
+            return c
     return None
 
 
-def _factor(S):
-    """Eigen-factor a Hermitian block; None unless positive definite."""
-    w, U = np.linalg.eigh(S)
-    if not w[0] > 0.0 or not np.all(np.isfinite(w)):
-        return None
-    return w, U
-
-
-def _scaled_eigs(fac, D):
-    """Eigenvalues of ``S^{-1/2} D S^{-1/2}`` for ``S`` with factor ``fac``."""
-    w, U = fac
-    r = 1.0 / np.sqrt(w)
-    K = (U.conj().T @ D @ U) * np.outer(r, r)
-    return np.linalg.eigvalsh(0.5 * (K + K.conj().T))
-
-
-def _line_search(slope_t, eigs):
+def _line_search(slope_t, d):
     """Exact minimizer in ``[0, step to the boundary)`` of the barrier along a line.
 
     ``f(a) = a * slope_t - sum log(1 + a d)`` over the scaled direction
     eigenvalues ``d`` of every block; convex, decreasing at 0.
     """
-    d = np.concatenate(eigs)
     neg = d[d < 0.0]
     a_max = -1.0 / neg.min() if neg.size else np.inf
     hi = min(0.99 * a_max, 1e6)
     lo = 0.0
     a = min(1.0, 0.5 * hi)
+    stop = 1e-12 * (abs(slope_t) + np.abs(d).sum())
     for _ in range(60):
-        g = slope_t - np.sum(d / (1.0 + a * d))
-        if abs(g) <= 1e-12 * (abs(slope_t) + np.sum(np.abs(d))):
+        q = d / (1.0 + a * d)
+        g = slope_t - q.sum()
+        if abs(g) <= stop:
             break
         if g > 0.0:
             hi = a
         else:
             lo = a
-        h = np.sum((d / (1.0 + a * d)) ** 2)
+        h = (q * q).sum()
         nxt = a - g / h if h > 0 else 0.5 * (lo + hi)
         a = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-14 * hi:
@@ -207,16 +196,18 @@ def solve(terms, seed, tol, budget=None):
         np.iscomplexobj(M) or np.iscomplexobj(N) for M, N, _ in terms
     )
     basis = _HermitianBasis(n, complex_)
-    terms = [(np.asarray(M, dtype=basis.dtype), np.asarray(N, dtype=basis.dtype), float(s))
+    # M enters only through M*, so each term is kept as (M*, N, s)
+    terms = [(np.asarray(M, dtype=basis.dtype).conj().T, np.asarray(N, dtype=basis.dtype), float(s))
              for M, N, s in terms]
     I = np.eye(n, dtype=basis.dtype)
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
     def defect(X):
-        D = sum(s * (M.conj().T @ X @ N) for M, N, s in terms)
+        D = sum(s * (Mh @ X @ N) for Mh, N, s in terms)
         return 0.5 * (D + D.conj().T)
 
     def adjoint(Z):
-        G = sum(s * (N @ Z @ M.conj().T) for M, N, s in terms)
+        G = sum(s * (N @ Z @ Mh) for Mh, N, s in terms)
         return 0.5 * (G + G.conj().T)
 
     # scale the defect block to unit size at the seed; near-marginal
@@ -238,17 +229,16 @@ def solve(terms, seed, tol, budget=None):
     mu = None
     for it in range(1, MAX_NEWTON_STEPS + 1):
         best.iterations = it
-        facs = [_factor(P - I), _factor(t * I - P), _factor(-nu * defect(P))]
-        if any(f is None for f in facs):
+        # the three barrier blocks, factored and inverted as one stack
+        w, U = np.linalg.eigh(np.stack([P - I, t * I - P, -nu * defect(P)]))
+        if not (np.all(w[:, 0] > 0.0) and np.all(np.isfinite(w))):
             break
-        (w1, U1), (w2, U2), (w3, U3) = facs
-        W1 = (U1 / w1) @ U1.conj().T
-        W2 = (U2 / w2) @ U2.conj().T
-        W3 = (U3 / w3) @ U3.conj().T
+        Uh = U.conj().transpose(0, 2, 1)
+        W1, W2, W3 = (U / w[:, None, :]) @ Uh
         # upper bound: the iterate itself is strictly feasible
-        kappa = _kappa(w1 + 1.0)
+        kappa = _kappa(w[0] + 1.0)
         if kappa < best.kappa:
-            best.weight, best.kappa = P / (w1[0] + 1.0), kappa
+            best.weight, best.kappa = P / (w[0, 0] + 1.0), kappa
         if decided():
             break
 
@@ -257,13 +247,15 @@ def solve(terms, seed, tol, budget=None):
         # condition number up to the constant squared, which the raw
         # entries would pass on to the Hessian; the Jacobi scaling on top
         # balances t against the weight
-        R = (U1 * np.sqrt(w1 + 1.0)) @ U1.conj().T
+        R = (U[0] * np.sqrt(w[0] + 1.0)) @ Uh[0]
+        # the defect block contributes the products N_i W3 M_j*
+        NWM = [[NW @ Mh for Mh, _, _ in terms] for NW in [N @ W3 for _, N, _ in terms]]
         As = [W1, W2]
         Bs = [W1, W2]
-        for M1, N1, s1 in terms:
-            for M2, N2, s2 in terms:
-                As.append((nu * nu * s1 * s2) * (N1 @ W3 @ M2.conj().T))
-                Bs.append(N2 @ W3 @ M1.conj().T)
+        for i, (_, _, s1) in enumerate(terms):
+            for j, (_, _, s2) in enumerate(terms):
+                As.append((nu * nu * s1 * s2) * NWM[i][j])
+                Bs.append(NWM[j][i])
         H = np.empty((basis.dim + 1, basis.dim + 1))
         H[:-1, :-1] = basis.quadratic(R @ np.array(As) @ R, R @ np.array(Bs) @ R)
         W22 = W2 @ W2
@@ -276,7 +268,7 @@ def solve(terms, seed, tol, budget=None):
         if not (np.all(d > 0.0) and np.all(np.isfinite(H))):
             break
         dsc = 1.0 / np.sqrt(d)
-        chol = _cholesky(H * np.outer(dsc, dsc))
+        chol = _cholesky(H * np.outer(dsc, dsc), potrf)
         if chol is None:
             break
         grad_x = basis.coords(R @ (-W1 + W2 + nu * adjoint(W3)) @ R)
@@ -286,7 +278,7 @@ def solve(terms, seed, tol, budget=None):
 
         def newton(mu):
             g = np.append(grad_x, 1.0 / mu - tr_w2)
-            step = -dsc * scipy.linalg.cho_solve(chol, dsc * g)
+            step = -dsc * potrs(chol, dsc * g, lower=False)[0]
             return step, R @ basis.matrix(step[:-1]) @ R, float(step[-1]), -float(g @ step)
 
         step, dP, dt, dec = newton(mu)
@@ -306,12 +298,10 @@ def solve(terms, seed, tol, budget=None):
                 mu_stop = 0.5 * t * (1.0 - (1.0 + tol) ** -2) / (3 * n)
                 mu = max(_MU_FACTOR * mu, mu_stop) if mu_stop < mu else _MU_FACTOR * mu
                 step, dP, dt, dec = newton(mu)
-        eigs = [
-            _scaled_eigs(facs[0], dP),
-            _scaled_eigs(facs[1], dt * I - dP),
-            _scaled_eigs(facs[2], -nu * defect(dP)),
-        ]
-        a = _line_search(dt / mu, eigs)
+        # eigenvalues of S^-1/2 dS S^-1/2 for the three blocks S
+        r = 1.0 / np.sqrt(w)
+        K = (Uh @ np.stack([dP, dt * I - dP, -nu * defect(dP)]) @ U) * (r[:, :, None] * r[:, None, :])
+        a = _line_search(dt / mu, np.linalg.eigvalsh(0.5 * (K + K.conj().transpose(0, 2, 1))).ravel())
         if not a > 0.0:
             break
         P = P + a * dP

@@ -42,11 +42,12 @@ strictly stable single-constraint targets, picks one solver per regime:
   seed answers first if it certifies the power/semigroup norm floor;
   otherwise the engine follows the barrier path from the seed until its
   strictly feasible weight and a re-checked dual-feasible point bracket
-  the constant within the relative ``tol``, and fixed-budget probes
-  decide from the same bracket.  An engine weight that fails the
-  tolerance every certificate passes is restored onto the cone by one
-  equation solve, or replaced by the seed; a bracket wider than ``tol``
-  (below about ``1e-9``) is reported in ``evidence``.
+  the constant within the relative ``tol``; a fixed-budget probe tries
+  the clipped closed-form weights first and otherwise decides from the
+  same bracket.  An engine weight that fails the tolerance every
+  certificate passes is restored onto the cone by one equation solve,
+  or replaced by the seed; a bracket wider than ``tol`` (below about
+  ``1e-9``) is reported in ``evidence``.
 * **Seed, larger dimension**: bisection over ``kappa``.  A probe tries
   the clipped closed-form weights, restores the best onto the cone with
   one equation solve, and runs a convex search over the equation's
@@ -756,14 +757,16 @@ def _engine_constant(target, floor, tol, kappa_max):
 def _engine_feasibility(target, kappa):
     """Fixed-budget answer of the exact engine.
 
-    The engine runs until its bracket puts the constant below the budget
-    (certificate) or above it (no certificate).  A bracket that stops
-    around the budget (a budget within float64 resolution of the
-    constant, or stalled Newton steps) leaves the answer to the
-    box-clipped engine weight against the feasibility tolerance; if that
-    fails too, there is no certificate, and ``nearest`` is the engine's.
+    A clipped closed-form weight that certifies the budget answers with
+    no Newton step.  Otherwise the engine runs until its bracket puts
+    the constant below the budget (certificate) or above it (no
+    certificate).  A bracket that stops around the budget (a budget
+    within float64 resolution of the constant, or stalled Newton steps)
+    leaves the answer to the box-clipped engine weight against the
+    feasibility tolerance; if that fails too, there is no certificate,
+    and ``nearest`` is the engine's.
     """
-    done, _, best_f = _closed_form_probe(target, kappa, (target._seed,))
+    done, _, best_f = _closed_form_probe(target, kappa, target._closed_forms)
     if done is not None:
         return done
     res, cert = _engine_solve(target, 0.0, budget=kappa)

@@ -459,6 +459,32 @@ class TestConditionEngine:
         assert rep.worst <= _feasibility_tol(SteinTarget((T.real,)), rep.kappa)
         assert not stein_feasible([T], 0.99 * 2.1538)
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            SteinTarget((np.array([[0.1, -1.5], [0.0, -0.8]]),)),
+            LyapunovTarget(np.array([[-0.3, -0.8], [0.0, -0.5]]), 0.0),
+        ],
+        ids=["stein", "lyapunov"],
+    )
+    def test_diagonalizer_certified_budget_takes_no_newton_step(self, target):
+        # at 1.01 times the constant the clipped seed fails and the
+        # clipped diagonalizer certifies; the engine once ran 8-9 steps
+        if isinstance(target, SteinTarget):
+            constant = discrete_similarity_constant(target.operators[0], tol=1e-6).constant
+            probe = lambda kappa: stein_feasible(target.operators, kappa)
+        else:
+            constant = joint_similarity_constant(target.generator, tol=1e-6).constant
+            probe = lambda kappa: lyapunov_feasible(target.generator, 0.0, kappa)
+        budget = 1.01 * constant
+        assert weightsolve._closed_form_probe(target, budget, (target._seed,))[0] is None
+        res = probe(budget)
+        assert res and res.iterations == 0
+        rep = certificate_check(res.certificate, target)
+        assert rep.kappa <= budget * (1.0 + 1e-9)
+        assert rep.worst <= _feasibility_tol(target, rep.kappa)
+        assert not probe(0.99 * constant)
+
     def test_unreachable_tol_reports_engine_bracket(self):
         # float64 iterates cannot close a bracket of relative width 1e-14
         T = _packel_step(3)
