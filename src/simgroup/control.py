@@ -9,7 +9,14 @@ contraction (infinite horizon, stable case) and quasi-contraction
 in the other direction: a Lyapunov weight ``P`` yields an observation
 ``C`` with ``C*C = -(A*P + PA)`` whose Gramian telescopes back to ``P``.
 Every finite-horizon Gramian and orbit mean is the one orbit integral
-:func:`~simgroup.opcore.gramian_integral`, re-exported here.  The
+:func:`~simgroup.opcore.gramian_integral`, re-exported here.  Its
+doublings also end on ``T(tau)``, which the finite-horizon Gramian reads
+instead of evaluating the semigroup again, and one block exponential at
+``t_max/4`` serves every Cesàro horizon through the composition law
+``G_{s+t} = G_s + T(s)* G_t T(s)``.  The Gramian identity check alone
+evaluates ``T(tau)`` apart from the doublings, through
+:func:`~simgroup.opcore.semigroup_from_generator`, so that its route
+stays independent.  The
 resolvent means of Naboko's isometry criterion are evaluated both by
 quadrature on the critical line and through their Plancherel form, which
 reduces to a shifted Lyapunov solve.
@@ -24,6 +31,7 @@ import scipy.linalg
 
 from .exceptions import DimensionError, SaturationError, StabilityError
 from .opcore import (
+    _orbit_integral,
     as_matrix,
     gramian_integral,
     growth_bound,
@@ -137,22 +145,23 @@ class GramianReport:
 def observability_gramian(sys, tau):
     """Finite-horizon observability Gramian with its two-sided constants.
 
-    The pair is exactly observable when the Gramian's smallest eigenvalue
-    exceeds ``1e-10 max(beta, 1)``.  A Gramian or ``T(tau)* T(tau)``
-    beyond the floating-point range raises
-    :class:`~simgroup.exceptions.SaturationError`.
+    ``T(tau)`` is the one the Gramian's doublings end on, so the
+    semigroup is not evaluated again.  The pair is exactly observable
+    when the Gramian's smallest eigenvalue exceeds ``1e-10 max(beta,
+    1)``.  A Gramian or ``T(tau)* T(tau)`` beyond the floating-point
+    range raises :class:`~simgroup.exceptions.SaturationError`.
     """
     tau = float(tau)
     if tau <= 0:
         raise ValueError("horizon must be positive")
-    G = gramian_integral(sys.A, sys.C.conj().T @ sys.C, tau)
-    E = semigroup_from_generator(sys.A).eval(tau)
+    G, E = _orbit_integral(sys.A, sys.C.conj().T @ sys.C, tau)
     with np.errstate(over="ignore", invalid="ignore"):
         H = E.conj().T @ E + G
     if not np.all(np.isfinite(H)):
         raise SaturationError(f"T(tau)* T(tau) at tau = {tau:.6g} overflows the floating range")
     ev = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     alpha, beta = float(ev[0]), float(ev[-1])
+    G = G.astype(complex, copy=False)
     gev = np.linalg.eigvalsh(G)
     return GramianReport(
         horizon=tau,
@@ -406,20 +415,34 @@ def cesaro_orbit_mean(A, C=None, t_max=50.0):
 
     The mean is the quadratic form of ``G_t / t`` with the Gramian
     ``G_t``, so its extremes over unit vectors are that matrix's extreme
-    eigenvalues.  They are evaluated at a tail of horizons; the reported
-    pair bounds the liminf and limsup estimates.  A positive lower
-    estimate is the mean form of the isometry criterion.
+    eigenvalues.  They are evaluated at the horizons ``t_max/2``,
+    ``3 t_max/4`` and ``t_max``; the reported pair bounds the liminf and
+    limsup estimates.  A positive lower estimate is the mean form of the
+    isometry criterion.  One block exponential gives ``G`` and ``T`` at
+    ``t_max/4``; the composition law ``G_{s+t} = G_s + T(s)* G_t T(s)``
+    reaches each horizon from there.  A Gramian beyond the floating-point
+    range raises :class:`~simgroup.exceptions.SaturationError`, and
+    ``t_max <= 0`` raises ``ValueError``.
     """
     A = as_matrix(A, "generator")
+    t_max = float(t_max)
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
     n = A.shape[0]
     if C is None:
         C = np.eye(n, dtype=complex)
     C = np.atleast_2d(np.asarray(C, dtype=complex))
-    Q = C.conj().T @ C
+    G_q, T_q = _orbit_integral(A, C.conj().T @ C, 0.25 * t_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T_h = T_q @ T_q
+        G_h = G_q + T_q.conj().T @ G_q @ T_q
+        gramians = (G_h, G_h + T_h.conj().T @ G_q @ T_h, G_h + T_h.conj().T @ G_h @ T_h)
     horizons = [0.5 * t_max, 0.75 * t_max, t_max]
     lows, highs = [], []
-    for tau in horizons:
-        w = np.linalg.eigvalsh(gramian_integral(A, Q, tau) / tau)
+    for tau, G in zip(horizons, gramians):
+        if not np.all(np.isfinite(G)):
+            raise SaturationError(f"orbit integral over [0, {tau:.6g}] overflows the floating range")
+        w = np.linalg.eigvalsh(0.5 * (G + G.conj().T) / tau)
         lows.append(float(w[0]))
         highs.append(float(w[-1]))
     return {

@@ -7,13 +7,16 @@ operator norms in plain and weighted inner products, and the two growth
 quantities of a generator (spectral bound and numerical abscissa).
 
 Matrices are plain ``numpy`` arrays with complex entries.  Real-valued
-data takes the real LAPACK kernels: singular values are taken of a
-matrix's real part when its imaginary part is exactly zero, ``exp(tA)``
-of a real generator carries an imaginary part of exactly zero, and the
-orbit integral of a real generator and a real ``Q`` is formed in real
-arithmetic.  All operations are pure functions of immutable inputs; a
-:class:`MatrixSemigroup` may cache a spectral factorization of its
-generator but is otherwise stateless.
+data takes the real LAPACK kernels: norms and singular values are taken
+of a matrix's real part when its imaginary part is exactly zero, a real
+generator's eigenbasis is computed in real arithmetic and its ``exp(tA)``
+carries an imaginary part of exactly zero, and the orbit integral of a
+real generator and a real ``Q`` is formed in real arithmetic.  An
+operator norm is the square root of the one top eigenvalue of the Gram
+matrix, scaled by a power of two so that it stays in the floating range;
+no singular value decomposition is taken for it.  All operations are
+pure functions of immutable inputs; a :class:`MatrixSemigroup` may cache
+a spectral factorization of its generator but is otherwise stateless.
 """
 
 import ctypes
@@ -125,12 +128,38 @@ def _singular_values(T):
     return scipy.linalg.svdvals(_real_if_exact(T))
 
 
+#: LAPACK's relatively robust eigensolvers, fetched once for :func:`operator_norm`.
+_SYEVR = scipy.linalg.get_lapack_funcs("syevr", dtype=float)
+_HEEVR = scipy.linalg.get_lapack_funcs("heevr", dtype=complex)
+
+
 def operator_norm(T):
-    """Largest singular value of ``T``."""
+    """Largest singular value of ``T``; ``inf`` when an entry is not finite.
+
+    ``T`` is first scaled by the power of two that brings its largest
+    entry into ``[1/2, 1)``, which is exact, so the Gram matrix ``T* T``
+    (or ``T T*``, whichever is smaller) neither overflows nor underflows
+    anywhere in the floating range.  The norm is the square root of that
+    matrix's largest eigenvalue, the only one LAPACK's ``?syevr``/``?heevr``
+    computes, scaled back.
+    """
     T = _real_if_exact(T)
     if T.size == 0:
         return 0.0
-    return float(np.linalg.norm(T, 2))
+    amax = float(np.abs(T).max())
+    if not math.isfinite(amax):
+        return math.inf
+    if amax == 0.0:
+        return 0.0
+    e = math.frexp(amax)[1]
+    h = e // 2
+    # 2.0**-e alone leaves the float range for the extreme exponents
+    X = T * 2.0**-e if abs(e) < 1022 else T * 2.0**-h * 2.0 ** (h - e)
+    G = X.conj().T @ X if X.shape[0] >= X.shape[1] else X @ X.conj().T
+    n = G.shape[0]
+    evr = _HEEVR if np.iscomplexobj(G) else _SYEVR
+    lam = float(evr(G, compute_v=0, range="I", il=n, iu=n)[0][0])
+    return math.sqrt(lam) * 2.0**h * 2.0 ** (e - h)
 
 
 def norm_upper_bound(X):
@@ -184,10 +213,12 @@ def _eig_cached(A):
     """Eigendecomposition with condition number of the eigenvector basis.
 
     Returns ``(w, V, Vinv, cond)`` or ``None`` when the basis is too
-    ill-conditioned to be trusted.
+    ill-conditioned to be trusted.  A generator with zero imaginary part
+    is factorized in real arithmetic: ``w``, ``V`` and ``Vinv`` are real
+    when every eigenvalue is.
     """
     try:
-        w, V = np.linalg.eig(A)
+        w, V = np.linalg.eig(A if A.imag.any() else A.real)
         cond = np.linalg.cond(V)
         if not np.isfinite(cond) or cond >= _EIG_COND_LIMIT:
             return None
@@ -219,8 +250,9 @@ def _expm_with(A, ded, growth, t):
 
     One generator's times share both; ``growth`` is called only on the
     scaling-and-squaring route, where ``ded`` is None.  ``exp(tA)`` of a
-    real generator is real: the rounding-level imaginary part the complex
-    eigenbasis product leaves is dropped, so the value's norms take the
+    real generator is real: it is returned in complex storage with an
+    imaginary part of exactly zero (dropping the rounding-level one a
+    complex eigenbasis product leaves), so the value's norms take the
     real kernels.
     """
     t = float(t)
@@ -241,12 +273,12 @@ def _expm_with(A, ded, growth, t):
             raise SaturationError("t * spectral abscissa overflows the floating range")
         E = scipy.linalg.expm(t * A)
     if not A.imag.any():
-        E.imag = 0.0
+        E = E.real.astype(complex)
     return E
 
 
 def gramian_integral(A, Q, tau):
-    """Orbit integral ``integral_0^tau exp(sA*) Q exp(sA) ds``.
+    """Orbit integral ``integral_0^tau exp(sA*) Q exp(sA) ds`` for ``tau >= 0``.
 
     Van Loan's block exponential ``exp(h [[-A*, Q], [0, A]])`` carries
     ``exp(hA)`` and ``exp(-hA*)`` times the integral over ``[0, h]``.
@@ -257,12 +289,25 @@ def gramian_integral(A, Q, tau):
     every doubling adds terms of one sign, so nothing cancels at long or
     stiff horizons.  For real ``A`` and ``Q`` the block is real, and so
     is every product.  An integral beyond the floating-point range raises
-    :class:`~simgroup.exceptions.SaturationError`.
+    :class:`~simgroup.exceptions.SaturationError`; a negative ``tau``
+    raises ``ValueError``.
+    """
+    return _orbit_integral(A, Q, tau)[0].astype(complex, copy=False)
+
+
+def _orbit_integral(A, Q, tau):
+    """``(G, T)``: :func:`gramian_integral` together with ``T = exp(tau A)``.
+
+    ``T`` is the last square of the doublings, which hold it anyway.  Both
+    are real for real ``A`` and ``Q``.  ``T`` may overflow where ``G`` does
+    not; the caller that uses it checks.
     """
     A = as_matrix(A, "generator")
     Q = as_matrix(Q, "Q")
     n = A.shape[0]
     tau = float(tau)
+    if tau < 0:
+        raise ValueError("orbit integral requires tau >= 0")
     k = max(0, math.ceil(math.log2(max(2.0 * tau * operator_norm(A), 1.0))))
     if not (A.imag.any() or Q.imag.any()):
         A, Q = A.real, Q.real
@@ -281,7 +326,7 @@ def gramian_integral(A, Q, tau):
         G = 0.5 * (G + G.conj().T)
     if not np.all(np.isfinite(G)):
         raise SaturationError(f"orbit integral over [0, {tau:.6g}] overflows the floating range")
-    return G.astype(complex, copy=False)
+    return G, T
 
 
 def resolvent(A, z):

@@ -18,10 +18,10 @@ from simgroup.control import (
     system_from_json,
 )
 from simgroup.exceptions import DimensionError, SaturationError, StabilityError
-from simgroup.opcore import expm_semigroup, matrix_to_json, operator_norm
+from simgroup.opcore import expm_semigroup, matrix_to_json, operator_norm, semigroup_from_generator
 from simgroup.weightsolve import LyapunovTarget, certificate_check
 
-from conftest import random_stable
+from conftest import fixed_examples, random_stable
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
 
@@ -71,6 +71,39 @@ class TestObservabilityGramian:
         H = E.conj().T @ E + P - E.conj().T @ P @ E
         assert rep.beta == pytest.approx(float(np.linalg.eigvalsh(H)[-1]), rel=1e-12)
         assert rep.exactly_observable
+
+    def test_constants_match_the_eigen_route(self):
+        # T(tau) from the Gramian's doublings against exp(tau A) evaluated
+        # through the eigenbasis
+        for example in fixed_examples(
+            21,
+            20,
+            seed=(0, 2**32 - 1),
+            n=(1, 16),
+            complex_entries=(False, True),
+            margin=(1e-2, 1.0),
+            tau=(1e-2, 10.0),
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            A = random_stable(rng, n, margin=example["margin"], complex_entries=example["complex_entries"])
+            C = rng.standard_normal((max(1, n // 2), n))
+            rep = observability_gramian(ObservedSystem(A, C), example["tau"])
+            E = semigroup_from_generator(A).eval(example["tau"])
+            H = E.conj().T @ E + rep.gramian
+            ev = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+            assert rep.alpha == pytest.approx(float(ev[0]), rel=1e-12)
+            assert rep.beta == pytest.approx(float(ev[-1]), rel=1e-12)
+
+    def test_takes_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition taken")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        rep = observability_gramian(ObservedSystem(np.diag([-1.0, -2.0]), np.eye(2)), 1.0)
+        # e^{-2 lam} + (1 - e^{-2 lam}) / (2 lam) for the rates lam = 1, 2
+        assert rep.alpha == pytest.approx((1.0 + 3.0 * math.exp(-4.0)) / 4.0, rel=1e-14)
+        assert rep.beta == pytest.approx((1.0 + math.exp(-2.0)) / 2.0, rel=1e-14)
 
     @pytest.mark.parametrize("C", [np.eye(2), np.array([[0.0, 1.0]])])
     def test_overflow_raises_saturation(self, C):
@@ -295,6 +328,47 @@ class TestCesaro:
         out = cesaro_orbit_mean(A, C=np.diag(d) @ U.conj().T, t_max=40.0)
         assert out["liminf_estimate"] == pytest.approx(0.04, abs=1e-9)
         assert out["limsup_estimate"] == pytest.approx(9.0, abs=1e-9)
+
+    def test_per_horizon_matches_independent_integrals(self):
+        for example in fixed_examples(
+            22,
+            20,
+            seed=(0, 2**32 - 1),
+            n=(1, 16),
+            complex_entries=(False, True),
+            margin=(1e-3, 1.0),
+            t_max=(1e-2, 1e2),
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            A = random_stable(rng, n, margin=example["margin"], complex_entries=example["complex_entries"])
+            C = rng.standard_normal((n, n))
+            out = cesaro_orbit_mean(A, C=C, t_max=example["t_max"])
+            assert [tau for tau, _, _ in out["per_horizon"]] == [
+                0.5 * example["t_max"], 0.75 * example["t_max"], example["t_max"]
+            ]
+            for tau, low, high in out["per_horizon"]:
+                w = np.linalg.eigvalsh(gramian_integral(A, C.T @ C, tau) / tau)
+                assert low == pytest.approx(float(w[0]), rel=1e-12)
+                assert high == pytest.approx(float(w[-1]), rel=1e-12)
+
+    def test_one_block_exponential(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+        cesaro_orbit_mean(1j * np.diag([0.4, -1.0, 2.0]), t_max=40.0)
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("t_max", [0.0, -10.0])
+    def test_non_positive_horizon_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            cesaro_orbit_mean(np.diag([-1.0, -2.0]), t_max=t_max)
+
+    def test_overflow_raises_saturation(self):
+        # the block exponential at t_max/4 = 1 is finite (about e^400);
+        # the composed horizons reach e^800
+        with pytest.raises(SaturationError, match="overflows"):
+            cesaro_orbit_mean(np.diag([200.0, 1.0]), t_max=4.0)
 
     def test_positive_mean_implies_isometry_verdict(self):
         from simgroup.criteria import nagy_isometry_test

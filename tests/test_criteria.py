@@ -224,6 +224,32 @@ class TestAverageRenorm:
         aud = average_renorm_factor_audit(JORDAN, np.diag([1.0, 4.0]), 1.0)
         assert aud.satisfied
 
+    def test_factor_audit_takes_one_supremum(self, monkeypatch):
+        calls = []
+        sup = criteria.sup_norm_on_interval
+        monkeypatch.setattr(criteria, "sup_norm_on_interval", lambda *a, **k: calls.append(1) or sup(*a, **k))
+        aud = average_renorm_factor_audit(JORDAN, np.diag([1.0, 4.0]), 1.0)
+        assert len(calls) == 1
+        assert aud.inputs["M"] == sup(semigroup_from_generator(JORDAN), 1.0)
+
+
+class TestSupNorm:
+    def test_refinement_skips_grid_points(self):
+        # the refinement's end points are grid points: 65 + 15 evaluations
+        # give the maximum that 65 + 17 gave
+        for A in (JORDAN, np.array([[-0.1, 10.0], [0.0, -2.0]]), np.diag([-1.0, -2.0])):
+            sem = semigroup_from_generator(A)
+            times = []
+            counted = sampled_semigroup(2, lambda t: times.append(t) or sem.eval(t), "counted")
+            M = sup_norm_on_interval(counted, 1.0, inflate=0.0)
+            assert len(times) == 80
+            ts = np.linspace(0.0, 1.0, 65)
+            norms = [operator_norm(sem.eval(t)) for t in ts]
+            k = int(np.argmax(norms))
+            refine = np.linspace(ts[max(0, k - 1)], ts[min(64, k + 1)], 17)
+            norms += [operator_norm(sem.eval(float(t))) for t in refine]
+            assert M == max(norms)
+
 
 class TestLiapunovRenorm:
     def test_nilpotent_group_half_rate(self):

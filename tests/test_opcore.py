@@ -107,6 +107,14 @@ class TestGramianIntegral:
         with pytest.raises(exceptions.SaturationError, match="overflows"):
             gramian_integral(np.diag([400.0, 1.0]), np.eye(2), 1.0)
 
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="tau >= 0"):
+            gramian_integral(np.diag([-1.0, -2.0]), np.eye(2), -1.0)
+
+    def test_zero_horizon_is_zero(self):
+        G = gramian_integral(np.diag([-1.0, -2.0]), np.eye(2), 0.0)
+        assert not G.any()
+
 
 class TestResolvent:
     def test_zero_generator(self):
@@ -170,6 +178,58 @@ class TestNorms:
             assert spectral_radius(T) <= weighted_norm(T, P) * (1 + 1e-10)
 
 
+class TestOperatorNorm:
+    """One top eigenvalue of the power-of-two-scaled Gram matrix gives the norm."""
+
+    def test_matches_the_svd_norm(self):
+        for example in fixed_examples(
+            6,
+            40,
+            seed=(0, 2**32 - 1),
+            n=(1, 256),
+            complex_entries=(False, True),
+            scale=(1e-300, 1e300),
+            kind=(0, 2),
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            X = rng.standard_normal((n, n))
+            if example["complex_entries"]:
+                X = X + 1j * rng.standard_normal((n, n))
+            if example["kind"] == 1:  # rank one
+                X = np.outer(X[:, 0], X[0, :])
+            elif example["kind"] == 2:
+                X = np.zeros_like(X)
+            X = example["scale"] * X
+            ref = np.linalg.norm(X, 2)
+            assert abs(operator_norm(X) - ref) <= 4 * n * np.finfo(float).eps * ref
+
+    def test_extreme_entries_stay_in_range(self):
+        # the Gram matrix of either would overflow or underflow unscaled
+        assert operator_norm(np.array([[1e300, 1e300], [0.0, 0.0]])) == pytest.approx(
+            math.sqrt(2) * 1e300, rel=1e-15
+        )
+        assert operator_norm(np.array([[5e-324]])) == 5e-324
+        assert operator_norm(np.full((2, 2), 1.5e308)) == math.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_entry_gives_inf(self, bad):
+        X = np.array([[bad, 0.0], [0.0, 1.0]])
+        assert operator_norm(X) == math.inf
+
+    def test_rectangular(self):
+        assert operator_norm(np.ones((1, 5))) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert operator_norm(np.ones((5, 1))) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+    def test_takes_no_singular_value_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("singular value decomposition taken")
+
+        for owner, name in ((np.linalg, "norm"), (np.linalg, "svd"), (scipy.linalg, "svdvals")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert operator_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(5.0, rel=1e-15)
+
+
 class TestRealKernels:
     """Real-valued data takes the real kernels, with the complex kernels' values."""
 
@@ -202,6 +262,28 @@ class TestRealKernels:
             assert not E.imag.any()
             ref = scipy.linalg.expm(example["t"] * A)
             assert operator_norm(E - ref) <= 1e-10 * max(1.0, operator_norm(ref))
+
+    def test_expm_of_real_generator_is_real_in_complex_storage(self):
+        # real spectra leave a real eigenbasis, whose product is real
+        rng = np.random.default_rng(11)
+        real_spectrum = np.triu(rng.standard_normal((6, 6)), 1) - np.diag(np.arange(1.0, 7.0))
+        rotation = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+        jordan = np.array([[-1.0, 4.0], [0.0, -1.0]])
+        for A in (real_spectrum, rotation, jordan, random_stable(rng, 12, complex_entries=False)):
+            for t in (1e-3, 0.7, 30.0):
+                E = expm_semigroup(A, t)
+                assert E.dtype == np.complex128
+                assert not E.imag.any()
+                ref = scipy.linalg.expm(t * A)
+                assert operator_norm(E - ref) <= 1e-10 * max(1.0, operator_norm(ref))
+
+    def test_real_generator_factorized_in_real_arithmetic(self, monkeypatch):
+        seen = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: seen.append(M.dtype) or eig(M))
+        semigroup_from_generator(np.array([[-1.0, 2.0], [0.0, -3.0]], dtype=complex))
+        semigroup_from_generator(np.array([[-1.0, 2.0j], [0.0, -3.0]]))
+        assert seen == [np.dtype(float), np.dtype(complex)]
 
     def test_complex_generator_values_keep_their_imaginary_part(self):
         A = np.array([[1j, 1.0], [0.0, -1.0]])
