@@ -80,13 +80,28 @@ def _json_text(obj):
     return json.dumps(obj)
 
 
+def _float_text(x):
+    return repr(x) if math.isfinite(x) else _json_text(x)
+
+
 def _matrix_text(a):
+    """JSON text of a nonempty 2-D float64 array.
+
+    A matrix whose entries share one bit pattern, such as the all
+    ``+0.0`` imaginary half of a real sample, is one row string repeated.
+    """
+    bits = a.view(np.int64)
+    if (bits == bits[0, 0]).all():
+        row = "[" + ", ".join([_float_text(float(a[0, 0]))] * a.shape[1]) + "]"
+        return "[" + ", ".join([row] * a.shape[0]) + "]"
+    return _distinct_values_text(a)
+
+
+def _distinct_values_text(a):
+    """:func:`_matrix_text` for any matrix: each distinct bit pattern is formatted once."""
     # np.unique over the bit patterns keeps -0.0 apart from 0.0
     distinct, index = np.unique(a.view(np.int64), return_inverse=True)
-    texts = np.array(
-        [repr(x) if math.isfinite(x) else _json_text(x) for x in distinct.view(float).tolist()],
-        dtype=object,
-    )
+    texts = np.array([_float_text(x) for x in distinct.view(float).tolist()], dtype=object)
     rows = texts[index].reshape(a.shape).tolist()
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
@@ -272,7 +287,7 @@ def cmd_classify(cfg, out):
             ("parameter", "constant", "status", "residual"),
             [(p, c, "finite" if math.isfinite(c) else "infeasible", "") for p, c in report.family_curve],
         )
-    return EXIT_OK
+    return EXIT_INFEASIBLE if report.case == "BudgetExhausted" else EXIT_OK
 
 
 def _gallery_family(cfg):
@@ -344,7 +359,9 @@ def _gallery_bundle(cfg):
 def _sparse_values(sem, ks, step):
     """``{k: sem.eval(k * step)}`` over the grid indices ``ks``, as CSR arrays.
 
-    ``scipy.sparse`` is imported here, not with the package.
+    Each array keeps the dtype of ``sem``'s values: float64 for the wrap
+    coupling, complex for the Packel coupling.  ``scipy.sparse`` is
+    imported here, not with the package.
     """
     from scipy.sparse import csr_array
 
@@ -357,33 +374,44 @@ def _w_suite(sem):
     The fill and unit-time identities hold exactly on the aligned grid;
     their residuals are Schur bounds (:func:`opcore.norm_upper_bound`),
     never below the norm and equal to it on partial permutations, zero
-    included.  The fill loop evaluates each grid time it reads once, as
-    a sparse matrix, and forms ``R_p(s) V(t) + V(s) R(t)`` as the one
-    sparse product ``W(s)[:m] @ W(t)[:, m:]``.  While the diagonal blocks
-    are partial permutations, each entry of that product is a sum of at
-    most two products with a unit factor, whatever ``V`` holds, so the
-    densified difference the bound reads equals the dense one bit for
-    bit.  The contraction in the weight ``P = Lambda* Lambda``, ``Lambda
-    = [[I, I], [0, I]]``, is checked in ``Lambda`` coordinates:
-    ``norm(P^{1/2} W P^{-1/2}) = norm(Lambda W Lambda^{-1})`` because
-    ``Lambda P^{-1/2}`` is unitary.  For ``W = [[a, b], [c, d]]`` that
-    matrix is ``[[a + c, (b + d) - (a + c)], [c, d - c]]``; its entries
-    are small integers, so its Schur bound is exact arithmetic up to the
-    final square root, with no ``P^{1/2}`` formed.  That loop edits each
-    evaluation in place, so ``sem.eval`` must return a fresh array on
-    every call, as :func:`gallery.w_semigroup`'s sampler does.
+    included.  The fill check evaluates each grid time it reads once, as
+    a sparse matrix, and forms every pair's ``R_p(s) V(t) + V(s) R(t)``
+    in one block sparse product: block ``(s, t)`` of ``vstack(W(s)[:m])
+    @ hstack(W(t)[:, m:])``.  While the diagonal blocks are partial
+    permutations, each entry of that product is a sum of at most two
+    products with a unit factor, whatever ``V`` holds, and it is the
+    entry the pair's own product would give.  The product is compared
+    with the block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``;
+    a pair whose block of the difference has no nonzero entry has
+    residual 0, and only the other pairs are densified and bounded, in
+    the same order and from the same arrays as a pair-by-pair loop, so
+    every value is the dense one bit for bit.  The contraction in the
+    weight ``P = Lambda* Lambda``, ``Lambda = [[I, I], [0, I]]``, is
+    checked in ``Lambda`` coordinates: ``norm(P^{1/2} W P^{-1/2}) =
+    norm(Lambda W Lambda^{-1})`` because ``Lambda P^{-1/2}`` is unitary.
+    For ``W = [[a, b], [c, d]]`` that matrix is ``[[a + c, (b + d) - (a
+    + c)], [c, d - c]]``; its entries are small integers, so its Schur
+    bound is exact arithmetic up to the final square root, with no
+    ``P^{1/2}`` formed.  That loop edits each evaluation in place, so
+    ``sem.eval`` must return a fresh array on every call, as
+    :func:`gallery.w_semigroup`'s sampler does; its real samples keep
+    each pass over them at float64 size.
     """
+    from scipy.sparse import block_array, hstack, vstack
+
     m = sem.dim // 2
     bound = opcore.norm_upper_bound
     ks = range(0, 2 * m + 1, max(1, m // 8))
     W = _sparse_values(sem, {i + j for i in ks for j in ks}, 1.0 / m)
     fill = {k: X[:m, m:] for k, X in W.items()}
-    top = {k: W[k][:m] for k in ks}
-    right = {k: W[k][:, m:] for k in ks}
+    top = [W[k][:m] for k in ks]
+    right = [W[k][:, m:] for k in ks]
+    hankel = block_array([[fill[i + j] for j in ks] for i in ks], format="csr")
+    rows, cols = (hankel - vstack(top, format="csr") @ hstack(right, format="csr")).nonzero()
     worst = 0.0
-    for i in ks:
-        for j in ks:
-            worst = max(worst, bound(fill[i + j].toarray() - (top[i] @ right[j]).toarray()))
+    for b in np.unique(rows // m * len(ks) + cols // m).tolist():
+        i, j = divmod(b, len(ks))
+        worst = max(worst, bound(fill[ks[i] + ks[j]].toarray() - (top[i] @ right[j]).toarray()))
     W1 = sem.eval(1.0)
     endpoint = max(bound(W1[:m, :m] - np.eye(m)), bound(W1[:m, m:] - np.eye(m)))
     space = gallery.GridSpace(1.0, m)

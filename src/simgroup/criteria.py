@@ -3,8 +3,8 @@
 The joint similarity constant of ``exp(tA)`` equals the limit of the
 individual constants ``C(exp(tA))`` as ``t -> 0`` and of the resolvent
 constants ``C(lam (lam - A)^{-1})`` as ``lam -> infinity``; this module
-computes those curves, classifies a semigroup (or a truncation family)
-into the three similarity regimes, constructs the averaging renormings
+computes those curves, classifies a semigroup by its joint verdict (or
+reports a truncation family's constants), constructs the averaging renormings
 behind the quantitative bounds, and audits the bounds themselves.  An
 audit compares an independently computed left-hand side against the
 assembled right-hand side; with every ingredient finite the inequality
@@ -166,14 +166,20 @@ def resolvent_constants(A, lam_grid, tol=1e-4, kappa_max=1e6):
 
 @dataclass(frozen=True)
 class TrichotomyReport:
-    """Classification into the three mutually exclusive similarity regimes.
+    """Classification of a matrix generator by its joint verdict.
 
-    ``SimilarContraction`` carries a finite joint constant agreeing with
-    the supremum of the time curve; ``TailOnlySimilar`` has finite
-    individual constants but no joint certificate within budget;
-    ``NeverSimilar`` has spectral evidence at every sampled time.  For a
-    supplied truncation family only the growth of the constants across
-    the family is asserted, never an infinite-dimensional case.
+    ``case`` is read from the joint verdict alone: ``SimilarContraction``
+    when it is ``finite`` (a certificate within ``kappa_max``),
+    ``NeverSimilar`` when it is ``unbounded`` (spectral or norm-growth
+    evidence that no weight exists), and ``BudgetExhausted`` when it is
+    ``infeasible``: no certificate within ``kappa_max``, with the joint's
+    certified ``lower`` in ``notes``.  For a matrix generator some
+    ``T(t)`` has a finite constant exactly when the joint constant is
+    finite, so there is no case with finite individual constants and
+    none jointly.  The time and resolvent curves are reported beside the
+    case and do not decide it.  For a supplied truncation family only the
+    growth of the constants across the family is asserted, never an
+    infinite-dimensional case.
     """
 
     case: Optional[str]
@@ -204,7 +210,7 @@ def _member_constant(member, tol, kappa_max):
 
 
 def classify(generator, t_grid=None, kappa_max=1e6, family=None):
-    """Trichotomy classification of one semigroup, with optional family.
+    """Classification of one semigroup (see :class:`TrichotomyReport`), with optional family.
 
     ``generator`` is the matrix generator to classify, or None when only
     the family is reported (``case``, ``joint`` and both curves are then
@@ -226,14 +232,15 @@ def classify(generator, t_grid=None, kappa_max=1e6, family=None):
         )
         if joint.finite:
             case = "SimilarContraction"
+        elif joint.status == "unbounded":
+            case = "NeverSimilar"
+            notes = "joint verdict unbounded: no weight renorms the semigroup into contractions"
         else:
-            finite_pts = [p for p in curve.points if p.verdict is not None and p.verdict.finite]
-            if finite_pts:
-                case = "TailOnlySimilar"
-                notes = "individual constants finite; no joint certificate within budget"
-            else:
-                case = "NeverSimilar"
-                notes = "no sampled time admits a contraction renorming"
+            case = "BudgetExhausted"
+            notes = (
+                f"no joint certificate up to kappa_max {float(joint.searched_kappa_max)!r}; "
+                f"certified lower bound {float(joint.lower)!r}"
+            )
     fam = ()
     if family is not None:
         fam = tuple(

@@ -112,28 +112,32 @@ def right_shift(space):
     """Right shift semigroup ``(R(t)f)(x) = f(x - t)`` on the grid.
 
     Nilpotent: ``R(t) = 0`` for ``t >= nu``; the weighted operator norm
-    of ``R(k*step)`` is exactly ``exp(-lam*k*step)``.
+    of ``R(k*step)`` is exactly ``exp(-lam*k*step)``.  Each evaluation is
+    a fresh real (float64) array.
     """
     m, step, lam = space.m, space.step, space.lam
 
     def ev(t):
         k, _ = space.snap(t)
         if k >= m:
-            return np.zeros((m, m), dtype=complex)
-        return math.exp(-lam * k * step) * np.eye(m, k=-k, dtype=complex)
+            return np.zeros((m, m))
+        return math.exp(-lam * k * step) * np.eye(m, k=-k)
 
     return sampled_semigroup(m, ev, f"right shift on [0,{space.nu}]", step=step)
 
 
 def left_shift(space):
-    """Left shift semigroup ``(L(t)f)(x) = f(x + t)`` on the grid."""
+    """Left shift semigroup ``(L(t)f)(x) = f(x + t)`` on the grid.
+
+    Each evaluation is a fresh real (float64) array.
+    """
     m, step, lam = space.m, space.step, space.lam
 
     def ev(t):
         k, _ = space.snap(t)
         if k >= m:
-            return np.zeros((m, m), dtype=complex)
-        return math.exp(lam * k * step) * np.eye(m, k=k, dtype=complex)
+            return np.zeros((m, m))
+        return math.exp(lam * k * step) * np.eye(m, k=k)
 
     return sampled_semigroup(m, ev, f"left shift on [0,{space.nu}]", step=step)
 
@@ -362,11 +366,14 @@ def packel_nilpotent_lower_bound(a, b, refine=1):
 
 
 def periodic_shift(m):
-    """Periodic (unitary) shift group on the ``m``-cell circle."""
+    """Periodic (unitary) shift group on the ``m``-cell circle.
+
+    Each evaluation is a fresh real (float64) permutation matrix.
+    """
 
     def ev(t):
         k = int(round(t * m)) % m
-        P = np.zeros((m, m), dtype=complex)
+        P = np.zeros((m, m))
         i = np.arange(m)
         P[i, (i - k) % m] = 1.0
         return P
@@ -378,18 +385,19 @@ def wrap_fill(m):
     """Fill family ``V(t)``: the wrapped tail poured onto ``[0, t)``.
 
     ``V(1) = I`` and ``V(t) = R_p(t-1)`` for ``t >= 1``.  The family is
-    sampled on the grid but need not satisfy the semigroup law.
+    sampled on the grid but need not satisfy the semigroup law.  Each
+    evaluation is a fresh real (float64) 0/1 matrix.
     """
 
     def ev(t):
         k = int(round(t * m))
         if k >= m:
             kk = (k - m) % m
-            P = np.zeros((m, m), dtype=complex)
+            P = np.zeros((m, m))
             i = np.arange(m)
             P[i, (i - kk) % m] = 1.0
             return P
-        V = np.zeros((m, m), dtype=complex)
+        V = np.zeros((m, m))
         i = np.arange(k)
         V[i, (i - k) % m] = 1.0
         return V
@@ -400,9 +408,12 @@ def wrap_fill(m):
 def w_semigroup(m, inner=None):
     """Coupling ``W(t) = [[R_p(t), V(t)], [0, R(t)]]`` on two unit legs.
 
-    With an ``inner`` semigroup the blocks are tensored against it at the
-    doubled rate, ``S(t) = W(t/2) (x) S0(t)``, as needed to hand a tail
-    factorization across the coupling.
+    Each evaluation is a fresh real (float64) 0/1 array composed from the
+    three block samplers, so callers may edit it in place.  With an
+    ``inner`` semigroup the blocks are tensored against it at the doubled
+    rate, ``S(t) = W(t/2) (x) S0(t)``, as needed to hand a tail
+    factorization across the coupling; the result then takes the inner
+    semigroup's dtype.
     """
     space = GridSpace(nu=1.0, m=m)
     Rp = periodic_shift(m)
@@ -410,7 +421,7 @@ def w_semigroup(m, inner=None):
     R = right_shift(space)
 
     def w_eval(t):
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
+        out = np.zeros((2 * m, 2 * m))
         out[:m, :m] = Rp.eval(t)
         out[:m, m:] = V.eval(t)
         out[m:, m:] = R.eval(t)

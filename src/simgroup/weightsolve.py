@@ -1114,18 +1114,20 @@ def min_quasi_shift(A, kappa_budget):
     """Smallest shift admitting a certificate within the condition budget.
 
     Probes ``growth_bound(A)`` first, then bisects over ``shift`` in
-    ``[growth_bound(A), numerical_abscissa(A)]`` to width ``1e-3``; each
-    probe is :func:`lyapunov_feasible` at that shift.  The upper endpoint
-    is always feasible with ``P = I``, and feasibility is monotone in the
-    shift.  Returns the certified-feasible end of the final bracket (the
-    upper endpoint when the bracket is narrower than ``1e-3`` and the
-    growth bound fails).
+    ``[growth_bound(A), numerical_abscissa(A)]`` to ``1e-4`` times that
+    bracket's width, so the shift of ``c A`` is ``c`` times that of ``A``
+    to the same relative accuracy; each probe is :func:`lyapunov_feasible`
+    at that shift.  The upper endpoint is always feasible with ``P = I``,
+    and feasibility is monotone in the shift.  Returns the
+    certified-feasible end of the final bracket (the upper endpoint when
+    the growth bound fails and no probe succeeds).
     """
     A = as_matrix(A, "generator")
     if kappa_budget < 1.0:
         raise ValueError("kappa_budget must be >= 1")
     lo = growth_bound(A)
     hi = numerical_abscissa(A)
+    width = 1e-4 * (hi - lo)
 
     def feasible(lam, warm=None):
         return _feasibility(_realified(LyapunovTarget(A, float(lam))), kappa_budget, warm)
@@ -1133,7 +1135,7 @@ def min_quasi_shift(A, kappa_budget):
     if feasible(lo):
         return lo
     warm = None
-    while hi - lo > 1e-3:
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         res = feasible(mid, warm=warm)
         if res:

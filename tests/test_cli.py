@@ -123,12 +123,13 @@ class TestGalleryCommand:
         assert entry["snap_distance"] > 0
 
 
-def _corrupted(sem, edit):
-    """``sem`` with ``edit`` applied in place to every value."""
+def _corrupted(sem, edit, k=None):
+    """``sem`` with ``edit`` applied in place to every value, or only to the one at time ``k * sem.step``."""
 
     def ev(t):
-        X = sem.eval(t)
-        edit(X)
+        X = sem.eval(t).astype(complex)
+        if k is None or round(t / sem.step) == k:
+            edit(X)
         return X
 
     return opcore.sampled_semigroup(sem.dim, ev, "corrupted " + sem.description, step=sem.step)
@@ -177,6 +178,25 @@ class TestGallerySuitesCanFail:
         assert values == _dense_w_values(sem)
         assert values["fill_identity_residual"] > 1e-3
 
+    def test_w_suite_with_one_corrupted_fill_time_matches_dense_products(self):
+        # the fill residual then comes from a few densified pairs of the block product
+        m = 16
+        E = _dense_perturbation(m, seed=3)
+        sem = _corrupted(gallery.w_semigroup(m), _add_to_corner(E), k=6)
+        values = {k: c["value"] for k, c in cli._w_suite(sem)["checks"].items()}
+        assert values == _dense_w_values(sem)
+        assert values["fill_identity_residual"] > 1e-3
+
+    def test_w_suite_with_a_corrupted_bottom_left_block_matches_dense_products(self):
+        # the fill products never read that block; the contraction loop does
+        m = 16
+        E = _dense_perturbation(m, seed=5)
+        sem = _corrupted(gallery.w_semigroup(m), _add_to_bottom_left(E))
+        values = {k: c["value"] for k, c in cli._w_suite(sem)["checks"].items()}
+        assert values == _dense_w_values(sem)
+        assert values["fill_identity_residual"] == 0.0
+        assert values["coupling_contraction_excess"] > 1e-3
+
     @pytest.mark.parametrize("index_set", ["Zplus", "Zminus"])
     def test_packel_suite_with_a_dense_reflection_matches_dense_products(self, index_set):
         a = gallery.DyadicSequence.powers_of_two(index_set, 2)
@@ -215,6 +235,16 @@ def _add_to_corner(E):
 
     def add(X):
         X[:m, m:] += E
+
+    return add
+
+
+def _add_to_bottom_left(E):
+    """Edit adding ``E`` to the lower-left block, zero in every coupling."""
+    m = E.shape[0]
+
+    def add(X):
+        X[m:, :m] += E
 
     return add
 
@@ -334,6 +364,14 @@ class TestClassifyCommand:
         assert payload["family_diverging"]
         assert sorted(os.listdir(tmp_path)) == ["classification.json", "curve_family.csv"]
 
+    def test_budget_exhausted_exit_four(self, tmp_path):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(opcore.matrix_to_json(np.array([[-1e-3, 5.0], [0.0, -1e-3]]))))
+        assert run("classify", "constant_joint.cfg", tmp_path, f"matrix={path}", "kappa_max=1e3") == 4
+        payload = json.loads((tmp_path / "classification.json").read_text())
+        assert payload["case"] == "BudgetExhausted"
+        assert payload["joint"]["status"] == "infeasible"
+
     def test_bad_gallery_name_exit_two(self, tmp_path):
         assert run("classify", "classify_packel.cfg", tmp_path, "gallery=unknown") == 2
 
@@ -423,6 +461,14 @@ class TestJsonWriter:
             for obj in (opcore.matrix_to_json(np.where(np.isfinite(M), M, 0.0)),
                         {"re": M.tolist()}, M, [M.tolist(), M.tolist()]):
                 assert cli._json_text(obj) == _old_json_text(obj)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (256, 256)])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, math.inf])
+    def test_one_value_matrix_as_the_general_path(self, value, shape):
+        M = np.full(shape, value)
+        text = cli._matrix_text(M)
+        assert text == cli._distinct_values_text(M)
+        assert text == _old_json_text(M)
 
     def test_not_matrices(self):
         arrays = (np.ones((2, 2), dtype=np.float32) / 3, np.arange(4).reshape(2, 2), np.zeros((2, 0)),

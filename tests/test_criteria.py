@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg
 
 from simgroup import criteria
 from simgroup.criteria import (
+    TrichotomyReport,
     average_renorm,
     average_renorm_factor_audit,
     classify,
@@ -149,6 +152,23 @@ class TestClassify:
             rep = classify(None, family=fam)
             assert list(rep.family_curve) == expected
             assert rep.family_diverging
+
+    def test_budget_exhaustion_is_not_never_similar(self):
+        # strictly stable, joint constant 2500.08: beyond the budget, not never
+        rep = classify(np.array([[-1e-3, 5.0], [0.0, -1e-3]]), kappa_max=1e3)
+        assert rep.joint.status == "infeasible"
+        assert rep.case == "BudgetExhausted"
+        assert repr(rep.joint.lower) in rep.notes
+
+    def test_unbounded_joint_is_never_similar(self):
+        rep = classify(np.diag([0.1, -1.0]))
+        assert rep.joint.status == "unbounded"
+        assert rep.case == "NeverSimilar"
+
+    def test_docstring_names_the_cases_classify_assigns(self):
+        documented = set(re.findall(r"``([A-Z][a-z]+[A-Z]\w*)``", TrichotomyReport.__doc__))
+        assigned = set(re.findall(r'case = "(\w+)"', inspect.getsource(classify)))
+        assert documented == assigned == {"SimilarContraction", "NeverSimilar", "BudgetExhausted"}
 
     def test_finite_lemerdy_section_collapses(self):
         from simgroup.gallery import lemerdy_semigroup

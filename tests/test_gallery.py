@@ -220,6 +220,23 @@ class TestWrapCoupling:
         for k in range(0, 3 * m + 1, 5):
             assert operator_norm(S @ W.eval(k / m) @ Sinv) <= 1.0 + 1e-10
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 64])
+    def test_samplers_are_fresh_real_index_maps(self, m):
+        space = GridSpace(1.0, m)
+        samplers = {
+            "periodic": periodic_shift(m),
+            "fill": wrap_fill(m),
+            "right": right_shift(space),
+            "left": left_shift(space),
+            "w": w_semigroup(m),
+        }
+        for k in range(4 * m + 1):
+            expected = _wrap_index_maps(m, k)
+            for name, sem in samplers.items():
+                X, Y = sem.eval(k / m), sem.eval(k / m)
+                assert X.dtype == np.float64 and not np.shares_memory(X, Y), (name, k)
+                assert X.shape == expected[name].shape and (X == expected[name]).all(), (name, k)
+
     def test_values_share_no_memory(self):
         # cli._w_suite edits each value in place
         W = w_semigroup(8)
@@ -231,6 +248,24 @@ class TestWrapCoupling:
         Wt = w_semigroup(m, inner=inner)
         assert Wt.dim == 2 * m
         assert semigroup_law_residual(Wt, 4 * Wt.step, 3 * Wt.step) <= 1e-10
+
+
+def _unit_entries(m, rows, cols):
+    X = np.zeros((m, m))
+    X[rows, cols] = 1.0
+    return X
+
+
+def _wrap_index_maps(m, k):
+    """The wrap family's blocks at grid time ``k / m``, built from their index maps."""
+    i = np.arange(m)
+    periodic = _unit_entries(m, i, (i - k) % m)
+    # V(t) = R_p(t - 1) from t = 1 on; before, the wrapped tail lands on [0, t)
+    fill = periodic.copy() if k >= m else _unit_entries(m, i[:k], i[:k] - k + m)
+    right = _unit_entries(m, i[k:], i[k:] - k)
+    left = _unit_entries(m, i[: max(m - k, 0)], i[: max(m - k, 0)] + k)
+    w = np.block([[periodic, fill], [np.zeros((m, m)), right]])
+    return {"periodic": periodic, "fill": fill, "right": right, "left": left, "w": w}
 
 
 class TestLemerdy:
