@@ -383,11 +383,13 @@ def _w_suite(sem):
     entry the pair's own product would give.  The product is compared
     with the block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``;
     a pair whose block of the difference has no nonzero entry has
-    residual 0, and only the other pairs are densified and bounded, in
-    the same order and from the same arrays as a pair-by-pair loop, so
-    every value is the dense one bit for bit.  The contraction in the
-    weight ``P = Lambda* Lambda``, ``Lambda = [[I, I], [0, I]]``, is
-    checked in ``Lambda`` coordinates: ``norm(P^{1/2} W P^{-1/2}) =
+    residual 0, and only the other blocks of the difference are
+    densified and bounded.  Each entry of such a block is the
+    subtraction the pair's dense ``W(s+t)[:m, m:] - (R_p(s) V(t) + V(s)
+    R(t))`` does, up to the sign of a zero, which the bound does not
+    read, so every value is the dense one bit for bit.  The contraction
+    in the weight ``P = Lambda* Lambda``, ``Lambda = [[I, I], [0, I]]``,
+    is checked in ``Lambda`` coordinates: ``norm(P^{1/2} W P^{-1/2}) =
     norm(Lambda W Lambda^{-1})`` because ``Lambda P^{-1/2}`` is unitary.
     For ``W = [[a, b], [c, d]]`` that matrix is ``[[a + c, (b + d) - (a
     + c)], [c, d - c]]``; its entries are small integers, so its Schur
@@ -397,21 +399,20 @@ def _w_suite(sem):
     :func:`gallery.w_semigroup`'s sampler does; its real samples keep
     each pass over them at float64 size.
     """
-    from scipy.sparse import block_array, hstack, vstack
+    from scipy.sparse import bmat, hstack, vstack
 
     m = sem.dim // 2
     bound = opcore.norm_upper_bound
     ks = range(0, 2 * m + 1, max(1, m // 8))
     W = _sparse_values(sem, {i + j for i in ks for j in ks}, 1.0 / m)
-    fill = {k: X[:m, m:] for k, X in W.items()}
-    top = [W[k][:m] for k in ks]
-    right = [W[k][:, m:] for k in ks]
-    hankel = block_array([[fill[i + j] for j in ks] for i in ks], format="csr")
-    rows, cols = (hankel - vstack(top, format="csr") @ hstack(right, format="csr")).nonzero()
+    hankel = bmat([[W[i + j][:m, m:] for j in ks] for i in ks], format="csr")
+    top = vstack([W[k][:m] for k in ks], format="csr")
+    diff = (hankel - top @ hstack([W[k][:, m:] for k in ks], format="csr")).tocsr()
+    rows, cols = diff.nonzero()
     worst = 0.0
     for b in np.unique(rows // m * len(ks) + cols // m).tolist():
         i, j = divmod(b, len(ks))
-        worst = max(worst, bound(fill[ks[i] + ks[j]].toarray() - (top[i] @ right[j]).toarray()))
+        worst = max(worst, bound(diff[i * m : (i + 1) * m, j * m : (j + 1) * m].toarray()))
     W1 = sem.eval(1.0)
     endpoint = max(bound(W1[:m, :m] - np.eye(m)), bound(W1[:m, m:] - np.eye(m)))
     space = gallery.GridSpace(1.0, m)

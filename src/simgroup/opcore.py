@@ -101,12 +101,16 @@ def as_matrix(a, name="matrix"):
 
     Rejects non-square input and non-finite entries.
     """
-    M = np.asarray(a, dtype=complex)
+    return _validated(np.asarray(a, dtype=complex), name)
+
+
+def _validated(M, name):
+    """``M`` itself, after the checks of :func:`as_matrix`; any dtype."""
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")
     if M.shape[0] == 0:
         raise DimensionError(f"{name} must have positive dimension")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.all(np.isfinite(M)):
         raise DimensionError(f"{name} contains non-finite entries")
     return M
 
@@ -511,8 +515,14 @@ def semigroup_law_residual(sem, s, t):
 
 
 def _matrix_fields(M):
-    """The wire-schema fields of ``M``, with ``re`` and ``im`` as float arrays, not lists."""
-    M = as_matrix(M)
+    """The wire-schema fields of ``M``, with ``re`` and ``im`` as float arrays, not lists.
+
+    ``M`` is checked as :func:`as_matrix` checks it but not cast to
+    complex: a float64 ``M`` is its own ``re``, and its ``im`` is the all
+    ``+0.0`` of that cast.
+    """
+    M = np.asarray(M)
+    M = _validated(M.astype(np.result_type(M, float), copy=False), "matrix")
     return {"n": int(M.shape[0]), "re": M.real, "im": M.imag}
 
 

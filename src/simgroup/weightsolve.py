@@ -1118,9 +1118,14 @@ def min_quasi_shift(A, kappa_budget):
     bracket's width, so the shift of ``c A`` is ``c`` times that of ``A``
     to the same relative accuracy; each probe is :func:`lyapunov_feasible`
     at that shift.  The upper endpoint is always feasible with ``P = I``,
-    and feasibility is monotone in the shift.  Returns the
-    certified-feasible end of the final bracket (the upper endpoint when
-    the growth bound fails and no probe succeeds).
+    and feasibility is monotone in the shift.  A probe passes with a
+    defect eigenvalue up to its feasibility tolerance; since ``P >= I``,
+    its weight holds with no tolerance at the probed shift plus that
+    residual, and that shift, not the probed one, becomes the upper end
+    of the bracket.  So the returned shift is never below the true
+    minimum.  The bisection stops early once a residual takes up half
+    the upper half of the bracket, which leaves a bracket of at most four
+    feasibility tolerances.
     """
     A = as_matrix(A, "generator")
     if kappa_budget < 1.0:
@@ -1129,20 +1134,28 @@ def min_quasi_shift(A, kappa_budget):
     hi = numerical_abscissa(A)
     width = 1e-4 * (hi - lo)
 
-    def feasible(lam, warm=None):
-        return _feasibility(_realified(LyapunovTarget(A, float(lam))), kappa_budget, warm)
+    def exact_shift(lam, warm=None):
+        """Shift at which the probe's weight holds exactly, and that weight, or None."""
+        res = _feasibility(_realified(LyapunovTarget(A, float(lam))), kappa_budget, warm)
+        if not res:
+            return None
+        return lam + res.certificate.residual, res.certificate.weight
 
-    if feasible(lo):
-        return lo
+    first = exact_shift(lo)
+    if first is not None:
+        return min(first[0], hi)
     warm = None
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        res = feasible(mid, warm=warm)
-        if res:
-            hi = mid
-            warm = res.certificate.weight
-        else:
+        probe = exact_shift(mid, warm=warm)
+        if probe is None:
             lo = mid
+            continue
+        shift, warm = probe
+        if shift >= 0.5 * (mid + hi):
+            hi = min(hi, shift)
+            break
+        hi = shift
     return hi
 
 

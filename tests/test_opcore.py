@@ -411,6 +411,25 @@ class TestMatrixJson:
         with pytest.raises(exceptions.DimensionError):
             as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_real_fields_are_those_of_the_complex_cast(self):
+        from simgroup.opcore import _matrix_fields
+
+        X = np.array([[-0.0, 1.0, 0.5], [2.0, 0.0, -3.0], [0.0, -0.0, 1e-300]])
+        real, cast = _matrix_fields(X), _matrix_fields(X.astype(complex))
+        assert real["n"] == cast["n"] == 3
+        assert real["re"] is X
+        for key in ("re", "im"):
+            assert real[key].dtype == np.float64
+            assert real[key].view(np.int64).tolist() == cast[key].view(np.int64).tolist()
+        assert matrix_to_json(X) == matrix_to_json(X.astype(complex))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros((0, 0)), np.array([[np.nan]])])
+    def test_real_fields_keep_the_checks(self, bad):
+        from simgroup.opcore import _matrix_fields
+
+        with pytest.raises(exceptions.DimensionError):
+            _matrix_fields(bad)
+
 
 #: Variables OpenBLAS reads its thread count from.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -324,28 +324,34 @@ class TestMinQuasiShift:
 
     @pytest.mark.parametrize(
         "A,budget,omega",
-        [([[0.0, 1e-4], [0.0, 0.0]], 2.0, 2.5e-5), ([[-1.0, 5e-4], [0.0, -1.0]], 1.0, -0.99975)],
+        [([[0.0, 1e-4], [0.0, 0.0]], 2.0, 2.5e-5), ([[-1.0, 5e-4], [0.0, -1.0]], 1.0, None)],
         ids=["nilpotent", "jordan"],
     )
     def test_narrow_bracket_shift_is_certified(self, A, budget, omega):
         # numerical abscissa and growth bound lie within 1e-3, and no weight
         # within the budget certifies the growth bound; the bisection still
-        # narrows that bracket to 1e-4 of its width.  The weight diag(1, p^2)
-        # turns b E_12 into (b/p) E_12, so omega = r + b/(2 kappa)
+        # narrows that bracket to 1e-4 of its width and never goes below the
+        # true minimum.  The weight diag(1, p^2) turns b E_12 into (b/p) E_12,
+        # so that minimum is r + b/(2 kappa); at kappa 1 only P = I is
+        # allowed, and the minimum is the numerical abscissa itself
         A = np.array(A)
         shift = min_quasi_shift(A, budget)
         assert lyapunov_feasible(A, shift, budget)
-        assert abs(shift - omega) <= 1e-4 * (numerical_abscissa(A) - growth_bound(A))
+        if omega is None:
+            assert shift == numerical_abscissa(A)
+        else:
+            assert omega <= shift <= omega + 1e-4 * (numerical_abscissa(A) - growth_bound(A))
 
-    @pytest.mark.parametrize("budget", [1.2, 1.5])
+    @pytest.mark.parametrize("budget", [1.0, 1.2, 1.5])
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_jordan_tradeoff_at_every_scale(self, c, budget):
         # diag(1, p^2) turns 4 E_12 into (4/p) E_12, so the minimal shift
-        # of cJ at condition kappa in [1, 2] is c (2/kappa - 1)
+        # of cJ at condition kappa in [1, 2] is c (2/kappa - 1); the
+        # returned shift lies in the bisection width above it
         A = c * JORDAN
         shift = min_quasi_shift(A, budget)
-        width = 1e-4 * (numerical_abscissa(A) - growth_bound(A))
-        assert abs(shift - c * (2.0 / budget - 1.0)) <= width
+        omega = c * (2.0 / budget - 1.0)
+        assert omega <= shift <= omega + 1e-4 * (numerical_abscissa(A) - growth_bound(A))
 
 
 class TestCertificateCheck:
