@@ -333,7 +333,7 @@ def _gallery_bundle(cfg):
     elif kind == "bhat":
         m = cfg.get_int("m", 128, positive=True)
         t_scalar = cfg.get_float("T", 0.5)
-        T = np.array([[t_scalar]], dtype=complex)
+        T = np.array([[t_scalar]])
         tpath = cfg.get_path("T_matrix") if cfg.has("T_matrix") else None
         if tpath:
             T = opcore.load_matrix(tpath)
@@ -359,9 +359,9 @@ def _gallery_bundle(cfg):
 def _sparse_values(sem, ks, step):
     """``{k: sem.eval(k * step)}`` over the grid indices ``ks``, as CSR arrays.
 
-    Each array keeps the dtype of ``sem``'s values: float64 for the wrap
-    coupling, complex for the Packel coupling.  ``scipy.sparse`` is
-    imported here, not with the package.
+    Each array keeps the dtype of ``sem``'s values, float64 for the wrap
+    and the Packel couplings.  ``scipy.sparse`` is imported here, not
+    with the package.
     """
     from scipy.sparse import csr_array
 

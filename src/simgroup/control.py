@@ -16,10 +16,11 @@ instead of evaluating the semigroup again, and one block exponential at
 ``G_{s+t} = G_s + T(s)* G_t T(s)``.  The Gramian identity check alone
 evaluates ``T(tau)`` apart from the doublings, through
 :func:`~simgroup.opcore.semigroup_from_generator`, so that its route
-stays independent.  The
-resolvent means of Naboko's isometry criterion are evaluated both by
-quadrature on the critical line and through their Plancherel form, which
-reduces to a shifted Lyapunov solve.
+stays independent.  The resolvent means of Naboko's isometry criterion
+are evaluated both by quadrature on the critical line and through their
+Plancherel form, which reduces to a shifted Lyapunov solve.  ``A`` and
+the rectangular ``C`` take the field :func:`~simgroup.opcore.as_matrix`
+decides, so a real pair gives float64 Gramians and weights.
 """
 
 import math
@@ -32,6 +33,7 @@ import scipy.linalg
 from .exceptions import DimensionError, SaturationError, StabilityError
 from .opcore import (
     _orbit_integral,
+    _real_if_exact,
     as_matrix,
     gramian_integral,
     growth_bound,
@@ -74,7 +76,7 @@ class ObservedSystem:
 
     def __post_init__(self):
         A = as_matrix(self.A, "generator")
-        C = np.atleast_2d(np.asarray(self.C, dtype=complex))
+        C = np.atleast_2d(_real_if_exact(self.C))
         if C.shape[1] != A.shape[0]:
             raise DimensionError(
                 f"observation has {C.shape[1]} columns for state dimension {A.shape[0]}"
@@ -161,7 +163,6 @@ def observability_gramian(sys, tau):
         raise SaturationError(f"T(tau)* T(tau) at tau = {tau:.6g} overflows the floating range")
     ev = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     alpha, beta = float(ev[0]), float(ev[-1])
-    G = G.astype(complex, copy=False)
     gev = np.linalg.eigvalsh(G)
     return GramianReport(
         horizon=tau,
@@ -351,9 +352,7 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     if growth_bound(A) > 1e-10:
         raise StabilityError("spectrum must lie in the closed left half-plane")
     n = A.shape[0]
-    if C is None:
-        C = np.eye(n, dtype=complex)
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
+    C = np.eye(n) if C is None else np.atleast_2d(_real_if_exact(C))
     if C.shape[1] != n:
         raise DimensionError("observation dimension mismatch")
     Q = C.conj().T @ C
@@ -429,9 +428,7 @@ def cesaro_orbit_mean(A, C=None, t_max=50.0):
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     n = A.shape[0]
-    if C is None:
-        C = np.eye(n, dtype=complex)
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
+    C = np.eye(n) if C is None else np.atleast_2d(_real_if_exact(C))
     G_q, T_q = _orbit_integral(A, C.conj().T @ C, 0.25 * t_max)
     with np.errstate(over="ignore", invalid="ignore"):
         T_h = T_q @ T_q

@@ -21,6 +21,7 @@ import numpy as np
 from .exceptions import InvalidWeightError, SimgroupError, StabilityError
 from .opcore import (
     MatrixSemigroup,
+    _real_if_exact,
     _singular_values,
     as_matrix,
     gramian_integral,
@@ -311,6 +312,7 @@ def average_renorm(A, P_eq, tau1):
 def _average_renorm(A, P_eq, tau1):
     """:func:`average_renorm`'s certificate with the semigroup and the raw ``M`` it used."""
     A = as_matrix(A, "generator")
+    P_eq = as_matrix(P_eq, "P_eq")
     tau1 = float(tau1)
     if tau1 <= 0:
         raise ValueError("tau1 must be positive")
@@ -319,7 +321,6 @@ def _average_renorm(A, P_eq, tau1):
     if operator_norm(S_eq @ sem.eval(tau1) @ Sinv_eq) > 1.0 + 1e-9:
         raise InvalidWeightError("P_eq does not certify contraction at tau1")
     M = sup_norm_on_interval(sem, tau1, inflate=0.0)
-    P_eq = np.asarray(P_eq, dtype=complex)
     P = gramian_integral(A, 0.5 * (P_eq + P_eq.conj().T), tau1) / (M * M * tau1)
     rep = certificate_check(WeightCertificate(P, 0.0, 0.0), LyapunovTarget(A, 0.0))
     return WeightCertificate(P, rep.kappa, rep.residual), sem, M
@@ -342,7 +343,7 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None):
     A = as_matrix(A, "generator")
     if tau2 is None:
         tau2 = tau1
-    P_eq = np.asarray(P_eq, dtype=complex)
+    P_eq = as_matrix(P_eq, "P_eq")
     ev = np.linalg.eigvalsh(0.5 * (P_eq + P_eq.conj().T))
     P_eq = P_eq / ev[0]
     kappa_eq = math.sqrt(ev[-1] / ev[0])
@@ -584,7 +585,7 @@ def local_commutation_slope(t_sem, s_sem, amap, t_grid):
     or of 1) flags the ``O(t)`` local-commutation behavior that transfers
     quasi-contractivity across ``amap``.
     """
-    amap = np.asarray(amap, dtype=complex)
+    amap = _real_if_exact(amap)
     ts = np.asarray(sorted(float(t) for t in t_grid))
     if ts[0] <= 0 or ts[-1] > 1.0:
         raise ValueError("grid must lie in (0, 1]")

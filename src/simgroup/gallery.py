@@ -9,7 +9,9 @@ identities (reflection, wrap-fill, circle interpolation) hold *exactly*
 for times aligned to the grid; discretization error enters only through
 quadrature functionals and singular kernels.  Time arguments are
 therefore snapped to the grid, with the snap distance available to
-callers.
+callers.  Real-valued samples are float64 arrays, and the others take
+the field of the complex operator, basis or inner semigroup they are
+built on.
 """
 
 import math
@@ -21,6 +23,7 @@ import scipy.linalg
 from .exceptions import DimensionError, NotContractionError, WindowError
 from .opcore import (
     MatrixSemigroup,
+    _real_if_exact,
     as_matrix,
     operator_norm,
     sampled_semigroup,
@@ -102,7 +105,7 @@ class GridSpace:
 
     def embed_indicator(self, upto):
         """ON coordinates of ``x -> 1`` on ``[0, upto)`` (a column vector)."""
-        v = np.zeros(self.m, dtype=complex)
+        v = np.zeros(self.m)
         sel = self.midpoints < upto
         v[sel] = np.sqrt(self.weights[sel])
         return v
@@ -154,7 +157,7 @@ def evolution_semigroup(inner, space):
     def ev(t):
         k, _ = space.snap(t)
         if k >= m:
-            return np.zeros((m * d, m * d), dtype=complex)
+            return np.zeros((m * d, m * d))
         shift = math.exp(-lam * k * step) * np.eye(m, k=-k)
         return np.kron(shift, inner.eval(k * step))
 
@@ -167,7 +170,7 @@ def integration_functional(space):
     Its norm approaches ``sqrt((exp(2*lam*nu) - 1)/(2*lam))`` as the grid
     refines (``sqrt(nu)`` for ``lam = 0``).
     """
-    return (space.step / np.sqrt(space.weights)).astype(complex).reshape(1, -1)
+    return (space.step / np.sqrt(space.weights)).reshape(1, -1)
 
 
 def indicator_embedding(space):
@@ -238,7 +241,7 @@ def _reflection_matrix(cells, k, m):
     ``[0, 2 a_n0 - t]``.  Intervals are pairwise disjoint, so the matrix
     is a partial permutation of norm at most one.
     """
-    V = np.zeros((m, m), dtype=complex)
+    V = np.zeros((m, m))
     if k == 0:
         return V
     below = [A for A in cells if A < k]
@@ -289,7 +292,7 @@ def packel_semigroup(a, space):
     def ev(t):
         k, _ = space.snap(t)
         V = _reflection_matrix(cells, k, m)
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
+        out = np.zeros((2 * m, 2 * m))
         out[:m, :m] = L.eval(t)
         out[:m, m:] = V
         out[m:, m:] = R.eval(t)
@@ -341,7 +344,7 @@ def packel_nilpotent_lower_bound(a, b, refine=1):
     V = packel_reflection(a, space)
     L = left_shift(space)
     an_cells = cells[0]  # smallest value: the proof's a_n
-    ind = np.zeros(m, dtype=complex)
+    ind = np.zeros(m)
     ind[:an_cells] = 1.0
     supports = []
     for Ak in cells:
@@ -447,7 +450,7 @@ def wrap_coupling_weight(m):
     ``norm(f + g)^2 + norm(g)^2``.  Over an inner semigroup of dimension
     ``d`` the weight is ``kron(wrap_coupling_weight(m), I_d)``.
     """
-    I = np.eye(m, dtype=complex)
+    I = np.eye(m)
     top = np.hstack([I, I])
     bot = np.hstack([np.zeros_like(I), I])
     lam = np.vstack([top, bot])
@@ -460,7 +463,7 @@ def wrap_coupling_weight(m):
 
 def summing_basis(n):
     """Lower-triangular all-ones basis (partial-sum sections)."""
-    return np.tril(np.ones((n, n), dtype=complex))
+    return np.tril(np.ones((n, n)))
 
 
 def lemerdy_semigroup(n, basis=None):
@@ -509,7 +512,7 @@ def riemann_liouville(space, t):
     lower = np.zeros(m)
     lower[1:] = (d[1:] - 0.5) ** t
     col = (step**t) * (upper - lower) / math.gamma(t + 1.0)
-    return scipy.linalg.toeplitz(col.astype(complex), np.zeros(m, dtype=complex))
+    return scipy.linalg.toeplitz(col, np.zeros(m))
 
 
 def riemann_liouville_semigroup(space):
@@ -522,7 +525,7 @@ def riemann_liouville_semigroup(space):
 
     def ev(t):
         if t == 0.0:
-            return np.eye(space.m, dtype=complex)
+            return np.eye(space.m)
         return riemann_liouville(space, t)
 
     return sampled_semigroup(
@@ -560,8 +563,8 @@ def _bhat_skeide_matrix(T, m, t):
         raise ValueError("time must be nonnegative")
     q, k = divmod(K, m)
     i = np.arange(m)
-    Cwrap = np.zeros((m, m), dtype=complex)
-    Cmain = np.zeros((m, m), dtype=complex)
+    Cwrap = np.zeros((m, m))
+    Cmain = np.zeros((m, m))
     Cwrap[i[:k], (i[:k] - k) % m] = 1.0
     Cmain[i[k:], i[k:] - k] = 1.0
     Tq = np.linalg.matrix_power(T, q)
@@ -571,7 +574,7 @@ def _bhat_skeide_matrix(T, m, t):
 def _bhat_skeide_weight(T, m):
     """The block-diagonal weight ``I + r T*T`` of :func:`bhat_skeide`."""
     r = (np.arange(m) + 0.5) / m
-    blocks = [np.eye(T.shape[0], dtype=complex) + ri * (T.conj().T @ T) for ri in r]
+    blocks = [np.eye(T.shape[0]) + ri * (T.conj().T @ T) for ri in r]
     return scipy.linalg.block_diag(*blocks)
 
 
@@ -615,9 +618,9 @@ def leftzero_idempotents(count, blocks=None):
         raise DimensionError("need one block per idempotent")
     out = []
     for D in blocks:
-        D = np.atleast_2d(np.asarray(D, dtype=complex))
+        D = np.atleast_2d(_real_if_exact(D))
         qq, pp = D.shape
-        E = np.zeros((pp + qq, pp + qq), dtype=complex)
+        E = np.zeros((pp + qq, pp + qq), dtype=D.dtype)
         E[:pp, :pp] = np.eye(pp)
         E[pp:, :pp] = D
         out.append(E)
@@ -651,7 +654,7 @@ def schaeffer_dilation(T, horizon):
     DT = _psd_sqrt(np.eye(d) - T.conj().T @ T)
     DTs = _psd_sqrt(np.eye(d) - T @ T.conj().T)
     nblocks = 2 * N + 1
-    U = np.zeros((nblocks * d, nblocks * d), dtype=complex)
+    U = np.zeros((nblocks * d, nblocks * d), dtype=T.dtype)
 
     def put(row, col, block):
         U[(row + N) * d : (row + N + 1) * d, (col + N) * d : (col + N + 1) * d] = block

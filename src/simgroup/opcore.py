@@ -1,4 +1,4 @@
-"""Dense complex operator arithmetic and spectral quantities.
+"""Dense operator arithmetic and spectral quantities.
 
 Everything downstream (weight solvers, the example-semigroup gallery,
 audits, Gramians) is built on the handful of primitives in this module:
@@ -6,16 +6,13 @@ matrix exponentials evaluated as one-parameter semigroups, resolvents,
 operator norms in plain and weighted inner products, and the two growth
 quantities of a generator (spectral bound and numerical abscissa).
 
-Matrices are plain ``numpy`` arrays with complex entries.  Real-valued
-data takes the real LAPACK kernels: norms and singular values are taken
-of a matrix's real part when its imaginary part is exactly zero, a real
-generator's eigenbasis is computed in real arithmetic and its ``exp(tA)``
-carries an imaginary part of exactly zero, and the orbit integral of a
-real generator and a real ``Q`` is formed in real arithmetic.  An
-operator norm is the square root of the one top eigenvalue of the Gram
-matrix, scaled by a power of two so that it stays in the floating range;
-no singular value decomposition is taken for it.  All operations are
-pure functions of immutable inputs; a :class:`MatrixSemigroup` may cache
+Matrices are plain ``numpy`` arrays.  :func:`as_matrix` decides their
+field, float64 for real-valued data and complex128 otherwise, and every
+kernel follows its operands' dtype, so real data takes the real LAPACK
+kernels throughout.  An operator norm is the square root of the one top
+eigenvalue of the Gram matrix, scaled by a power of two so that it stays
+in the floating range; no singular value decomposition is taken for it.
+All operations are pure functions of immutable inputs; a :class:`MatrixSemigroup` may cache
 a spectral factorization of its generator but is otherwise stateless.
 """
 
@@ -97,11 +94,15 @@ _one_blas_thread()
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return a square complex matrix as an ndarray.
+    """Validate a square matrix and return it as a float64 or complex128 ndarray.
 
-    Rejects non-square input and non-finite entries.
+    Float64 for real-valued input, including complex input whose
+    imaginary part is exactly zero (:func:`_real_if_exact`).  An array
+    already of its field is returned itself; no function of the package
+    writes into a validated input.  Rejects non-square input and
+    non-finite entries.
     """
-    return _validated(np.asarray(a, dtype=complex), name)
+    return _validated(_real_if_exact(a), name)
 
 
 def _validated(M, name):
@@ -116,20 +117,24 @@ def _validated(M, name):
 
 
 def _real_if_exact(T):
-    """``T`` as a 2-D array, real when its imaginary part is exactly zero.
+    """``T`` as float64 when its imaginary part is exactly zero, else as complex128.
 
-    Real data then takes the real LAPACK kernels, 1.7-2x faster than the
-    complex ones at n = 128-256.
+    The package's one test of a matrix's field.  For real data the Stein
+    and Lyapunov constraint sets are invariant under entrywise
+    conjugation, so real arithmetic loses nothing, and the real LAPACK
+    kernels are 1.7-2x faster at n = 128-256.  A complex input's real
+    part is copied, contiguous for BLAS.
     """
-    T = np.atleast_2d(np.asarray(T))
-    if not np.iscomplexobj(T):
-        return T.astype(float, copy=False)
-    return T if T.imag.any() else T.real
+    T = np.asarray(T)
+    if T.dtype == np.float64:
+        return T
+    T = np.asarray(T, dtype=complex)
+    return T if T.imag.any() else T.real.copy()
 
 
 def _singular_values(T):
     """All singular values of ``T``, largest first."""
-    return scipy.linalg.svdvals(_real_if_exact(T))
+    return scipy.linalg.svdvals(np.atleast_2d(_real_if_exact(T)))
 
 
 #: LAPACK's relatively robust eigensolvers, fetched once for :func:`operator_norm`.
@@ -147,7 +152,7 @@ def operator_norm(T):
     matrix's largest eigenvalue, the only one LAPACK's ``?syevr``/``?heevr``
     computes, scaled back.
     """
-    T = _real_if_exact(T)
+    T = np.atleast_2d(_real_if_exact(T))
     if T.size == 0:
         return 0.0
     amax = float(np.abs(T).max())
@@ -217,12 +222,12 @@ def _eig_cached(A):
     """Eigendecomposition with condition number of the eigenvector basis.
 
     Returns ``(w, V, Vinv, cond)`` or ``None`` when the basis is too
-    ill-conditioned to be trusted.  A generator with zero imaginary part
-    is factorized in real arithmetic: ``w``, ``V`` and ``Vinv`` are real
-    when every eigenvalue is.
+    ill-conditioned to be trusted.  A real generator is factorized in
+    real arithmetic: ``w``, ``V`` and ``Vinv`` are real when every
+    eigenvalue is.
     """
     try:
-        w, V = np.linalg.eig(A if A.imag.any() else A.real)
+        w, V = np.linalg.eig(A)
         cond = np.linalg.cond(V)
         if not np.isfinite(cond) or cond >= _EIG_COND_LIMIT:
             return None
@@ -253,17 +258,16 @@ def _expm_with(A, ded, growth, t):
     """:func:`expm_semigroup` given ``ded = _eig_cached(A)`` and ``growth() = growth_bound(A)``.
 
     One generator's times share both; ``growth`` is called only on the
-    scaling-and-squaring route, where ``ded`` is None.  ``exp(tA)`` of a
-    real generator is real: it is returned in complex storage with an
-    imaginary part of exactly zero (dropping the rounding-level one a
-    complex eigenbasis product leaves), so the value's norms take the
-    real kernels.
+    scaling-and-squaring route, where ``ded`` is None.  ``exp(tA)`` takes
+    the dtype of ``A``: for a real generator with complex eigenvalues the
+    eigenbasis product is complex, and its real part, dropping a
+    rounding-level imaginary part, is the value.
     """
     t = float(t)
     if t < 0:
         raise ValueError("semigroup evaluation requires t >= 0")
     if t == 0.0:
-        return np.eye(A.shape[0], dtype=complex)
+        return np.eye(A.shape[0], dtype=A.dtype)
     if ded is not None:
         w = ded[0]
         if t * float(np.max(w.real)) > _EXP_SATURATION:
@@ -272,13 +276,12 @@ def _expm_with(A, ded, growth, t):
             )
         _, V, Vinv, _ = ded
         E = (V * np.exp(t * w)) @ Vinv
-    else:
-        if t * growth() > _EXP_SATURATION:
-            raise SaturationError("t * spectral abscissa overflows the floating range")
-        E = scipy.linalg.expm(t * A)
-    if not A.imag.any():
-        E = E.real.astype(complex)
-    return E
+        if E.dtype != A.dtype:
+            E = E.real.copy()
+        return E
+    if t * growth() > _EXP_SATURATION:
+        raise SaturationError("t * spectral abscissa overflows the floating range")
+    return scipy.linalg.expm(t * A)
 
 
 def gramian_integral(A, Q, tau):
@@ -292,11 +295,11 @@ def gramian_integral(A, Q, tau):
     T* G T``, ``T <- T^2`` then reach ``tau``; for semidefinite ``Q``
     every doubling adds terms of one sign, so nothing cancels at long or
     stiff horizons.  For real ``A`` and ``Q`` the block is real, and so
-    is every product.  An integral beyond the floating-point range raises
-    :class:`~simgroup.exceptions.SaturationError`; a negative ``tau``
-    raises ``ValueError``.
+    are every product and the float64 result.  An integral beyond the
+    floating-point range raises :class:`~simgroup.exceptions.SaturationError`;
+    a negative ``tau`` raises ``ValueError``.
     """
-    return _orbit_integral(A, Q, tau)[0].astype(complex, copy=False)
+    return _orbit_integral(A, Q, tau)[0]
 
 
 def _orbit_integral(A, Q, tau):
@@ -313,9 +316,7 @@ def _orbit_integral(A, Q, tau):
     if tau < 0:
         raise ValueError("orbit integral requires tau >= 0")
     k = max(0, math.ceil(math.log2(max(2.0 * tau * operator_norm(A), 1.0))))
-    if not (A.imag.any() or Q.imag.any()):
-        A, Q = A.real, Q.real
-    M = np.zeros((2 * n, 2 * n), dtype=A.dtype)
+    M = np.zeros((2 * n, 2 * n), dtype=np.result_type(A, Q))
     M[:n, :n] = -A.conj().T
     M[:n, n:] = Q
     M[n:, n:] = A
@@ -336,8 +337,9 @@ def _orbit_integral(A, Q, tau):
 def resolvent(A, z):
     """Return ``(z - A)^{-1}`` with residual ``norm((z-A)X - I) <= 1e-10``.
 
-    Up to two steps of iterative refinement are applied while the solve
-    does not meet the residual target.
+    The solve is in the field ``np.result_type(A, z)``: float64 for a
+    real ``A`` and a real ``z``.  Up to two steps of iterative refinement
+    are applied while the solve does not meet the residual target.
 
     Raises
     ------
@@ -346,14 +348,13 @@ def resolvent(A, z):
         the eigenvalue scale), or the residual target cannot be met.
     """
     A = as_matrix(A)
-    z = complex(z)
-    n = A.shape[0]
+    z = complex(z) if np.iscomplexobj(z) else float(z)
+    I = np.eye(A.shape[0], dtype=np.result_type(A, z))
     eigs = np.linalg.eigvals(A)
     scale = max(1.0, float(np.max(np.abs(eigs))), abs(z))
     if np.min(np.abs(eigs - z)) <= 1e-12 * scale:
         raise NearSingularError(f"z = {z} is within 1e-12 of the spectrum")
-    B = z * np.eye(n, dtype=complex) - A
-    I = np.eye(n, dtype=complex)
+    B = z * I - A
     X = np.linalg.solve(B, I)
     res = operator_norm(B @ X - I)
     for _ in range(2):
@@ -409,7 +410,7 @@ def weighted_norm(T, P):
     P = as_matrix(P, "weight")
     if P.shape != T.shape:
         raise DimensionError("weight and operator dimensions differ")
-    if np.array_equal(P, np.eye(P.shape[0], dtype=complex)):
+    if np.array_equal(P, np.eye(P.shape[0])):
         return operator_norm(T)
     S, Sinv = weight_factors(P)
     return operator_norm(S @ T @ Sinv)
@@ -517,9 +518,10 @@ def semigroup_law_residual(sem, s, t):
 def _matrix_fields(M):
     """The wire-schema fields of ``M``, with ``re`` and ``im`` as float arrays, not lists.
 
-    ``M`` is checked as :func:`as_matrix` checks it but not cast to
-    complex: a float64 ``M`` is its own ``re``, and its ``im`` is the all
-    ``+0.0`` of that cast.
+    ``M`` is checked as :func:`as_matrix` checks it but its field is not
+    decided: a complex ``M`` keeps its own imaginary bits, ``-0.0``
+    included, and a float64 ``M`` is its own ``re``, with an all ``+0.0``
+    ``im``.
     """
     M = np.asarray(M)
     M = _validated(M.astype(np.result_type(M, float), copy=False), "matrix")

@@ -605,8 +605,8 @@ def _qspace_rounds(target, kappa, Q0=None):
 def _effective_tol(target, kappa):
     """Feasibility tolerance of a weight at condition ``kappa``.
 
-    ``scale max(1e-8, 8e-16 kappa^2)``: the ``1e-8`` relative tolerance
-    the public probes document, raised to the float64 floor, since
+    ``scale max(1e-8, 8e-16 kappa^2)``, as the public probes document:
+    the ``1e-8`` relative tolerance, raised to the float64 floor, since
     forming the defect at weight scale ``kappa^2`` already carries
     rounding of that order.
     """
@@ -672,23 +672,6 @@ def _native_dtype(target):
     if isinstance(target, SteinTarget):
         return target.operators[0].dtype
     return target.generator.dtype
-
-
-def _realified(target):
-    """Work in real arithmetic when every entry is exactly real.
-
-    For real data the constraint set is invariant under entrywise
-    conjugation and averaging, so a real symmetric optimal weight exists;
-    real eigen/Schur kernels are substantially cheaper.
-    """
-    if isinstance(target, SteinTarget):
-        if all(np.all(T.imag == 0.0) for T in target.operators):
-            return SteinTarget(tuple(np.ascontiguousarray(T.real) for T in target.operators))
-        return target
-    A = target.generator
-    if np.all(A.imag == 0.0):
-        return LyapunovTarget(np.ascontiguousarray(A.real), target.shift)
-    return target
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +786,11 @@ def stein_feasible(operators, kappa):
         Condition budget, ``>= 1``.
 
     A weight certifies when its worst defect eigenvalue is at most
-    ``1e-8 max(1, max_i norm(Ti)^2)``.
+    ``scale max(1e-8, 8e-16 k^2)``, with ``scale = max(1, max_i
+    norm(Ti)^2)`` and ``k`` the weight's condition number (on some
+    paths the budget ``kappa`` when that is larger): the relative
+    tolerance ``1e-8``, raised above ``k`` of about 3500 to the rounding
+    level of a defect formed at weight scale ``k^2``.
 
     Returns
     -------
@@ -822,9 +809,12 @@ def stein_feasible(operators, kappa):
         raise DimensionError("at least one operator is required")
     if len({T.shape[0] for T in ops}) != 1:
         raise DimensionError("all operators must share one dimension")
+    # one field for the family: complex as soon as one operator is
+    field = np.result_type(*ops)
+    ops = tuple(T.astype(field, copy=False) for T in ops)
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    return _feasibility(_realified(SteinTarget(ops)), kappa)
+    return _feasibility(SteinTarget(ops), kappa)
 
 
 def lyapunov_feasible(A, shift, kappa):
@@ -832,15 +822,16 @@ def lyapunov_feasible(A, shift, kappa):
 
     A certificate makes ``exp(-shift t) exp(tA)`` a joint contraction in
     the ``P`` inner product for all ``t >= 0``.  A weight certifies when
-    its worst defect eigenvalue is at most ``1e-8 max(1, 2 norm(A) + 2
-    abs(shift))``.  As for :func:`stein_feasible`, a strictly stable
-    ``A - shift I`` of dimension up to 32 is decided exactly by the
-    engine's bracket.
+    its worst defect eigenvalue is at most ``scale max(1e-8, 8e-16
+    k^2)``, with ``scale = max(1, 2 norm(A) + 2 abs(shift))`` and ``k``
+    as for :func:`stein_feasible`.  As there, a strictly stable ``A -
+    shift I`` of dimension up to 32 is decided exactly by the engine's
+    bracket.
     """
     A = as_matrix(A, "generator")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    return _feasibility(_realified(LyapunovTarget(A, float(shift))), kappa)
+    return _feasibility(LyapunovTarget(A, float(shift)), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1040,7 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
             lower=math.inf,
         )
     floor = _discrete_norm_floor(T, kappa_max)
-    target = _realified(SteinTarget((T,)))
+    target = SteinTarget((T,))
     if floor > kappa_max:
         return _over_budget(
             target, floor, kappa_max, f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)"
@@ -1084,7 +1075,7 @@ def _shifted_constant(A, shift, tol, kappa_max):
             evidence=f"growth bound {gb:.12g} exceeds shift {shift:.12g}",
             lower=math.inf,
         )
-    target = _realified(LyapunovTarget(A, float(shift)))
+    target = LyapunovTarget(A, float(shift))
     floor = _continuous_norm_floor(target, kappa_max)
     if floor > kappa_max:
         return _over_budget(
@@ -1136,7 +1127,7 @@ def min_quasi_shift(A, kappa_budget):
 
     def exact_shift(lam, warm=None):
         """Shift at which the probe's weight holds exactly, and that weight, or None."""
-        res = _feasibility(_realified(LyapunovTarget(A, float(lam))), kappa_budget, warm)
+        res = _feasibility(LyapunovTarget(A, float(lam)), kappa_budget, warm)
         if not res:
             return None
         return lam + res.certificate.residual, res.certificate.weight

@@ -393,6 +393,51 @@ class TestNonFiniteNumbers:
         assert os.listdir(tmp_path) == []
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command,config,override,message",
+        [
+            ("gallery", "gallery_w.cfg", "m=1.5", "'m' is not an integer"),
+            ("gallery", "gallery_w.cfg", "m=0", "'m' must be positive"),
+            ("classify", "constant_joint.cfg", "t_grid=a,b", "'t_grid' is not a comma list"),
+            ("classify", "constant_joint.cfg", "t_grid=,", "'t_grid' is empty"),
+            ("constant", "constant_joint.cfg", "tol", "override 'tol' is not key=value"),
+        ],
+    )
+    def test_exit_two(self, tmp_path, capsys, command, config, override, message):
+        assert run(command, config, tmp_path, override) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_config_line_without_equals_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mode = joint\nmatrix ../data/jordan_shifted.json\n")
+        assert main(["constant", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "bad.cfg:2: expected 'key = value'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    def test_missing_config_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.cfg"
+        assert main(["constant", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [("{not json", "invalid JSON"), ('{"C": {"n": 1, "re": [[1.0]]}}', "bad system payload")],
+    )
+    @pytest.mark.parametrize(
+        "command,config", [("observe", "observe_stable.cfg"), ("naboko", "naboko_skew.cfg")]
+    )
+    def test_bad_system_file_exit_two(self, tmp_path, capsys, command, config, payload, message):
+        system = tmp_path / "system.json"
+        system.write_text(payload)
+        out = tmp_path / "out"
+        assert run(command, config, out, f"system={system}") == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+
 class TestByteStability:
     @pytest.mark.parametrize(
         "command,config",

@@ -364,6 +364,30 @@ class TestHolbrookAudit:
         aud = holbrook_bound_audit(T, fact)
         assert aud.satisfied
 
+    @staticmethod
+    def _powers_of(S, horizon=6):
+        n = S.shape[0]
+        inner = sampled_semigroup(
+            n, lambda t: np.linalg.matrix_power(S, int(round(t))), "powers", step=1.0
+        )
+        return HolbrookFactorization(np.eye(n), np.eye(n), inner, horizon)
+
+    def test_unbounded_target_is_vacuous(self):
+        aud = holbrook_bound_audit(1.5 * np.eye(2), self._powers_of(0.5 * np.eye(2)))
+        assert aud.status == "vacuous"
+        assert aud.lhs == aud.rhs == math.inf
+        assert not aud.satisfied
+
+    def test_defect_tail_above_the_floor_is_inconclusive(self):
+        aud = holbrook_bound_audit(0.9 * np.eye(2), self._powers_of(0.5 * np.eye(2)))
+        assert aud.status == "inconclusive"
+        assert aud.inputs["tail"] == pytest.approx(0.9**4 - 0.5**4, rel=1e-12)
+        assert aud.lhs == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_contractive_inner_family_rejected(self):
+        with pytest.raises(InvalidWeightError):
+            holbrook_bound_audit(0.5 * np.eye(2), self._powers_of(2.0 * np.eye(2)))
+
 
 class TestIsometryAndSlope:
     def test_skew_hermitian(self):

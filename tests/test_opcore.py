@@ -14,6 +14,7 @@ from simgroup.opcore import (
     expm_semigroup,
     gramian_integral,
     growth_bound,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
     min_singular_value,
@@ -21,10 +22,12 @@ from simgroup.opcore import (
     numerical_abscissa,
     operator_norm,
     resolvent,
+    save_matrix,
     semigroup_from_generator,
     semigroup_law_residual,
     spectral_radius,
     weighted_norm,
+    write_atomic,
 )
 
 from conftest import fixed_examples, random_stable
@@ -258,7 +261,7 @@ class TestRealKernels:
                 rng = np.random.default_rng(example["seed"])
                 A = random_stable(rng, example["n"], complex_entries=False)
             E = semigroup_from_generator(A).eval(example["t"])
-            assert E.dtype == complex
+            assert E.dtype == np.float64
             assert not E.imag.any()
             ref = scipy.linalg.expm(example["t"] * A)
             assert operator_norm(E - ref) <= 1e-10 * max(1.0, operator_norm(ref))
@@ -272,7 +275,7 @@ class TestRealKernels:
         for A in (real_spectrum, rotation, jordan, random_stable(rng, 12, complex_entries=False)):
             for t in (1e-3, 0.7, 30.0):
                 E = expm_semigroup(A, t)
-                assert E.dtype == np.complex128
+                assert E.dtype == np.float64
                 assert not E.imag.any()
                 ref = scipy.linalg.expm(t * A)
                 assert operator_norm(E - ref) <= 1e-10 * max(1.0, operator_norm(ref))
@@ -292,7 +295,7 @@ class TestRealKernels:
     def test_real_orbit_integral_keeps_complex_storage(self):
         A = np.array([[-0.5, 1.0], [0.0, -4.0]])
         G = gramian_integral(A, np.eye(2), 3.0)
-        assert G.dtype == complex
+        assert G.dtype == np.float64
         assert not G.imag.any()
 
 
@@ -429,6 +432,43 @@ class TestMatrixJson:
 
         with pytest.raises(exceptions.DimensionError):
             _matrix_fields(bad)
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_save_load_round_trip_is_exact(self, tmp_path, rng, field):
+        M = rng.standard_normal((4, 4))
+        if field is complex:
+            M = M + 1j * rng.standard_normal((4, 4))
+        path = tmp_path / "m.json"
+        save_matrix(M, str(path))
+        back = load_matrix(str(path))
+        assert back.dtype == M.dtype
+        assert back.tobytes() == M.tobytes()
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_missing_imaginary_part_reads_real(self):
+        M = matrix_from_json({"n": 2, "re": [[1.0, 2.0], [3.0, 4.0]]})
+        assert M.dtype == np.float64
+        assert M.imag.dtype == np.float64 and not M.imag.any()
+        assert M.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "bad", [[[1.0]], {"n": 0, "re": [], "im": []}, {"n": -1, "re": [[1.0]]}]
+    )
+    def test_rejects_non_object_and_non_positive_n(self, bad):
+        with pytest.raises(exceptions.InputFormatError):
+            matrix_from_json(bad)
+
+    def test_load_rejects_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "re": [[1.0')
+        with pytest.raises(exceptions.InputFormatError, match="not valid JSON"):
+            load_matrix(str(path))
+
+    def test_write_atomic_leaves_no_temp_file_when_the_write_fails(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(TypeError):
+            write_atomic(str(path), 12345)  # neither text nor bytes
+        assert os.listdir(tmp_path) == []
 
 
 #: Variables OpenBLAS reads its thread count from.

@@ -85,6 +85,14 @@ class TestSteinFeasible:
         with pytest.raises(ValueError):
             stein_feasible([np.eye(2)], 0.5)
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(DimensionError):
+            stein_feasible([], 2.0)
+
+    def test_mixed_family_takes_the_complex_field(self):
+        res = stein_feasible([0.5 * np.eye(2), 0.5j * np.eye(2)], 1.0)
+        assert res.certificate.weight.dtype == np.complex128
+
     def test_no_certificate_from_a_budget_sized_tolerance(self):
         # I has defect 2.0e-4, within the tolerance at kappa 1e6 but not at
         # its own kappa 1; the spectral radius is 1.0001
@@ -131,6 +139,10 @@ class TestLyapunovFeasible:
     def test_no_certificate_from_a_budget_sized_tolerance(self):
         res = lyapunov_feasible(np.diag([1e-4, -1.0]), 0.0, 1e6)
         assert not res
+
+    def test_kappa_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            lyapunov_feasible(JORDAN, 0, 0.5)
 
 
 class TestDiscreteConstant:
@@ -376,6 +388,12 @@ class TestCertificateCheck:
         cert = WeightCertificate(np.eye(2), 1.0, 0.0)
         rep = certificate_check(cert, SteinTarget((RANK_ONE.astype(complex),)))
         assert abs(rep.residual - 3.0) <= 1e-12
+
+    def test_weight_of_another_dimension_rejected(self):
+        from simgroup.weightsolve import WeightCertificate
+
+        with pytest.raises(DimensionError):
+            certificate_check(WeightCertificate(np.eye(3), 1.0, 0.0), SteinTarget((RANK_ONE,)))
 
 
 class TestGridOracleAgreement:
@@ -625,7 +643,7 @@ class TestConditionEngine:
         assert rep.worst <= 2.0 * _feasibility_tol(target, v.constant)
         assert abs(rep.kappa - v.constant) <= 1e-6 * v.constant
         assert v.constant >= floor * (1.0 - 1e-9)
-        seed_weight = weightsolve._realified(target)._seed
+        seed_weight = target._seed
         assert v.constant <= weightsolve._kappa_of(seed_weight) * (1.0 + 1e-9)
 
 
@@ -642,7 +660,7 @@ def _full_grid_floor(A, shift, kappa_max):
 
 
 def _seed_stopped_floor(A, shift, kappa_max):
-    target = weightsolve._realified(LyapunovTarget(as_matrix(A), float(shift)))
+    target = LyapunovTarget(as_matrix(A), float(shift))
     return weightsolve._continuous_norm_floor(target, kappa_max)
 
 
