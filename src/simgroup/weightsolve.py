@@ -29,7 +29,8 @@ stands for: ``Re mu < -1e-9`` for ``A - shift I``, and ``r(T) < 1 -
 circle.  The recomputed defect of a certificate
 (:func:`certificate_check`) stays the literal one, independent of the
 form.  The equation seed ``L^{-1}(-I)``, which exists exactly for
-strictly stable single-constraint targets, picks one solver per regime:
+strictly stable single-constraint targets, picks the target's regime
+(``_Target._regime``), which verdicts and fixed-budget probes both read:
 
 * **No seed** (several operators, or critical spectrum): the cone has
   no interior to search.  The verdict is the best closed-form
@@ -44,10 +45,10 @@ strictly stable single-constraint targets, picks one solver per regime:
   strictly feasible weight and a re-checked dual-feasible point bracket
   the constant within the relative ``tol``; a fixed-budget probe tries
   the clipped closed-form weights first and otherwise decides from the
-  same bracket.  An engine weight that fails the tolerance every
-  certificate passes is restored onto the cone by one equation solve,
-  or replaced by the seed; a bracket wider than ``tol`` (below about
-  ``1e-9``) is reported in ``evidence``.
+  same bracket.  An engine weight that fails the certificate rule is
+  restored onto the cone by one equation solve, or replaced by the seed;
+  a bracket wider than ``tol`` (below about ``1e-9``) is reported in
+  ``evidence``.
 * **Seed, larger dimension**: bisection over ``kappa``.  A probe tries
   the clipped closed-form weights, restores the best onto the cone with
   one equation solve, and runs a convex search over the equation's
@@ -55,6 +56,13 @@ strictly stable single-constraint targets, picks one solver per regime:
   eig_min(P)`` for ``P = L^{-1}(-Q)``; every iterate lies on the cone,
   so the best one certifies at its own kappa and tightens the upper
   bracket.
+
+One rule accepts every weight (:func:`_certifies`): its worst defect
+eigenvalue, clipped at zero, is within the feasibility tolerance at its
+own kappa.  Two fixed-budget paths read the tolerance at the budget
+instead: the engine's box-clipped weight where its bracket stops around
+the budget, and the right-hand-side search, at the larger of the budget
+and the weight's own kappa.
 
 Outside the engine a failed probe proves nothing, so those constants are
 certificate-backed upper bounds, only as tight as the weights tried.
@@ -107,6 +115,9 @@ __all__ = [
 KAPPA_MAX_DEFAULT = 1e6
 #: iteration cap of the q-space search (its window-stall rule usually stops it first)
 MAXITER_DEFAULT = 5000
+#: Largest dimension the exact engine takes: its Newton system has
+#: ``n^2`` unknowns, so a factorization costs ``O(n^6)``.
+_ENGINE_DIM_LIMIT = 32
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +161,13 @@ class _Target:
         if not np.all(np.isfinite(w)) or w[0] <= self.dim * np.finfo(float).eps * w[-1]:
             return None
         return X / w[0]
+
+    @cached_property
+    def _regime(self):
+        """The solver regime (see the module notes): ``"no seed"``, ``"engine"`` or ``"bisect"``."""
+        if self._seed is None:
+            return "no seed"
+        return "engine" if self.dim <= _ENGINE_DIM_LIMIT else "bisect"
 
     @cached_property
     def _closed_forms(self):
@@ -320,6 +338,33 @@ def _project_box(P, kappa2):
 def _kappa_of(P):
     w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
     return float(math.sqrt(max(w[-1], 0.0) / max(w[0], np.finfo(float).tiny)))
+
+
+def _effective_tol(target, kappa):
+    """Feasibility tolerance of a weight at condition ``kappa``.
+
+    ``scale max(1e-8, 8e-16 kappa^2)``, as the public probes document:
+    the ``1e-8`` relative tolerance, raised to the float64 floor, since
+    forming the defect at weight scale ``kappa^2`` already carries
+    rounding of that order.
+    """
+    return max(1e-8 * target.scale(), 8e-16 * target.scale() * kappa * kappa)
+
+
+def _certificate(target, P, kappa=None, box=0.0):
+    """``P`` with its kappa (``kappa`` if given) and its penalty, clipped at ``box`` and zero."""
+    if kappa is None:
+        kappa = _kappa_of(P)
+    return WeightCertificate(P, kappa, max(_penalty(target, P), box, 0.0))
+
+
+def _certifies(target, cert, at=None):
+    """The one acceptance rule: ``residual <= _effective_tol(target, at)``.
+
+    ``at`` is the weight's own kappa unless a budget-read path (see the
+    module notes) gives it.
+    """
+    return cert.residual <= _effective_tol(target, cert.kappa if at is None else at)
 
 
 def _diagonalizer_weight(M):
@@ -514,12 +559,8 @@ def _cone_certificate(target, P):
     pw = np.linalg.eigvalsh(P)
     if pw[0] <= 0 or not np.all(np.isfinite(pw)):
         return None
-    P = P / pw[0]
-    kp = _kappa_of(P)
-    f = _penalty(target, P)
-    if f > _effective_tol(target, kp):
-        return None
-    return WeightCertificate(P, kp, max(f, 0.0))
+    cert = _certificate(target, P / pw[0])
+    return cert if _certifies(target, cert) else None
 
 
 def _proj_spectraplex(Q):
@@ -572,11 +613,9 @@ def _qspace_rounds(target, kappa, Q0=None):
         # box excess eig_max(P) - kappa^2 counts like a defect violation
         if val <= _effective_tol(target, kappa) * float(w[0]):
             Pn = P / w[0]
-            f = _penalty(target, Pn)
             box = max(0.0, float(np.linalg.eigvalsh(Pn)[-1]) - kappa2)
-            kp = _kappa_of(Pn)
-            if max(f, box) <= _effective_tol(target, max(kappa, kp)):
-                cert = WeightCertificate(Pn, kp, max(f, box, 0.0))
+            cert = _certificate(target, Pn, box=box)
+            if _certifies(target, cert, at=max(kappa, cert.kappa)):
                 return cert, cert, it + 1
             # fell marginally outside the box; report as nearest
             break
@@ -602,17 +641,6 @@ def _qspace_rounds(target, kappa, Q0=None):
     return None, nearest, it + 1
 
 
-def _effective_tol(target, kappa):
-    """Feasibility tolerance of a weight at condition ``kappa``.
-
-    ``scale max(1e-8, 8e-16 kappa^2)``, as the public probes document:
-    the ``1e-8`` relative tolerance, raised to the float64 floor, since
-    forming the defect at weight scale ``kappa^2`` already carries
-    rounding of that order.
-    """
-    return max(1e-8 * target.scale(), 8e-16 * target.scale() * kappa * kappa)
-
-
 def _closed_form_probe(target, kappa, weights):
     """First probe of every fixed-budget path: closed-form weights.
 
@@ -628,44 +656,14 @@ def _closed_form_probe(target, kappa, weights):
     best_P = None
     best_f = np.inf
     for P0 in itertools.chain([I], clipped):
-        f0 = _penalty(target, P0)
-        if f0 < best_f:
-            best_f, best_P = f0, P0
-        kp = _kappa_of(P0)
-        if f0 <= _effective_tol(target, kp):
-            cert = WeightCertificate(P0, kp, max(f0, 0.0))
+        cert = _certificate(target, P0)
+        if cert.residual < best_f:
+            best_f, best_P = cert.residual, P0
+        if _certifies(target, cert):
             return FeasibilityResult(cert, cert.residual, 0), best_P, best_f
     if kappa2 <= 1.0 + 1e-14:
         return FeasibilityResult(None, best_f, 0), best_P, best_f
     return None, best_P, best_f
-
-
-def _solve_feasibility(target, kappa, warm=None, qwarm=None):
-    """Fixed-budget feasibility: closed-form weights, then the convex search.
-
-    The closed-form candidates (see :func:`_closed_form_probe`) come
-    first.  For a target with an equation seed, the best of them is
-    restored onto the constraint cone once and the convex right-hand-side
-    search runs from ``qwarm``; without one the candidates alone answer.
-    ``warm``/``qwarm`` carry the previous probe's weight and cone
-    right-hand side across a bisection.
-    """
-    kappa = float(kappa)
-    done, best_P, best_f = _closed_form_probe(target, kappa, (warm, *target._closed_forms))
-    if done is not None:
-        return done
-    if target._seed is None:
-        return FeasibilityResult(None, best_f, 0)
-
-    nearest = _cone_certificate(target, best_P)
-    if nearest is not None and nearest.kappa <= kappa:
-        return FeasibilityResult(nearest, nearest.residual, 0, nearest)
-    cert, near, iterations = _qspace_rounds(target, kappa, Q0=qwarm)
-    if cert is not None:
-        return FeasibilityResult(cert, cert.residual, iterations, cert)
-    if near is not None and (nearest is None or near.kappa < nearest.kappa):
-        nearest = near
-    return FeasibilityResult(None, best_f, iterations, nearest)
 
 
 def _native_dtype(target):
@@ -676,11 +674,6 @@ def _native_dtype(target):
 
 # ---------------------------------------------------------------------------
 # solver regimes and the exact engine
-
-#: Largest dimension the exact engine takes: its Newton system has
-#: ``n^2`` unknowns, so a factorization costs ``O(n^6)``.
-_ENGINE_DIM_LIMIT = 32
-
 
 def _constraint_terms(target):
     """``L(X) = sum s N1* X N2`` for the pair form of a single-constraint target."""
@@ -693,25 +686,22 @@ def _constraint_terms(target):
 def _engine_solve(target, tol, budget=None):
     """Engine bracket and a certificate.
 
-    The engine's weight is strictly feasible in exact arithmetic; it is
-    the certificate if its recomputed penalty also passes the tolerance
-    every other certificate passes.  Otherwise one equation solve
-    restores it onto the cone, and failing that the equation seed,
-    which is strictly feasible, certifies.
+    The engine's weight, at the engine's own kappa, is the certificate
+    if it passes :func:`_certifies`.  Otherwise one equation solve
+    restores it onto the cone, and failing that the strictly feasible
+    equation seed certifies.
     """
-    seed = target._seed
-    res = _condition_sdp.solve(_constraint_terms(target), seed, tol, budget=budget)
-    f = _penalty(target, res.weight)
-    if f <= _effective_tol(target, res.kappa):
-        return res, WeightCertificate(res.weight, res.kappa, max(f, 0.0))
-    cert = _cone_certificate(target, res.weight)
+    res = _condition_sdp.solve(_constraint_terms(target), target._seed, tol, budget=budget)
+    cert = _certificate(target, res.weight, kappa=res.kappa)
+    if not _certifies(target, cert):
+        cert = _cone_certificate(target, res.weight)
     if cert is None:
-        cert = WeightCertificate(seed, _kappa_of(seed), max(_penalty(target, seed), 0.0))
+        cert = _certificate(target, target._seed)
     return res, cert
 
 
 def _engine_constant(target, floor, tol, kappa_max):
-    """Verdict of the exact engine.
+    """``(certificate or None, searched budget, lower, evidence)`` of the exact engine.
 
     A closed-form weight certifying the norm floor answers first, so
     contractions and other floor-attaining operators stay exact and
@@ -721,53 +711,56 @@ def _engine_constant(target, floor, tol, kappa_max):
     ``evidence``.
     """
     done, _, _ = _closed_form_probe(target, floor, (target._seed,))
-    if done is not None and done.certificate is not None:
-        cert = done.certificate
-        return SimilarityVerdict("finite", cert.kappa, cert, floor, lower=min(floor, cert.kappa))
+    if done:
+        return done.certificate, floor, floor, ""
     res, cert = _engine_solve(target, tol)
     # the floor may exceed the constant by rounding; the dual bound may not
     lower = max(min(floor, res.kappa), res.lower)
     if lower > kappa_max or cert.kappa > kappa_max * (1.0 + 1e-9):
-        return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=lower)
+        return None, kappa_max, lower, ""
     evidence = ""
     if cert.kappa > (1.0 + tol) * lower:
         evidence = f"engine bracket [{lower:.15g}, {cert.kappa:.15g}] wider than tol {tol:.3g}"
-    return SimilarityVerdict(
-        "finite", cert.kappa, cert, cert.kappa, evidence, lower=min(lower, cert.kappa)
-    )
+    return cert, cert.kappa, lower, evidence
 
 
-def _engine_feasibility(target, kappa):
-    """Fixed-budget answer of the exact engine.
+def _feasibility(target, kappa, warm=None, qwarm=None):
+    """Fixed-budget answer: the closed-form head, then the regime's tail.
 
-    A clipped closed-form weight that certifies the budget answers with
-    no Newton step.  Otherwise the engine runs until its bracket puts
-    the constant below the budget (certificate) or above it (no
-    certificate).  A bracket that stops around the budget (a budget
-    within float64 resolution of the constant, or stalled Newton steps)
-    leaves the answer to the box-clipped engine weight against the
-    feasibility tolerance; if that fails too, there is no certificate,
-    and ``nearest`` is the engine's.
+    The head (:func:`_closed_form_probe`) alone answers without a seed.
+    The engine runs until its bracket puts the constant below the budget
+    or above it; a bracket that stops around the budget leaves the
+    answer to the box-clipped engine weight.  The bisection regime
+    restores the best head weight onto the cone once, then searches from
+    ``qwarm``.  The engine ignores ``warm`` (a previous probe's weight,
+    tried in the head) and ``qwarm`` (its cone right-hand side).
     """
-    done, _, best_f = _closed_form_probe(target, kappa, target._closed_forms)
+    kappa = float(kappa)
+    regime = target._regime
+    head = target._closed_forms if regime == "engine" else (warm, *target._closed_forms)
+    done, best_P, best_f = _closed_form_probe(target, kappa, head)
     if done is not None:
         return done
-    res, cert = _engine_solve(target, 0.0, budget=kappa)
-    if cert.kappa <= kappa:
-        return FeasibilityResult(cert, cert.residual, res.iterations, cert)
-    P = _project_box(res.weight, kappa * kappa)
-    f = _penalty(target, P)
-    if res.lower <= kappa and f <= _effective_tol(target, kappa):
-        clipped = WeightCertificate(P, _kappa_of(P), max(f, 0.0))
-        return FeasibilityResult(clipped, clipped.residual, res.iterations, clipped)
-    return FeasibilityResult(None, min(f, best_f), res.iterations, cert)
+    if regime == "no seed":
+        return FeasibilityResult(None, best_f, 0)
+    if regime == "engine":
+        res, cert = _engine_solve(target, 0.0, budget=kappa)
+        if cert.kappa <= kappa:
+            return FeasibilityResult(cert, cert.residual, res.iterations, cert)
+        clipped = _certificate(target, _project_box(res.weight, kappa * kappa))
+        if res.lower <= kappa and _certifies(target, clipped, at=kappa):
+            return FeasibilityResult(clipped, clipped.residual, res.iterations, clipped)
+        return FeasibilityResult(None, min(clipped.residual, best_f), res.iterations, cert)
 
-
-def _feasibility(target, kappa, warm=None):
-    """Fixed-budget answer in the target's regime; ``warm`` is a previous certificate's weight."""
-    if target._seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
-        return _engine_feasibility(target, kappa)
-    return _solve_feasibility(target, kappa, warm=warm)
+    nearest = _cone_certificate(target, best_P)
+    if nearest is not None and nearest.kappa <= kappa:
+        return FeasibilityResult(nearest, nearest.residual, 0, nearest)
+    cert, near, iterations = _qspace_rounds(target, kappa, Q0=qwarm)
+    if cert is not None:
+        return FeasibilityResult(cert, cert.residual, iterations, cert)
+    if near is not None and (nearest is None or near.kappa < nearest.kappa):
+        nearest = near
+    return FeasibilityResult(None, best_f, iterations, nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -787,10 +780,11 @@ def stein_feasible(operators, kappa):
 
     A weight certifies when its worst defect eigenvalue is at most
     ``scale max(1e-8, 8e-16 k^2)``, with ``scale = max(1, max_i
-    norm(Ti)^2)`` and ``k`` the weight's condition number (on some
-    paths the budget ``kappa`` when that is larger): the relative
-    tolerance ``1e-8``, raised above ``k`` of about 3500 to the rounding
-    level of a defect formed at weight scale ``k^2``.
+    norm(Ti)^2)`` and ``k`` the weight's condition number, except on two
+    paths: ``k`` is the budget ``kappa`` for the engine's box-clipped
+    weight, and the larger of the two in the right-hand-side search.
+    That is the relative tolerance ``1e-8``, raised above ``k`` of about
+    3500 to the rounding level of a defect formed at weight scale ``k^2``.
 
     Returns
     -------
@@ -824,9 +818,9 @@ def lyapunov_feasible(A, shift, kappa):
     the ``P`` inner product for all ``t >= 0``.  A weight certifies when
     its worst defect eigenvalue is at most ``scale max(1e-8, 8e-16
     k^2)``, with ``scale = max(1, 2 norm(A) + 2 abs(shift))`` and ``k``
-    as for :func:`stein_feasible`.  As there, a strictly stable ``A -
-    shift I`` of dimension up to 32 is decided exactly by the engine's
-    bracket.
+    as for :func:`stein_feasible`, budget-read paths included.  As
+    there, a strictly stable ``A - shift I`` of dimension up to 32 is
+    decided exactly by the engine's bracket.
     """
     A = as_matrix(A, "generator")
     if kappa < 1.0:
@@ -904,29 +898,13 @@ def _continuous_norm_floor(target, kappa_max):
 
 
 # ---------------------------------------------------------------------------
-# bisection driver
-
-
-def _closed_form_certificates(target):
-    """Closed-form weights that certify at their own kappa, best first.
-
-    ``I`` and the target's closed-form weights, unclipped; each is kept
-    if its penalty passes the feasibility tolerance at its kappa.
-    """
-    I = np.eye(target.dim, dtype=_native_dtype(target))
-    certs = []
-    for P in (I, *target._closed_forms):
-        kappa = _kappa_of(P)
-        f = _penalty(target, P)
-        if f <= _effective_tol(target, kappa):
-            certs.append(WeightCertificate(P, kappa, max(f, 0.0)))
-    return sorted(certs, key=lambda c: c.kappa)
+# bisection driver and verdicts
 
 
 def _bisect_constant(target, lower, kappa_max, rel_tol):
     """Log-scale bisection over kappa with warm-started feasibility probes.
 
-    For targets with an equation seed.  An infeasible probe may still
+    The bisection regime's verdict.  An infeasible probe may still
     surface a certificate slightly above its budget (see
     :class:`FeasibilityResult`); the upper bracket is tightened with
     every certificate seen, so the reported constant is always backed by
@@ -934,12 +912,10 @@ def _bisect_constant(target, lower, kappa_max, rel_tol):
     searched_kappa_max)``, with no certificate up to ``kappa_max``
     reported as ``(None, kappa_max)``.
     """
-    warm = None
-    qwarm = None
-    best_cert = None
+    warm = qwarm = best_cert = None
 
     def probe(kap):
-        res = _solve_feasibility(target, kap, warm=warm, qwarm=qwarm)
+        res = _feasibility(target, kap, warm=warm, qwarm=qwarm)
         absorb(res.certificate)
         absorb(res.nearest)
         return res
@@ -952,22 +928,14 @@ def _bisect_constant(target, lower, kappa_max, rel_tol):
             D = _defects(target, cert.weight)[0]
             qwarm = -0.5 * (D + D.conj().T)
 
-    res = probe(lower)
-    if res:
+    if probe(lower):
         return best_cert, lower
 
     # upper bracket: the probe's certificate when it is within budget, else
-    # the best closed-form certificate within budget, else what a probe at
-    # the widest (most permissive) box surfaces
+    # what a probe at the widest (most permissive) box surfaces
     budget = kappa_max * (1.0 + 1e-9)
     if best_cert is None or best_cert.kappa > budget:
-        closed = next(
-            (c for c in _closed_form_certificates(target) if c.kappa <= kappa_max),
-            None,
-        )
-        if closed is not None:
-            best_cert, warm = closed, closed.weight
-        elif not probe(kappa_max) and (best_cert is None or best_cert.kappa > budget):
+        if not probe(kappa_max) and (best_cert is None or best_cert.kappa > budget):
             return None, kappa_max
 
     lo = lower
@@ -977,8 +945,7 @@ def _bisect_constant(target, lower, kappa_max, rel_tol):
         # probe exactly one tolerance below the certificate so the final
         # gap closes in a single solve
         mid = max(min(math.sqrt(lo * hi), hi / (1.0 + rel_tol)), lo)
-        res = probe(mid)
-        if res:
+        if probe(mid):
             hi = min(mid, max(best_cert.kappa, lo))
         else:
             lo = mid
@@ -986,24 +953,44 @@ def _bisect_constant(target, lower, kappa_max, rel_tol):
     return best_cert, hi
 
 
-def _constant_verdict(target, floor, tol, kappa_max):
-    """Finite or infeasible verdict above the certified ``floor``.
+def _unbounded(evidence, searched=0.0, lower=math.inf):
+    """``unbounded`` verdict on spectral evidence, or on norm growth up to ``searched``."""
+    return SimilarityVerdict("unbounded", math.inf, None, searched, evidence=evidence, lower=lower)
 
-    The equation seed picks the regime (see the module notes); every
-    certificate passes the feasibility tolerance (:func:`_effective_tol`).
+
+def _constant_verdict(target, floor, tol, kappa_max, growth):
+    """Verdict above the certified norm ``floor``; the regime picks the solver.
+
+    A floor above ``kappa_max`` decides first: ``infeasible`` for a
+    strictly stable target (its equation context exists), whose constant
+    is finite; otherwise, or when a probed norm overflowed float64
+    (``floor`` is inf), ``unbounded`` with ``growth`` as evidence.
     """
-    if target._seed is not None and target.dim <= _ENGINE_DIM_LIMIT:
-        return _engine_constant(target, floor, tol, kappa_max)
-    if target._seed is not None:
+    evidence = ""
+    lower = floor
+    if floor > kappa_max:
+        if not (math.isfinite(floor) and target._context is not None):
+            return _unbounded(growth, kappa_max, floor)
+        cert, searched = None, kappa_max
+    elif target._regime == "engine":
+        cert, searched, lower, evidence = _engine_constant(target, floor, tol, kappa_max)
+    elif target._regime == "bisect":
         cert, searched = _bisect_constant(target, floor, kappa_max, tol)
     else:
         # no interior to search from: the best closed-form certificate decides
-        certs = _closed_form_certificates(target)
-        cert = next((c for c in certs if c.kappa <= kappa_max), None)
+        I = np.eye(target.dim, dtype=_native_dtype(target))
+        certs = (_certificate(target, P) for P in (I, *target._closed_forms))
+        cert = min(
+            (c for c in certs if _certifies(target, c) and c.kappa <= kappa_max),
+            key=lambda c: c.kappa,
+            default=None,
+        )
         searched = kappa_max if cert is None else cert.kappa
     if cert is None:
-        return SimilarityVerdict("infeasible", math.inf, None, searched, lower=floor)
-    return SimilarityVerdict("finite", cert.kappa, cert, searched, lower=min(floor, cert.kappa))
+        return SimilarityVerdict("infeasible", math.inf, None, searched, lower=lower)
+    return SimilarityVerdict(
+        "finite", cert.kappa, cert, searched, evidence, lower=min(lower, cert.kappa)
+    )
 
 
 def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
@@ -1031,34 +1018,10 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
         raise ValueError("kappa_max must be >= 1")
     r = spectral_radius(T)
     if r > 1.0 + 1e-10:
-        return SimilarityVerdict(
-            "unbounded",
-            math.inf,
-            None,
-            0.0,
-            evidence=f"spectral radius {r:.12g} > 1",
-            lower=math.inf,
-        )
+        return _unbounded(f"spectral radius {r:.12g} > 1")
     floor = _discrete_norm_floor(T, kappa_max)
-    target = SteinTarget((T,))
-    if floor > kappa_max:
-        return _over_budget(
-            target, floor, kappa_max, f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)"
-        )
-    return _constant_verdict(target, floor, tol, kappa_max)
-
-
-def _over_budget(target, floor, kappa_max, evidence):
-    """Verdict when a probed norm ``floor`` already exceeds ``kappa_max``.
-
-    A strictly stable target (its equation context exists) has a finite
-    constant, at least ``floor``, so the budget is too small:
-    ``infeasible``.  Otherwise, or when a probed norm overflowed float64
-    (``floor`` is inf), the norm growth is the ``unbounded`` evidence.
-    """
-    if math.isfinite(floor) and target._context is not None:
-        return SimilarityVerdict("infeasible", math.inf, None, kappa_max, lower=floor)
-    return SimilarityVerdict("unbounded", math.inf, None, kappa_max, evidence=evidence, lower=floor)
+    growth = f"power norms reach {floor:.3g} > budget (defective peripheral spectrum)"
+    return _constant_verdict(SteinTarget((T,)), floor, tol, kappa_max, growth)
 
 
 def _shifted_constant(A, shift, tol, kappa_max):
@@ -1067,21 +1030,11 @@ def _shifted_constant(A, shift, tol, kappa_max):
         raise ValueError("kappa_max must be >= 1")
     gb = growth_bound(A)
     if gb > shift + 1e-10:
-        return SimilarityVerdict(
-            "unbounded",
-            math.inf,
-            None,
-            0.0,
-            evidence=f"growth bound {gb:.12g} exceeds shift {shift:.12g}",
-            lower=math.inf,
-        )
+        return _unbounded(f"growth bound {gb:.12g} exceeds shift {shift:.12g}")
     target = LyapunovTarget(A, float(shift))
     floor = _continuous_norm_floor(target, kappa_max)
-    if floor > kappa_max:
-        return _over_budget(
-            target, floor, kappa_max, "semigroup norms exceed the budget (marginal defective spectrum)"
-        )
-    return _constant_verdict(target, floor, tol, kappa_max)
+    growth = "semigroup norms exceed the budget (marginal defective spectrum)"
+    return _constant_verdict(target, floor, tol, kappa_max, growth)
 
 
 def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):

@@ -354,6 +354,13 @@ class TestMinQuasiShift:
         else:
             assert omega <= shift <= omega + 1e-4 * (numerical_abscissa(A) - growth_bound(A))
 
+    def test_bisected_jordan_blocks_keep_their_tradeoff(self):
+        # n = 34 is past the engine: each shift is a bisection-regime probe,
+        # warm-started from the previous certificate.  The true minimum is
+        # 2/1.5 - 1 = 1/3; without the warm start the search stalls at 0.3687
+        shift = min_quasi_shift(np.kron(np.eye(17), JORDAN), 1.5)
+        assert 1.0 / 3.0 <= shift <= 0.366
+
     @pytest.mark.parametrize("budget", [1.0, 1.2, 1.5])
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_jordan_tradeoff_at_every_scale(self, c, budget):
@@ -552,6 +559,24 @@ class TestConditionEngine:
         assert rep.worst <= _feasibility_tol(SteinTarget((T,)), v.constant)
         assert abs(rep.kappa - v.constant) <= 1e-9 * v.constant
 
+    def test_engine_seed_answers_when_the_cone_restoration_fails(self, monkeypatch):
+        solve = weightsolve._condition_sdp.solve
+
+        def off_cone(terms, seed, tol, budget=None):
+            res = solve(terms, seed, tol, budget=budget)
+            res.weight = np.eye(len(seed))
+            return res
+
+        monkeypatch.setattr(weightsolve._condition_sdp, "solve", off_cone)
+        monkeypatch.setattr(weightsolve, "_cone_certificate", lambda target, P: None)
+        target = SteinTarget((_RAND3,))
+        v = discrete_similarity_constant(_RAND3, tol=1e-4)
+        assert v.finite
+        np.testing.assert_array_equal(v.certificate.weight, target._seed)
+        rep = certificate_check(v.certificate, target)
+        assert rep.worst <= _feasibility_tol(target, rep.kappa)
+        assert abs(rep.kappa - v.constant) <= 1e-9 * v.constant
+
     def test_stalled_bracket_decides_feasibility(self, monkeypatch):
         def stalled(terms, seed, tol, budget=None):
             return weightsolve._condition_sdp.SdpResult(seed, weightsolve._kappa_of(seed), 1.0, 1)
@@ -562,7 +587,7 @@ class TestConditionEngine:
         assert constant.evidence.startswith("engine bracket")
         assert constant.lower <= constant.constant
         monkeypatch.setattr(
-            weightsolve, "_solve_feasibility", lambda *a, **k: pytest.fail("searched")
+            weightsolve, "_qspace_rounds", lambda *a, **k: pytest.fail("searched")
         )
         # one budget above the stalled bracket, one inside it
         inside = math.sqrt(constant.lower * constant.constant)
@@ -817,3 +842,86 @@ class TestTargetScale:
         v = discrete_similarity_constant(T, tol=1e-2)
         assert v.finite
         assert counts == {"context": 1, "spectral": 1}
+
+
+#: ``[[0.5, 1], [0, 0.5]]`` seventeen times: n = 34 is past the engine, so bisected
+BISECTED_JORDAN = np.kron(np.eye(17), np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+class TestBisectRegime:
+    def test_floor_certified_by_the_first_probe(self):
+        v = discrete_similarity_constant(0.5 * np.eye(34))
+        assert v.finite
+        assert v.constant == v.lower == v.searched_kappa_max == 1.0
+
+    def test_no_certificate_up_to_the_budget_is_infeasible(self):
+        # the power-norm floor (1 + sqrt 2)/2 is below the budget and the
+        # constant (about 1.343) above it
+        v = discrete_similarity_constant(BISECTED_JORDAN, kappa_max=1.25)
+        assert v.status == "infeasible"
+        assert v.certificate is None
+        assert v.lower == 1.2071067811865475
+        assert v.searched_kappa_max == 1.25
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+class TestOneCertificateRule:
+    """Every returned certificate, and every ``nearest``, passed ``_certifies``."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        accepted = []
+        certifies = weightsolve._certifies
+
+        def spy(target, cert, at=None):
+            ok = certifies(target, cert, at=at)
+            if ok:
+                accepted.append(cert)
+            return ok
+
+        monkeypatch.setattr(weightsolve, "_certifies", spy)
+        return accepted
+
+    @staticmethod
+    def _returned(outcomes):
+        certs = []
+        for out in outcomes:
+            certs.append(out.certificate)
+            certs.append(getattr(out, "nearest", None))
+        return [c for c in certs if c is not None]
+
+    def _check(self, accepted, regime, target, outcomes):
+        assert target._regime == regime
+        returned = self._returned(outcomes)
+        assert returned
+        for cert in returned:
+            assert any(cert is ok for ok in accepted)
+
+    def test_engine(self, accepted):
+        target = SteinTarget((_RAND3,))
+        v = discrete_similarity_constant(_RAND3, tol=1e-4)
+        probes = [stein_feasible([_RAND3], k) for k in (3.0, 1.01, 1.01 * v.constant)]
+        assert probes[-1]
+        self._check(accepted, "engine", target, [v, *probes])
+
+    def test_no_seed(self, accepted):
+        T = np.zeros((3, 3))
+        T[:2, :2] = _rotation(0.3)
+        T[:2, 2] = 1.0
+        T[2, 2] = 0.5
+        v = discrete_similarity_constant(T)
+        assert v.finite
+        self._check(accepted, "no seed", SteinTarget((T,)), [v])
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        res = lyapunov_feasible(skew, 0.0, 2.0)
+        self._check(accepted, "no seed", LyapunovTarget(skew, 0.0), [res])
+
+    def test_bisect(self, accepted):
+        target = SteinTarget((BISECTED_JORDAN,))
+        v = discrete_similarity_constant(BISECTED_JORDAN, tol=1e-2)
+        res = stein_feasible([BISECTED_JORDAN], 1.5)
+        diagonal = discrete_similarity_constant(0.5 * np.eye(34))
+        self._check(accepted, "bisect", target, [v, res, diagonal])
