@@ -1,8 +1,8 @@
 """Barrier path-following for the condition-number SDP.
 
-For a linear constraint map ``L(X) = sum_r s_r M_r* X N_r`` whose cone
-``{L(P) <= 0}`` has interior points, the squared similarity constant is
-the optimum of the linear semidefinite program
+For a constraint map in pair form ``L(X) = c (M* X F + F* X M)`` whose
+cone ``{L(P) <= 0}`` has interior points, the squared similarity
+constant is the optimum of the linear semidefinite program
 
     min t   s.t.   P - I >= 0,   t I - P >= 0,   -L(P) >= 0
 
@@ -20,15 +20,21 @@ iterate carries an upper bound (the condition number of its weight,
 which is strictly feasible) and, once inside its Dikin ellipsoid, a dual
 point from the Newton-corrected slacks whose feasibility is re-checked
 before its objective is used as a lower bound.  The Newton system is
-assembled in ``O(n^4)``: every term of the Hessian has the form
-``tr(X A Y B)``, a gather from the ``n^2 x n^2`` matrix ``kron(A,
-B^T)`` of ``n x n`` factors -- the ``n^2``-dimensional constraint map is
-never formed as a matrix.
+the Schur complement of the three barrier blocks (Vandenberghe and
+Boyd; Toh, Todd and Tutuncu, *SDPT3*, 1999), assembled in ``O(n^4)``:
+every term of the Hessian has the form ``tr(X A Y B)``, so the whole
+matrix is four gathers from one ``n^2 x n^2`` outer product of the six
+factor pairs ``(A_r, B_r)`` -- the ``n^2``-dimensional constraint map
+is never formed as a matrix.
 
 One Newton step costs one stacked ``eigh`` of the three barrier blocks,
 one stacked ``eigvalsh`` of the scaled search directions for the line
-search, one ``potrf`` of the Newton matrix and one or two ``potrs``
-(a second one after ``mu`` shrinks), plus that ``O(n^4)`` gather.
+search, one ``potrf`` of the Newton matrix and one or two ``potrs`` (a
+second one after ``mu`` shrinks), plus the ``O(n^4)`` outer product and
+gather.  At ``n <= 12`` numpy's per-call overhead, not LAPACK, sets the
+cost of a step, so the blocks and factor stacks are filled in arrays
+allocated once per solve, and a Lyapunov target (``F = I``) skips its
+identity products.
 """
 
 from dataclasses import dataclass
@@ -44,6 +50,8 @@ _CENTRED = 0.5
 _MU_FACTOR = 0.1
 #: Relative bracket width below which the float64 iterates stop improving.
 GAP_FLOOR = 1e-12
+#: Ridges, relative to the unit diagonal, tried after a failed Cholesky.
+_RIDGES = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
 
 
 @dataclass
@@ -76,14 +84,33 @@ class _HermitianBasis:
         self._re = np.triu_indices(n)
         self._im = np.triu_indices(n, 1) if complex_ else (np.array([], int), np.array([], int))
         self._w = np.where(self._re[0] == self._re[1], 0.5, 1.0)
-        self.dim = len(self._re[0]) + len(self._im[0])
+        self._m = len(self._re[0])
+        self.dim = self._m + len(self._im[0])
         # flat positions a n + b of each pair (a, b) and of its mirror (b, a)
         self._fwd = [a * n + b for a, b in (self._re, self._im)]
         self._bwd = [b * n + a for a, b in (self._re, self._im)]
+        # T[y n + x, u n + v] = sum_r A_r[y, u] B_r[v, x] is entry (y n + u,
+        # v n + x) of the outer product O = sum_r vec(A_r) vec(B_r)^T, at
+        # flat position (y n^3 + x) + n (u n + v).  The Hessian reads T at
+        # the rows (mirror b, pair f) of each coordinate and at its columns
+        # (f, b), stacked as [row][column]
+        f, b = np.concatenate(self._fwd), np.concatenate(self._bwd)
+        rows = np.array([p // n * n**3 + p % n for p in (b, f)])
+        cols = n * np.array([f, b])
+        self._gather = rows[:, None, :, None] + cols[None, :, None, :]
+        if complex_:
+            # positions in O viewed as float64: the real part of each entry
+            # where row and column are of one kind, the imaginary part where
+            # they differ; then the signs and weights of quadratic
+            imag = np.arange(self.dim) >= self._m
+            self._gather = 2 * self._gather + (imag[:, None] ^ imag[None, :])
+            self._sign = np.where(imag, -1.0, 1.0)
+            self._rw = np.append(self._w, np.ones(self.dim - self._m))
+            self._cw = np.where(imag[:, None] | imag[None, :], -1.0, 1.0) * self._rw
 
     def matrix(self, x):
         (ia, ib), (ja, jb) = self._re, self._im
-        m = len(ia)
+        m = self._m
         P = np.zeros((self.n, self.n), dtype=self.dtype)
         P[ia, ib] = x[:m]
         P[ib, ia] = x[:m]
@@ -105,20 +132,93 @@ class _HermitianBasis:
         """The matrix ``Re sum_r tr(E_k A_r E_l B_r)`` over the basis.
 
         ``tr(e_x e_y^T A e_u e_v^T B) = A[y, u] B[v, x]`` is entry ``(y n +
-        x, u n + v)`` of ``T = sum_r kron(A_r, B_r^T)``, so the matrix is
-        a row and a column gather of ``T``, combined with the entry
-        weights of each basis matrix.
+        x, u n + v)`` of ``T = sum_r kron(A_r, B_r^T)`` and entry ``(y n +
+        u, v n + x)`` of the outer product ``O = sum_r vec(A_r)
+        vec(B_r)^T``, one ``dot`` over the stack.  Entry ``(k, l)`` then
+        combines four entries of ``T``, gathered from ``O`` at flat
+        positions fixed by the basis.  With ``b``/``f`` the mirror and the
+        pair of row ``k`` and of column ``l`` and ``w`` the entry weights,
+        two real coordinates give ``w_l Re(w_k (T[b, f] + T[f, f]) + w_k
+        (T[b, b] + T[f, b]))``.  An imaginary row takes ``T[b] - T[f]``
+        instead and an imaginary column ``Y[f] - Y[b]``; as ``Re(i z) =
+        -Im z`` and ``Im(i z) = Re z``, each entry is then the real or
+        the imaginary parts of its four entries of ``T``, combined with
+        the same two roundings and exact signs and powers of two.
         """
-        n = self.n
-        T = np.tensordot(As, Bs, axes=(0, 0)).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-        (fr, fi), (br, bi) = self._fwd, self._bwd
-        Y = self._w[:, None] * (T[br] + T[fr])
-        if self.complex:
-            Y = np.concatenate([Y, 1j * (T[bi] - T[fi])])
-        H = self._w * np.real(Y[:, fr] + Y[:, br])
-        if self.complex:
-            H = np.concatenate([H, -np.imag(Y[:, fi] - Y[:, bi])], axis=1)
+        n, k = self.n, len(As)
+        O = np.dot(As.transpose(1, 2, 0).reshape(n * n, k), Bs.reshape(k, n * n))
+        # the row and column stages run in place on the gathered entries
+        if not self.complex:
+            T = O.take(self._gather)
+            del O
+            Y = np.add(T[0], T[1], out=T[0])
+            Y *= self._w[:, None]
+            H = Y[0] + Y[1]
+            H *= self._w
+            return H
+        T = O.view(np.float64).take(self._gather)
+        del O
+        T[1] *= self._sign[:, None]
+        Y = np.add(T[0], T[1], out=T[0])
+        Y *= self._rw[:, None]
+        Y[1] *= self._sign
+        H = Y[0] + Y[1]
+        H *= self._cw
         return H
+
+
+class _PairMap:
+    """``L(X) = c (M* X F + F* X M)`` with ``F = None`` for the identity.
+
+    As a sum of terms ``s M_r* X N_r`` the map has ``(M_r, N_r) = (M,
+    F), (F, M)``; every product below is that sum written out, with the
+    identity products of ``F = None`` skipped.
+    """
+
+    def __init__(self, form, dtype):
+        M, F, c = form
+        self.M = np.asarray(M, dtype=dtype)
+        self.Mh = self.M.conj().T
+        self.F = None if F is None else np.asarray(F, dtype=dtype)
+        self.Fh = None if F is None else self.F.conj().T
+        self.c = float(c)
+
+    def defect(self, X):
+        c = self.c
+        if self.F is None:
+            D = c * (self.Mh @ X) + c * (X @ self.M)
+        else:
+            D = c * (self.Mh @ X @ self.F) + c * (self.Fh @ X @ self.M)
+        return 0.5 * (D + D.conj().T)
+
+    def adjoint(self, Z):
+        c = self.c
+        if self.F is None:
+            G = c * (Z @ self.Mh) + c * (self.M @ Z)
+        else:
+            G = c * (self.F @ Z @ self.Mh) + c * (self.M @ Z @ self.Fh)
+        return 0.5 * (G + G.conj().T)
+
+    def newton_factors(self, W, coef, AB):
+        """Fill the defect block's factor pairs ``AB[:, 2:]``.
+
+        With ``N_0 = F``, ``N_1 = M`` (the right factors) and ``K_ij = N_i W
+        M_j*``, ``AB[0, 2:]`` gets ``coef K_ij`` and ``AB[1, 2:]`` gets
+        ``K_ji`` over ``(i, j) = 00, 01, 10, 11``.
+        """
+        A, B = AB[0], AB[1]
+        MW = self.M @ W
+        if self.F is None:
+            np.matmul(W, self.Mh, out=B[2])
+            B[4] = W
+            B[5] = MW
+        else:
+            FW = self.F @ W
+            np.matmul(FW, self.Mh, out=B[2])
+            np.matmul(FW, self.Fh, out=B[4])
+            np.matmul(MW, self.Fh, out=B[5])
+        np.matmul(MW, self.Mh, out=B[3])
+        np.multiply(coef, B[[2, 4, 3, 5]], out=A[2:])
 
 
 def _cholesky(H, potrf):
@@ -131,8 +231,12 @@ def _cholesky(H, potrf):
     Operators close to the identity, such as ``exp(tA)`` at small ``t``,
     need the upper rungs.
     """
-    for ridge in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-        c, info = potrf(H + ridge * np.eye(len(H)), lower=False, clean=False)
+    c, info = potrf(H, lower=False, clean=False)
+    if info == 0:
+        return c
+    I = np.eye(len(H))
+    for ridge in _RIDGES:
+        c, info = potrf(H + ridge * I, lower=False, clean=False)
         if info == 0:
             return c
     return None
@@ -167,13 +271,14 @@ def _line_search(slope_t, d):
     return a
 
 
-def solve(terms, seed, tol, budget=None):
+def solve(form, seed, tol, budget=None):
     """Bracket the condition-number SDP of ``L`` to relative width ``tol``.
 
     Parameters
     ----------
-    terms : sequence of (M, N, s)
-        ``L(X) = sum s * M^* X N`` with square ``M``, ``N`` of one size.
+    form : (M, F, c)
+        The pair form ``L(X) = c (M* X F + F* X M)`` with square ``M``,
+        ``F`` of one size; ``F = None`` stands for the identity.
     seed : ndarray
         Hermitian weight with ``L(seed) < 0`` and ``eig_min(seed) = 1``
         (the equation seed ``L^{-1}(-I)``, normalized).
@@ -192,29 +297,26 @@ def solve(terms, seed, tol, budget=None):
     SdpResult
     """
     n = seed.shape[0]
-    complex_ = np.iscomplexobj(seed) or any(
-        np.iscomplexobj(M) or np.iscomplexobj(N) for M, N, _ in terms
-    )
+    complex_ = any(np.iscomplexobj(X) for X in (seed, form[0], form[1]) if X is not None)
     basis = _HermitianBasis(n, complex_)
-    # M enters only through M*, so each term is kept as (M*, N, s)
-    terms = [(np.asarray(M, dtype=basis.dtype).conj().T, np.asarray(N, dtype=basis.dtype), float(s))
-             for M, N, s in terms]
+    L = _PairMap(form, basis.dtype)
     I = np.eye(n, dtype=basis.dtype)
     potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-    def defect(X):
-        D = sum(s * (Mh @ X @ N) for Mh, N, s in terms)
-        return 0.5 * (D + D.conj().T)
-
-    def adjoint(Z):
-        G = sum(s * (N @ Z @ Mh) for Mh, N, s in terms)
-        return 0.5 * (G + G.conj().T)
+    # the three barrier blocks, their search directions, the factor pairs
+    # (A_r, B_r) and the Newton system, filled at every step
+    blocks = np.empty((3, n, n), dtype=basis.dtype)
+    dirs = np.empty((3, n, n), dtype=basis.dtype)
+    AB = np.empty((2, 6, n, n), dtype=basis.dtype)
+    H = np.empty((basis.dim + 1, basis.dim + 1))
+    g = np.empty(basis.dim + 1)
 
     # scale the defect block to unit size at the seed; near-marginal
     # targets (a step exp(tA) with small t) otherwise carry a defect many
     # orders below the other two blocks
     seed = 0.5 * (seed + seed.conj().T)
-    nu = 1.0 / float(np.linalg.eigvalsh(-defect(seed))[-1])
+    nu = 1.0 / float(np.linalg.eigvalsh(-L.defect(seed))[-1])
+    # the defect block's weight in the Newton matrix
+    nu2c2 = nu * nu * L.c * L.c
 
     P = 2.0 * seed
     t = 2.0 * float(np.linalg.eigvalsh(P)[-1])
@@ -230,15 +332,20 @@ def solve(terms, seed, tol, budget=None):
     for it in range(1, MAX_NEWTON_STEPS + 1):
         best.iterations = it
         # the three barrier blocks, factored and inverted as one stack
-        w, U = np.linalg.eigh(np.stack([P - I, t * I - P, -nu * defect(P)]))
-        if not (np.all(w[:, 0] > 0.0) and np.all(np.isfinite(w))):
+        np.subtract(P, I, out=blocks[0])
+        np.subtract(t * I, P, out=blocks[1])
+        np.multiply(-nu, L.defect(P), out=blocks[2])
+        w, U = np.linalg.eigh(blocks)
+        if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
             break
         Uh = U.conj().transpose(0, 2, 1)
-        W1, W2, W3 = (U / w[:, None, :]) @ Uh
+        W = (U / w[:, None, :]) @ Uh
+        W1, W2, W3 = W
         # upper bound: the iterate itself is strictly feasible
-        kappa = _kappa(w[0] + 1.0)
+        wP = w[0] + 1.0
+        kappa = _kappa(wP)
         if kappa < best.kappa:
-            best.weight, best.kappa = P / (w[0, 0] + 1.0), kappa
+            best.weight, best.kappa = P / wP[0], kappa
         if decided():
             break
 
@@ -247,48 +354,49 @@ def solve(terms, seed, tol, budget=None):
         # condition number up to the constant squared, which the raw
         # entries would pass on to the Hessian; the Jacobi scaling on top
         # balances t against the weight
-        R = (U[0] * np.sqrt(w[0] + 1.0)) @ Uh[0]
-        # the defect block contributes the products N_i W3 M_j*
-        NWM = [[NW @ Mh for Mh, _, _ in terms] for NW in [N @ W3 for _, N, _ in terms]]
-        As = [W1, W2]
-        Bs = [W1, W2]
-        for i, (_, _, s1) in enumerate(terms):
-            for j, (_, _, s2) in enumerate(terms):
-                As.append((nu * nu * s1 * s2) * NWM[i][j])
-                Bs.append(NWM[j][i])
-        H = np.empty((basis.dim + 1, basis.dim + 1))
-        H[:-1, :-1] = basis.quadratic(R @ np.array(As) @ R, R @ np.array(Bs) @ R)
+        R = (U[0] * np.sqrt(wP)) @ Uh[0]
+        AB[:, :2] = W[:2]
+        L.newton_factors(W3, nu2c2, AB)
+        RAB = R @ AB @ R
+        H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
         W22 = W2 @ W2
         H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ W22 @ R)
-        H[-1, -1] = float(np.real(np.trace(W22)))
+        H[-1, -1] = W22.trace().real
         # near a marginal target rounding can leave a non-positive diagonal
         # entry or a non-finite one: like a failed factorization, that
         # ends the solve with the best bracket so far
-        d = np.diag(H)
-        if not (np.all(d > 0.0) and np.all(np.isfinite(H))):
+        d = H.diagonal()
+        if not ((d > 0.0).all() and np.isfinite(H).all()):
             break
         dsc = 1.0 / np.sqrt(d)
         chol = _cholesky(H * np.outer(dsc, dsc), potrf)
         if chol is None:
             break
-        grad_x = basis.coords(R @ (-W1 + W2 + nu * adjoint(W3)) @ R)
-        tr_w2 = float(np.real(np.trace(W2)))
+        g[:-1] = basis.coords(R @ (-W1 + W2 + nu * L.adjoint(W3)) @ R)
+        tr_w2 = float(W2.trace().real)
         if mu is None:
             mu = 1.0 / tr_w2
 
         def newton(mu):
-            g = np.append(grad_x, 1.0 / mu - tr_w2)
+            # the step (dP, dt), L(dP) and the decrement; dirs gets the
+            # blocks' directions dP, dt I - dP and -nu L(dP)
+            g[-1] = 1.0 / mu - tr_w2
             step = -dsc * potrs(chol, dsc * g, lower=False)[0]
-            return step, R @ basis.matrix(step[:-1]) @ R, float(step[-1]), -float(g @ step)
+            dP = np.matmul(R @ basis.matrix(step[:-1]), R, out=dirs[0])
+            dt = float(step[-1])
+            np.subtract(dt * I, dP, out=dirs[1])
+            D = L.defect(dP)
+            np.multiply(-nu, D, out=dirs[2])
+            return dP, dt, D, -float(g @ step)
 
-        step, dP, dt, dec = newton(mu)
+        dP, dt, D, dec = newton(mu)
         if dec < 1.0:
             # inside the Dikin ellipsoid the Newton-corrected slacks
             # mu (S^-1 - S^-1 dS S^-1) satisfy the dual equations; their
             # positivity and the dual objective are re-checked from scratch
-            Z2 = mu * (W2 - W2 @ (dt * I - dP) @ W2)
-            Z3 = mu * (W3 + nu * (W3 @ defect(dP) @ W3))
-            best.lower = max(best.lower, _dual_bound(Z2, Z3, nu * adjoint(Z3), n))
+            Z2 = mu * (W2 - W2 @ dirs[1] @ W2)
+            Z3 = mu * (W3 + nu * (W3 @ D @ W3))
+            best.lower = max(best.lower, _dual_bound(Z2, Z3, nu * L.adjoint(Z3), n))
             if decided():
                 break
             if dec <= _CENTRED:
@@ -297,10 +405,10 @@ def solve(terms, seed, tol, budget=None):
                 # the next centre needs a duality gap near 3 n mu
                 mu_stop = 0.5 * t * (1.0 - (1.0 + tol) ** -2) / (3 * n)
                 mu = max(_MU_FACTOR * mu, mu_stop) if mu_stop < mu else _MU_FACTOR * mu
-                step, dP, dt, dec = newton(mu)
+                dP, dt, D, dec = newton(mu)
         # eigenvalues of S^-1/2 dS S^-1/2 for the three blocks S
         r = 1.0 / np.sqrt(w)
-        K = (Uh @ np.stack([dP, dt * I - dP, -nu * defect(dP)]) @ U) * (r[:, :, None] * r[:, None, :])
+        K = (Uh @ dirs @ U) * (r[:, :, None] * r[:, None, :])
         a = _line_search(dt / mu, np.linalg.eigvalsh(0.5 * (K + K.conj().transpose(0, 2, 1))).ravel())
         if not a > 0.0:
             break

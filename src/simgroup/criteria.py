@@ -71,6 +71,13 @@ AUDIT_TOL = 0.01
 _AUDIT_SOLVE_TOL = 1e-3
 
 
+def _positive_finite(x, name):
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     parameter: float
@@ -313,9 +320,7 @@ def _average_renorm(A, P_eq, tau1):
     """:func:`average_renorm`'s certificate with the semigroup and the raw ``M`` it used."""
     A = as_matrix(A, "generator")
     P_eq = as_matrix(P_eq, "P_eq")
-    tau1 = float(tau1)
-    if tau1 <= 0:
-        raise ValueError("tau1 must be positive")
+    tau1 = _positive_finite(tau1, "tau1")
     sem = semigroup_from_generator(A)
     S_eq, Sinv_eq = weight_factors(P_eq)
     if operator_norm(S_eq @ sem.eval(tau1) @ Sinv_eq) > 1.0 + 1e-9:
@@ -343,6 +348,7 @@ def average_renorm_factor_audit(A, P_eq, tau1, tau2=None):
     A = as_matrix(A, "generator")
     if tau2 is None:
         tau2 = tau1
+    _positive_finite(tau2, "tau2")
     P_eq = as_matrix(P_eq, "P_eq")
     ev = np.linalg.eigvalsh(0.5 * (P_eq + P_eq.conj().T))
     P_eq = P_eq / ev[0]
@@ -430,16 +436,21 @@ def simconst_bound_audit(A, lam, tau):
     the supremum of the norms on ``[0, tau]``.  The right-hand side is
     never below ``3 sqrt(2)``.  Every constant is bracketed to relative
     width ``1e-3``.  Marked vacuous when any ingredient is unbounded.
+    ``lam`` and ``tau`` must be positive and finite.
     """
+    return _simconst_bound_audit(A, lam, tau)[0]
+
+
+def _simconst_bound_audit(A, lam, tau):
+    """:func:`simconst_bound_audit`, with ``T(tau)`` and its verdict ``C(T(tau))``."""
     A = as_matrix(A, "generator")
-    lam = float(lam)
-    tau = float(tau)
-    if lam <= 0 or tau <= 0:
-        raise ValueError("lam and tau must be positive")
+    lam = _positive_finite(lam, "lam")
+    tau = _positive_finite(tau, "tau")
     joint = joint_similarity_constant(A, tol=_AUDIT_SOLVE_TOL)
     shifted = quasi_similarity_constant(A, lam, tol=_AUDIT_SOLVE_TOL)
     sem = semigroup_from_generator(A)
-    one_time = discrete_similarity_constant(sem.eval(tau), tol=_AUDIT_SOLVE_TOL)
+    T = sem.eval(tau)
+    one_time = discrete_similarity_constant(T, tol=_AUDIT_SOLVE_TOL)
     inputs = {
         "lam": lam,
         "tau": tau,
@@ -448,14 +459,14 @@ def simconst_bound_audit(A, lam, tau):
         "one_time": one_time.constant,
     }
     if not (joint.finite and shifted.finite and one_time.finite):
-        return BoundAudit("joint-constant-bound", math.inf, math.inf, inputs, "vacuous")
+        return BoundAudit("joint-constant-bound", math.inf, math.inf, inputs, "vacuous"), T, one_time
     M = sup_norm_on_interval(sem, tau)
     inputs["M"] = M
     rhs = math.sqrt(2.0) * shifted.constant * (math.exp(2.0 * lam) - 1.0) / (2.0 * lam)
     rhs += 2.0 * math.sqrt(2.0) * one_time.constant * M * M * max(1.0, math.sqrt(tau))
     lhs = joint.constant
     status = "satisfied" if lhs <= rhs * (1.0 + AUDIT_TOL) else "violated"
-    return BoundAudit("joint-constant-bound", lhs, rhs, inputs, status)
+    return BoundAudit("joint-constant-bound", lhs, rhs, inputs, status), T, one_time
 
 
 def factorization_from_certificate(T, cert, horizon):
@@ -485,13 +496,18 @@ def holbrook_bound_audit(T, fact):
     last three terms) is below ``1e-10``, and vacuous when ``C(T)`` is
     unbounded.
     """
-    T = as_matrix(T)
+    return _holbrook_bound_audit(as_matrix(T), fact)
+
+
+def _holbrook_bound_audit(T, fact, verdict=None):
+    """:func:`holbrook_bound_audit` of a checked ``T``, given ``C(T)`` if already solved."""
     N = int(fact.horizon)
     for k in range(N + 1):
         if operator_norm(fact.inner.eval(float(k))) > 1.0 + 1e-9:
             raise InvalidWeightError("inner family is not contractive on the audited grid")
     defects = [fact.defect(T, k) for k in range(N + 1)]
-    verdict = discrete_similarity_constant(T, tol=_AUDIT_SOLVE_TOL)
+    if verdict is None:
+        verdict = discrete_similarity_constant(T, tol=_AUDIT_SOLVE_TOL)
     inputs = {
         "horizon": N,
         "amap_norm": operator_norm(fact.amap),

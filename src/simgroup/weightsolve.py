@@ -675,14 +675,6 @@ def _native_dtype(target):
 # ---------------------------------------------------------------------------
 # solver regimes and the exact engine
 
-def _constraint_terms(target):
-    """``L(X) = sum s N1* X N2`` for the pair form of a single-constraint target."""
-    M, F, c = target._form
-    if F is None:
-        F = np.eye(target.dim, dtype=_native_dtype(target))
-    return [(M, F, c), (F, M, c)]
-
-
 def _engine_solve(target, tol, budget=None):
     """Engine bracket and a certificate.
 
@@ -691,7 +683,7 @@ def _engine_solve(target, tol, budget=None):
     restores it onto the cone, and failing that the strictly feasible
     equation seed certifies.
     """
-    res = _condition_sdp.solve(_constraint_terms(target), target._seed, tol, budget=budget)
+    res = _condition_sdp.solve(target._form, target._seed, tol, budget=budget)
     cert = _certificate(target, res.weight, kappa=res.kappa)
     if not _certifies(target, cert):
         cert = _cone_certificate(target, res.weight)
@@ -1010,12 +1002,12 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     ``T`` with eigenvalues on the unit circle, power norms exceeding the
     budget); otherwise ``finite`` with certificate, or ``infeasible``
     past ``kappa_max``, which for strictly stable ``T`` includes a power
-    norm above the budget (then ``lower`` is that norm).  ``kappa_max``
-    must be ``>= 1``.
+    norm above the budget (then ``lower`` is that norm).  ``tol`` must be
+    finite and ``>= 0``, and ``kappa_max`` must be ``>= 1``; either
+    raises ``ValueError`` otherwise.
     """
     T = as_matrix(T)
-    if kappa_max < 1.0:
-        raise ValueError("kappa_max must be >= 1")
+    _check_tol_budget(tol, kappa_max)
     r = spectral_radius(T)
     if r > 1.0 + 1e-10:
         return _unbounded(f"spectral radius {r:.12g} > 1")
@@ -1024,10 +1016,18 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     return _constant_verdict(SteinTarget((T,)), floor, tol, kappa_max, growth)
 
 
+def _check_tol_budget(tol, kappa_max):
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not kappa_max >= 1.0:
+        raise ValueError(f"kappa_max must be >= 1, got {kappa_max!r}")
+
+
 def _shifted_constant(A, shift, tol, kappa_max):
     A = as_matrix(A, "generator")
-    if kappa_max < 1.0:
-        raise ValueError("kappa_max must be >= 1")
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    _check_tol_budget(tol, kappa_max)
     gb = growth_bound(A)
     if gb > shift + 1e-10:
         return _unbounded(f"growth bound {gb:.12g} exceeds shift {shift:.12g}")
@@ -1044,13 +1044,18 @@ def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     into a contraction simultaneously; the constant is the smallest
     condition number of such a certificate, found within relative
     ``tol`` and with the verdicts of :func:`discrete_similarity_constant`,
-    semigroup norms taking the place of power norms.
+    semigroup norms taking the place of power norms (``tol`` and
+    ``kappa_max`` are checked as there).
     """
     return _shifted_constant(A, 0.0, tol, kappa_max)
 
 
 def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
-    """Similarity constant of the rescaled semigroup ``exp(-shift t) exp(tA)``."""
+    """Similarity constant of the rescaled semigroup ``exp(-shift t) exp(tA)``.
+
+    ``shift`` must be finite; ``tol`` and ``kappa_max`` are checked as in
+    :func:`discrete_similarity_constant`.
+    """
     return _shifted_constant(A, float(shift), tol, kappa_max)
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from simgroup import cli, gallery, opcore, weightsolve
+from simgroup import cli, criteria, gallery, opcore, weightsolve
 from simgroup.cli import main
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -305,6 +305,29 @@ class TestAuditCommand:
         assert run("audit", "audit_jordan.cfg", tmp_path) == 0
         audits = json.loads((tmp_path / "audits.json").read_text())
         assert audits and all(a["satisfied"] for a in audits)
+
+    def test_one_time_constant_is_solved_once(self, tmp_path, monkeypatch):
+        solve = weightsolve.discrete_similarity_constant
+        calls = []
+
+        def spy(T, *args, **kwargs):
+            calls.append(np.array(T, copy=True))
+            return solve(T, *args, **kwargs)
+
+        monkeypatch.setattr(criteria, "discrete_similarity_constant", spy)
+        monkeypatch.setattr(weightsolve, "discrete_similarity_constant", spy)
+        assert run("audit", "audit_jordan.cfg", tmp_path) == 0
+        monkeypatch.undo()
+        # audit_jordan.cfg: lam = tau = 1, horizon 8
+        A = opcore.load_matrix(os.path.join(DEMO, "..", "data", "jordan_shifted.json"))
+        T = opcore.expm_semigroup(A, 1.0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], T)
+        # the same file as the public audits composed by hand, each solving C(T(tau))
+        fact = criteria.factorization_from_certificate(T, solve(T, tol=1e-3).certificate, 8)
+        audits = [criteria.simconst_bound_audit(A, 1.0, 1.0), criteria.holbrook_bound_audit(T, fact)]
+        cli.write_json(str(tmp_path / "expected.json"), [a.to_json() for a in audits])
+        assert (tmp_path / "audits.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 class TestObserveAndNaboko:

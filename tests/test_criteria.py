@@ -240,6 +240,13 @@ class TestAverageRenorm:
         with pytest.raises(InvalidWeightError):
             average_renorm(JORDAN, np.eye(2), 1.0)  # identity does not certify tau=1
 
+    @pytest.mark.parametrize("tau1", [math.nan, math.inf, 0.0])
+    def test_bad_horizon_rejected(self, tau1):
+        with pytest.raises(ValueError, match="tau1"):
+            average_renorm(JORDAN, np.eye(2), tau1)
+        with pytest.raises(ValueError, match="tau2"):
+            average_renorm_factor_audit(JORDAN, np.diag([1.0, 4.0]), 1.0, tau1)
+
     def test_factor_audit_pattern(self):
         aud = average_renorm_factor_audit(JORDAN, np.diag([1.0, 4.0]), 1.0)
         assert aud.satisfied
@@ -314,6 +321,15 @@ class TestSimconstAudit:
     def test_vacuous_when_unbounded(self):
         aud = simconst_bound_audit(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 1.0)
         assert aud.status == "vacuous"
+
+    @pytest.mark.parametrize(
+        "lam, tau, name",
+        [(math.inf, 1.0, "lam"), (math.nan, 1.0, "lam"), (0.0, 1.0, "lam"),
+         (1.0, math.inf, "tau"), (1.0, math.nan, "tau"), (1.0, -1.0, "tau")],
+    )
+    def test_bad_scalars_rejected(self, lam, tau, name):
+        with pytest.raises(ValueError, match=name):
+            simconst_bound_audit(JORDAN, lam, tau)
 
 
 class TestHolbrookAudit:

@@ -203,6 +203,16 @@ class TestDiscreteConstant:
         with pytest.raises(ValueError, match="kappa_max"):
             discrete_similarity_constant(RANK_ONE, kappa_max=0.99)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+         ({"kappa_max": math.nan}, "kappa_max")],
+        ids=["negative_tol", "nan_tol", "inf_tol", "nan_budget"],
+    )
+    def test_bad_tol_or_budget_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            discrete_similarity_constant(RANK_ONE, **kwargs)
+
     @pytest.mark.parametrize("r, b", NEAR_MARGINAL_JORDAN)
     def test_near_marginal_jordan_block_reports_its_bracket(self, r, b):
         T = np.array([[r, b], [0.0, r]])
@@ -278,6 +288,24 @@ class TestJointConstant:
             joint_similarity_constant(JORDAN, kappa_max=0.5)
         with pytest.raises(ValueError, match="kappa_max"):
             quasi_similarity_constant(JORDAN, 0.5, kappa_max=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+         ({"kappa_max": math.nan}, "kappa_max")],
+        ids=["negative_tol", "nan_tol", "inf_tol", "nan_budget"],
+    )
+    def test_bad_tol_or_budget_rejected(self, kwargs, name):
+        # tol = inf used to return the equation seed's 4.236 as finite
+        with pytest.raises(ValueError, match=name):
+            joint_similarity_constant(JORDAN, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            quasi_similarity_constant(JORDAN, 0.5, **kwargs)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift"):
+            quasi_similarity_constant(JORDAN, shift)
 
     def test_strictly_stable_semigroup_norms_over_budget_are_infeasible(self):
         v = joint_similarity_constant(SHIFT8 - 0.05 * np.eye(8))
@@ -785,7 +813,7 @@ class TestPairForm:
             if np.iscomplexobj(target._form[0]):
                 X = X + 1j * rng.standard_normal((n, n))
             X = X + X.conj().T
-            L = sum(s * (N1.conj().T @ X @ N2) for N1, N2, s in weightsolve._constraint_terms(target))
+            L = weightsolve._condition_sdp._PairMap(target._form, X.dtype).defect(X)
             (D,) = weightsolve._defects(target, X)
             scale = target.scale() * np.linalg.norm(X, 2)
             assert np.linalg.norm(L - D, 2) <= 1e-13 * scale
