@@ -33,6 +33,7 @@ import scipy.linalg
 from .exceptions import DimensionError, SaturationError, StabilityError
 from .opcore import (
     _orbit_integral,
+    _positive_finite,
     _real_if_exact,
     as_matrix,
     gramian_integral,
@@ -197,15 +198,25 @@ def infinite_gramian(sys):
     equivalent-norm certificate making the semigroup contractive.  The
     certificate is attached to the report with the Lyapunov defect that
     :func:`~simgroup.weightsolve.certificate_check` recomputes as its
-    ``residual``.
+    ``residual``.  One Schur form of ``A*`` serves both the stability test
+    and the solve, which is Bartels-Stewart as in
+    ``scipy.linalg.solve_continuous_lyapunov``: the growth bound is read
+    off its diagonal (LAPACK standardizes a real 2x2 block to equal
+    diagonal entries, the real part of its eigenvalue pair), so no
+    separate eigenvalue computation is made.
     """
-    gb = growth_bound(sys.A)
+    r, u = scipy.linalg.schur(sys.A.conj().T, output="real")
+    gb = float(np.max(np.diag(r).real))
     if gb >= STABILITY_MARGIN:
         raise StabilityError(
             f"infinite horizon requires growth bound < {STABILITY_MARGIN}, got {gb:.3g}"
         )
     Q = sys.C.conj().T @ sys.C
-    P = scipy.linalg.solve_continuous_lyapunov(sys.A.conj().T, -Q)
+    f = u.conj().T.dot((-Q).dot(u))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (r, f))
+    y, scale, _ = trsyl(r, r, f, tranb="C" if np.iscomplexobj(f) else "T")
+    y *= scale
+    P = u.dot(y).dot(u.conj().T)
     P = 0.5 * (P + P.conj().T)
     resid = operator_norm(sys.A.conj().T @ P + P @ sys.A + Q)
     scale = max(1.0, operator_norm(Q), operator_norm(P) * operator_norm(sys.A))
@@ -310,31 +321,44 @@ class NabokoPoint:
 
 
 #: Gauss-Legendre rules of 8 and 16 nodes on [-1, 1]: the coarse and the
-#: fine estimate of each panel of :func:`_adaptive_line_integral`.
+#: fine estimate of each panel of :func:`_adaptive_line_integrals`.
 _GAUSS_COARSE = np.polynomial.legendre.leggauss(8)
 _GAUSS_FINE = np.polynomial.legendre.leggauss(16)
 _GAUSS_NODES = np.concatenate([_GAUSS_COARSE[0], _GAUSS_FINE[0]])
 
 
-def _adaptive_line_integral(f, lo, hi, rel_tol, max_depth=12):
-    """Adaptive Gauss-Legendre on a line segment with interval halving.
+def _adaptive_line_integrals(f, lo, hi, probes, rel_tol, max_depth=12):
+    """Adaptive Gauss-Legendre of several integrands on a line segment, with interval halving.
 
-    ``f`` maps an array of nodes to the array of integrand values; both
-    rules' nodes on a panel are evaluated in one call.
+    ``f(nodes, active)`` maps an array of nodes and a list of probes to
+    the ``(len(active), nodes.size)`` integrand values; both rules' nodes
+    on a panel are evaluated in one call, for every probe still refining
+    that panel.  Each probe halves a panel on its own estimates and adds
+    its halves as a recursion of its own would, so its integral does not
+    depend on which other probes share the calls.  Returns one integral
+    per entry of ``probes``.
     """
     k = _GAUSS_COARSE[0].size
 
-    def recurse(a, b, depth):
+    def recurse(a, b, depth, active):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        vals = f(mid + half * _GAUSS_NODES)
-        coarse = half * float(_GAUSS_COARSE[1] @ vals[:k])
-        fine = half * float(_GAUSS_FINE[1] @ vals[k:])
-        if abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300) or depth >= max_depth:
-            return fine
-        return recurse(a, mid, depth + 1) + recurse(mid, b, depth + 1)
+        out = []
+        split = []
+        for i, v in enumerate(f(mid + half * _GAUSS_NODES, active)):
+            coarse = half * float(_GAUSS_COARSE[1] @ v[:k])
+            fine = half * float(_GAUSS_FINE[1] @ v[k:])
+            out.append(fine)
+            if not (abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300) or depth >= max_depth):
+                split.append(i)
+        if split:
+            sub = [active[i] for i in split]
+            halves = zip(recurse(a, mid, depth + 1, sub), recurse(mid, b, depth + 1, sub))
+            for i, (left, right) in zip(split, halves):
+                out[i] = left + right
+        return out
 
-    return recurse(lo, hi, 0)
+    return np.array(recurse(lo, hi, 0, list(probes)))
 
 
 def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
@@ -346,9 +370,14 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     cross-checked against the Plancherel form ``2 pi eps * integral
     exp(-2 eps t) norm(C T(t) h)^2 dt``, which collapses to the shifted
     Lyapunov solve ``(A - eps)* X + X (A - eps) = -C*C``.  Both the
-    extremes over probes and the relative agreement are reported.
+    extremes over probes and the relative agreement are reported; each
+    ``eps`` and ``xi_max`` must be positive and finite.  The probes share
+    each panel's resolvent evaluation: one product (or one stacked solve)
+    serves every probe still refining the panel, and each probe keeps its
+    own refinement and summation, as if integrated alone.
     """
     A = as_matrix(A, "generator")
+    xi_max = _positive_finite(xi_max, "xi_max")
     if growth_bound(A) > 1e-10:
         raise StabilityError("spectrum must lie in the closed left half-plane")
     n = A.shape[0]
@@ -356,8 +385,9 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     if C.shape[1] != n:
         raise DimensionError("observation dimension mismatch")
     Q = C.conj().T @ C
-    # C R(z) e_j for a vector of nodes z, one column per node: through a
-    # cached eigendecomposition when safe, else by stacked solves
+    # C R(z) e_j for a vector of nodes z and of probes j, one column per
+    # (probe, node): through a cached eigendecomposition when safe, else
+    # by stacked solves
     try:
         w_eig, V = np.linalg.eig(A)
         Vinv = np.linalg.inv(V)
@@ -367,43 +397,41 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     I = np.eye(n)
     CV = C @ V if use_eig else None
 
-    def resolvent_columns(z, j):
+    def resolvent_columns(z, probes):
         if use_eig:
-            return CV @ (Vinv[:, j, None] / (z[None, :] - w_eig[:, None]))
-        rhs = np.broadcast_to(I[:, j, None], (z.size, n, 1))
-        return C @ np.linalg.solve(z[:, None, None] * I - A, rhs)[..., 0].T
+            X = Vinv[:, probes, None] / (z[None, None, :] - w_eig[:, None, None])
+            return CV @ X.reshape(n, -1)
+        rhs = np.broadcast_to(I[:, probes], (z.size, n, len(probes)))
+        X = np.linalg.solve(z[:, None, None] * I - A, rhs)
+        return C @ X.transpose(1, 2, 0).reshape(n, -1)
 
     out = []
     panels = max(4, int(quad_m) // 8)
     for eps in eps_list:
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        eps = _positive_finite(eps, "eps")
         X = scipy.linalg.solve_continuous_lyapunov(
             (A - eps * np.eye(n)).conj().T, -Q
         )
         X = 0.5 * (X + X.conj().T)
-        quad_vals = []
-        plan_vals = []
         edges = np.linspace(-xi_max, xi_max, panels + 1)
-        for j in range(n):
-            def f(xi, j=j):
-                R = resolvent_columns(eps + 1j * xi, j)
-                return (R.real**2 + R.imag**2).sum(axis=0)
 
-            val = sum(
-                _adaptive_line_integral(f, edges[i], edges[i + 1], 1e-6)
-                for i in range(panels)
-            )
-            quad_vals.append(eps * val)
-            plan_vals.append(2.0 * math.pi * eps * float(X[j, j].real))
+        def f(xi, probes):
+            R = resolvent_columns(eps + 1j * xi, probes)
+            return (R.real**2 + R.imag**2).sum(axis=0).reshape(len(probes), xi.size)
+
+        val = sum(
+            _adaptive_line_integrals(f, edges[i], edges[i + 1], range(n), 1e-6)
+            for i in range(panels)
+        )
+        quad_vals = eps * val
+        plan_vals = 2.0 * math.pi * eps * X.diagonal().real
         out.append(
             NabokoPoint(
                 eps=eps,
-                quad_min=min(quad_vals),
-                quad_max=max(quad_vals),
-                plancherel_min=min(plan_vals),
-                plancherel_max=max(plan_vals),
+                quad_min=float(quad_vals.min()),
+                quad_max=float(quad_vals.max()),
+                plancherel_min=float(plan_vals.min()),
+                plancherel_max=float(plan_vals.max()),
             )
         )
     return out
@@ -420,13 +448,11 @@ def cesaro_orbit_mean(A, C=None, t_max=50.0):
     isometry criterion.  One block exponential gives ``G`` and ``T`` at
     ``t_max/4``; the composition law ``G_{s+t} = G_s + T(s)* G_t T(s)``
     reaches each horizon from there.  A Gramian beyond the floating-point
-    range raises :class:`~simgroup.exceptions.SaturationError`, and
-    ``t_max <= 0`` raises ``ValueError``.
+    range raises :class:`~simgroup.exceptions.SaturationError`, and a
+    ``t_max`` that is not positive and finite raises ``ValueError``.
     """
     A = as_matrix(A, "generator")
-    t_max = float(t_max)
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    t_max = _positive_finite(t_max, "t_max")
     n = A.shape[0]
     C = np.eye(n) if C is None else np.atleast_2d(_real_if_exact(C))
     G_q, T_q = _orbit_integral(A, C.conj().T @ C, 0.25 * t_max)

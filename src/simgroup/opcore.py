@@ -16,6 +16,7 @@ All operations are pure functions of immutable inputs; a :class:`MatrixSemigroup
 a spectral factorization of its generator but is otherwise stateless.
 """
 
+import cmath
 import ctypes
 import functools
 import json
@@ -130,6 +131,22 @@ def _real_if_exact(T):
         return T
     T = np.asarray(T, dtype=complex)
     return T if T.imag.any() else T.real.copy()
+
+
+def _nonnegative_finite(x, name):
+    """``float(x)``; a ``ValueError`` naming ``name`` unless it is finite and ``>= 0``."""
+    x = float(x)
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite with {name} >= 0, got {x!r}")
+    return x
+
+
+def _positive_finite(x, name):
+    """``float(x)``; a ``ValueError`` naming ``name`` unless it is finite and ``> 0``."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
 
 
 def _singular_values(T):
@@ -251,14 +268,15 @@ def expm_semigroup(A, t):
         If ``t * growth_bound(A)`` exceeds the floating-point range.
     """
     A = as_matrix(A)
-    return _expm_with(A, _eig_cached(A), lambda: growth_bound(A), t)
+    return _expm_with(A, lambda: _eig_cached(A), lambda: growth_bound(A), t)
 
 
-def _expm_with(A, ded, growth, t):
-    """:func:`expm_semigroup` given ``ded = _eig_cached(A)`` and ``growth() = growth_bound(A)``.
+def _expm_with(A, eig, growth, t):
+    """:func:`expm_semigroup` given ``eig() = _eig_cached(A)`` and ``growth() = growth_bound(A)``.
 
-    One generator's times share both; ``growth`` is called only on the
-    scaling-and-squaring route, where ``ded`` is None.  ``exp(tA)`` takes
+    One generator's times share both.  Neither is called at ``t = 0``,
+    where ``exp(0 A) = I``, and ``growth`` only on the scaling-and-squaring
+    route, where ``eig()`` is None.  ``exp(tA)`` takes
     the dtype of ``A``: for a real generator with complex eigenvalues the
     eigenbasis product is complex, and its real part, dropping a
     rounding-level imaginary part, is the value.
@@ -268,6 +286,7 @@ def _expm_with(A, ded, growth, t):
         raise ValueError("semigroup evaluation requires t >= 0")
     if t == 0.0:
         return np.eye(A.shape[0], dtype=A.dtype)
+    ded = eig()
     if ded is not None:
         w = ded[0]
         if t * float(np.max(w.real)) > _EXP_SATURATION:
@@ -297,7 +316,7 @@ def gramian_integral(A, Q, tau):
     stiff horizons.  For real ``A`` and ``Q`` the block is real, and so
     are every product and the float64 result.  An integral beyond the
     floating-point range raises :class:`~simgroup.exceptions.SaturationError`;
-    a negative ``tau`` raises ``ValueError``.
+    a negative or non-finite ``tau`` raises ``ValueError``.
     """
     return _orbit_integral(A, Q, tau)[0]
 
@@ -312,9 +331,7 @@ def _orbit_integral(A, Q, tau):
     A = as_matrix(A, "generator")
     Q = as_matrix(Q, "Q")
     n = A.shape[0]
-    tau = float(tau)
-    if tau < 0:
-        raise ValueError("orbit integral requires tau >= 0")
+    tau = _nonnegative_finite(tau, "tau")
     k = max(0, math.ceil(math.log2(max(2.0 * tau * operator_norm(A), 1.0))))
     M = np.zeros((2 * n, 2 * n), dtype=np.result_type(A, Q))
     M[:n, :n] = -A.conj().T
@@ -339,21 +356,29 @@ def resolvent(A, z):
 
     The solve is in the field ``np.result_type(A, z)``: float64 for a
     real ``A`` and a real ``z``.  Up to two steps of iterative refinement
-    are applied while the solve does not meet the residual target.
+    are applied while the solve does not meet the residual target.  The
+    spectrum is computed only when ``|z|`` fails to exceed ``norm(A, 1)``
+    by the margin of the test below: every eigenvalue lies in the disc of
+    that radius, so past the margin none can be near ``z``.
 
     Raises
     ------
     NearSingularError
         If ``z`` is within 1e-12 of an eigenvalue of ``A`` (relative to
         the eigenvalue scale), or the residual target cannot be met.
+    ValueError
+        If ``z`` is not finite.
     """
     A = as_matrix(A)
     z = complex(z) if np.iscomplexobj(z) else float(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     I = np.eye(A.shape[0], dtype=np.result_type(A, z))
-    eigs = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.max(np.abs(eigs))), abs(z))
-    if np.min(np.abs(eigs - z)) <= 1e-12 * scale:
-        raise NearSingularError(f"z = {z} is within 1e-12 of the spectrum")
+    if abs(z) - float(np.abs(A).sum(axis=0).max()) <= 1e-12 * max(1.0, abs(z)):
+        eigs = np.linalg.eigvals(A)
+        scale = max(1.0, float(np.max(np.abs(eigs))), abs(z))
+        if np.min(np.abs(eigs - z)) <= 1e-12 * scale:
+            raise NearSingularError(f"z = {z} is within 1e-12 of the spectrum")
     B = z * I - A
     X = np.linalg.solve(B, I)
     res = operator_norm(B @ X - I)
@@ -432,7 +457,7 @@ class MatrixSemigroup:
     exact only for aligned times.
 
     Evaluation is pure; the only internal state is a cached
-    factorization, computed once.
+    factorization, computed once, at the first time that needs it.
     """
 
     def __init__(self, dim, eval_fn, kind, description, step=None):
@@ -470,12 +495,13 @@ class MatrixSemigroup:
 def semigroup_from_generator(A):
     """Semigroup ``t -> exp(tA)`` with a cached spectral factorization.
 
-    A generator whose eigenbasis is refused takes scaling-and-squaring at
-    every time; its growth bound is computed on the first such time and
-    reused.
+    The eigenbasis is factorized at the first ``t > 0``, not here, so a
+    caller that needs only ``T(0) = I`` never pays for it.  A generator
+    whose eigenbasis is refused takes scaling-and-squaring at every time;
+    its growth bound is computed on the first such time and reused.
     """
     A = as_matrix(A, "generator")
-    ded = _eig_cached(A)
+    ded = functools.cache(lambda: _eig_cached(A))
     growth = functools.cache(lambda: growth_bound(A))
 
     def ev(t):

@@ -146,6 +146,29 @@ class TestInfiniteGramian:
         with pytest.raises(StabilityError):
             infinite_gramian(ObservedSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)))
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([-1.0, 0.0]),
+            np.array([[0.0, 2.0], [-2.0, 0.0]]),
+            np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, -3.0, 0.0]]),
+        ],
+        ids=["zero-eigenvalue", "rotation", "rotation-block"],
+    )
+    def test_marginal_spectrum_raises(self, A):
+        # a real rotation is one standardized 2x2 Schur block with zero diagonal
+        with pytest.raises(StabilityError, match="growth bound"):
+            infinite_gramian(ObservedSystem(A, np.eye(A.shape[0])))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_gramian_is_the_scipy_solve(self, rng, complex_entries):
+        A = random_stable(rng, 9, complex_entries=complex_entries)
+        C = rng.standard_normal((4, 9))
+        rep = infinite_gramian(ObservedSystem(A, C))
+        P = scipy.linalg.solve_continuous_lyapunov(A.conj().T, -(C.T @ C))
+        assert rep.gramian.dtype == P.dtype
+        assert np.array_equal(rep.gramian, 0.5 * (P + P.conj().T))
+
     def test_residual_is_lyapunov_defect(self, rng):
         A = random_stable(rng, 5)
         rep = infinite_gramian(ObservedSystem(A, rng.standard_normal((5, 5))))
@@ -253,7 +276,70 @@ def _naboko_per_node(A, eps, xi_max=200.0, quad_m=32):
     return min(vals), max(vals)
 
 
+def _naboko_per_probe(A, eps_list, xi_max=200.0, quad_m=32):
+    """:func:`naboko_integral` as it integrated each probe alone, one recursion per probe.
+
+    The reference for the shared panels: every probe's panels, halvings
+    and sums are its own, so the batched extremes must agree.
+    """
+    n = A.shape[0]
+    coarse_rule = np.polynomial.legendre.leggauss(8)
+    fine_rule = np.polynomial.legendre.leggauss(16)
+    nodes = np.concatenate([coarse_rule[0], fine_rule[0]])
+    w_eig, V = np.linalg.eig(A)
+    Vinv = np.linalg.inv(V)
+    use_eig = np.linalg.cond(V) < 1e8
+    I = np.eye(n)
+
+    def columns(z, j):
+        if use_eig:
+            return V @ (Vinv[:, j, None] / (z[None, :] - w_eig[:, None]))
+        rhs = np.broadcast_to(I[:, j, None], (z.size, n, 1))
+        return np.linalg.solve(z[:, None, None] * I - A, rhs)[..., 0].T
+
+    def integrate(f, a, b, depth=0):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = f(mid + half * nodes)
+        coarse = half * float(coarse_rule[1] @ vals[:8])
+        fine = half * float(fine_rule[1] @ vals[8:])
+        if abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300) or depth >= 12:
+            return fine
+        return integrate(f, a, mid, depth + 1) + integrate(f, mid, b, depth + 1)
+
+    panels = max(4, quad_m // 8)
+    edges = np.linspace(-xi_max, xi_max, panels + 1)
+    out = []
+    for eps in eps_list:
+        vals = []
+        for j in range(n):
+
+            def f(xi, j=j):
+                R = columns(eps + 1j * xi, j)
+                return (R.real**2 + R.imag**2).sum(axis=0)
+
+            vals.append(eps * sum(integrate(f, edges[i], edges[i + 1]) for i in range(panels)))
+        out.append((min(vals), max(vals)))
+    return use_eig, out
+
+
 class TestNaboko:
+    @pytest.mark.parametrize(
+        "A, use_eig",
+        [
+            (1j * np.diag([0.3, -0.7, 1.1, 0.05]), True),
+            (np.array([[-0.2, 3.0, 0.0], [0.0, -0.5 + 1j, 1.0], [0.0, 0.0, -1.0]]), True),
+            (np.diag([-0.3] * 3) + np.diag([1.0, 1.0], 1), False),
+        ],
+        ids=["skew", "non-normal", "defective"],
+    )
+    def test_shared_panels_match_per_probe_integration(self, A, use_eig):
+        eps_list = (0.05, 0.1, 0.5)
+        route, ref = _naboko_per_probe(A, eps_list)
+        assert route == use_eig
+        for p, (lo, hi) in zip(naboko_integral(A, eps_list), ref):
+            assert p.quad_min == pytest.approx(lo, rel=1e-14, abs=0.0)
+            assert p.quad_max == pytest.approx(hi, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize(
         "A",
         [
@@ -294,6 +380,18 @@ class TestNaboko:
     def test_right_half_plane_rejected(self):
         with pytest.raises(StabilityError):
             naboko_integral(np.diag([0.5]), [0.1])
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("eps", {"eps_list": [0.1, math.nan]}),
+        ("eps", {"eps_list": [math.inf]}),
+        ("eps", {"eps_list": [0.0]}),
+        ("xi_max", {"eps_list": [0.1], "xi_max": math.nan}),
+        ("xi_max", {"eps_list": [0.1], "xi_max": math.inf}),
+        ("xi_max", {"eps_list": [0.1], "xi_max": -5.0}),
+    ])
+    def test_bad_scalars_rejected(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            naboko_integral(np.diag([-1.0]), **kwargs)
 
 
 class TestCesaro:
@@ -362,6 +460,11 @@ class TestCesaro:
     @pytest.mark.parametrize("t_max", [0.0, -10.0])
     def test_non_positive_horizon_rejected(self, t_max):
         with pytest.raises(ValueError, match="t_max"):
+            cesaro_orbit_mean(np.diag([-1.0, -2.0]), t_max=t_max)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
             cesaro_orbit_mean(np.diag([-1.0, -2.0]), t_max=t_max)
 
     def test_overflow_raises_saturation(self):

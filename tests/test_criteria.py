@@ -33,7 +33,9 @@ from simgroup.gallery import (
     schaeffer_dilation,
 )
 from simgroup.opcore import (
+    _eig_cached,
     expm_semigroup,
+    numerical_abscissa,
     operator_norm,
     sampled_semigroup,
     semigroup_from_generator,
@@ -197,6 +199,11 @@ class TestPostWidder:
         with pytest.raises(NearSingularError):
             post_widder(np.diag([4.0, -1.0]), 1.0, 4)  # shift n/t = 4 in spectrum
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            post_widder(JORDAN, t, 4)
+
 
 class TestAverageRenorm:
     def test_skew_average_is_scalar(self):
@@ -260,6 +267,46 @@ class TestAverageRenorm:
         assert aud.inputs["M"] == sup(semigroup_from_generator(JORDAN), 1.0)
 
 
+def _full_grid_sup(sem, tau):
+    """Raw :func:`sup_norm_on_interval`, every one of its 65 + 15 samples evaluated."""
+    ts = np.linspace(0.0, tau, 65)
+    norms = [operator_norm(sem.eval(t)) for t in ts]
+    k = int(np.argmax(norms))
+    refine = np.linspace(ts[max(0, k - 1)], ts[min(64, k + 1)], 17)[1:-1]
+    return max(norms + [operator_norm(sem.eval(float(t))) for t in refine])
+
+
+def _dissipative(rng, n, complex_entries):
+    """``K - B B* / n - 0.1 I`` with ``K`` skew: numerical abscissa at most ``-0.1``."""
+    B = rng.standard_normal((n, n))
+    K = rng.standard_normal((n, n))
+    if complex_entries:
+        B = B + 1j * rng.standard_normal((n, n))
+        K = K + 1j * rng.standard_normal((n, n))
+    return (K - K.conj().T) - B @ B.conj().T / n - 0.1 * np.eye(n)
+
+
+def _skew(rng, n):
+    K = rng.standard_normal((n, n))
+    return K - K.T
+
+
+#: label -> (generator, whether the omega bound skips every sample after T(0))
+_SUP_NORM_GENERATORS = {
+    "dissipative-real": (_dissipative(np.random.default_rng(1), 6, False), True),
+    "dissipative-complex": (_dissipative(np.random.default_rng(2), 6, True), True),
+    "skew": (_skew(np.random.default_rng(3), 6), False),
+    "jordan": (JORDAN, False),
+    "slow-fast": (np.array([[-0.1, 10.0], [0.0, -2.0]]), False),
+    # defective: the eigenbasis is refused, every time is scaling-and-squaring
+    "defective-dissipative": (np.array([[-1.0, 0.5], [0.0, -1.0]]), True),
+    # eigenbasis condition about 1e5
+    "ill-conditioned": (np.array([[-1.0, 10.0], [0.0, -1.0002]]), False),
+    # a growing oscillation: the norm dips, then climbs past its first peak
+    "growing-oscillator": (np.array([[0.05, 50.0], [-0.5, 0.05]]), False),
+}
+
+
 class TestSupNorm:
     def test_refinement_skips_grid_points(self):
         # the refinement's end points are grid points: 65 + 15 evaluations
@@ -276,6 +323,52 @@ class TestSupNorm:
             refine = np.linspace(ts[max(0, k - 1)], ts[min(64, k + 1)], 17)
             norms += [operator_norm(sem.eval(float(t))) for t in refine]
             assert M == max(norms)
+
+    @pytest.mark.parametrize(
+        "A, skips_all", list(_SUP_NORM_GENERATORS.values()), ids=list(_SUP_NORM_GENERATORS)
+    )
+    def test_omega_skips_keep_the_full_grid_maximum(self, A, skips_all, monkeypatch):
+        sem = semigroup_from_generator(A)
+        ref = _full_grid_sup(semigroup_from_generator(A), 1.0)
+        times = []
+        ev = sem.eval
+        monkeypatch.setattr(sem, "eval", lambda t: times.append(t) or ev(t))
+        assert sup_norm_on_interval(sem, 1.0, inflate=0.0) == ref
+        assert (times == [0.0]) == skips_all
+
+    def test_ill_conditioned_case_keeps_its_eigenbasis(self):
+        # the eigenvector route, not scaling-and-squaring, with cond near 1e5
+        _, _, _, cond = _eig_cached(_SUP_NORM_GENERATORS["ill-conditioned"][0])
+        assert 3e4 <= cond <= 3e5
+
+    def test_skew_generator_evaluates_every_sample(self, monkeypatch):
+        A = _SUP_NORM_GENERATORS["skew"][0]
+        assert numerical_abscissa(A) == 0.0
+        sem = semigroup_from_generator(A)
+        times = []
+        ev = sem.eval
+        monkeypatch.setattr(sem, "eval", lambda t: times.append(t) or ev(t))
+        sup_norm_on_interval(sem, 1.0)
+        assert len(times) == 80
+
+    def test_dissipative_generator_evaluates_the_identity_only(self, monkeypatch):
+        sem = semigroup_from_generator(_SUP_NORM_GENERATORS["dissipative-real"][0])
+        times, eigs = [], []
+        ev = sem.eval
+        eig = np.linalg.eig
+        monkeypatch.setattr(sem, "eval", lambda t: times.append(t) or ev(t))
+        monkeypatch.setattr(np.linalg, "eig", lambda M: eigs.append(1) or eig(M))
+        assert sup_norm_on_interval(sem, 1.0, inflate=0.0) == 1.0
+        assert times == [0.0]
+        assert eigs == []
+
+    def test_zero_interval_is_the_identity(self):
+        assert sup_norm_on_interval(semigroup_from_generator(JORDAN), 0.0, inflate=0.0) == 1.0
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_bad_interval_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            sup_norm_on_interval(semigroup_from_generator(JORDAN), tau)
 
 
 class TestLiapunovRenorm:

@@ -118,6 +118,11 @@ class TestGramianIntegral:
         G = gramian_integral(np.diag([-1.0, -2.0]), np.eye(2), 0.0)
         assert not G.any()
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            gramian_integral(np.diag([-1.0, -2.0]), np.eye(2), tau)
+
 
 class TestResolvent:
     def test_zero_generator(self):
@@ -137,6 +142,35 @@ class TestResolvent:
     def test_near_singular(self):
         with pytest.raises(exceptions.NearSingularError):
             resolvent(np.diag([1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13j])
+    def test_near_singular_at_the_disc_edge(self, offset):
+        # the eigenvalue 3 sits on the rim |z| = norm(A, 1) = 3, where the
+        # spectrum must be computed
+        A = np.array([[3.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(exceptions.NearSingularError, match="within 1e-12"):
+            resolvent(A, 3.0 + offset)
+
+    def test_spectrum_only_inside_the_disc(self, rng, monkeypatch):
+        A = random_stable(rng, 8)
+        norm1 = float(np.abs(A).sum(axis=0).max())
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        # the Post-Widder shifts n / t of exp(A) are past norm(A, 1)
+        for n in (32, 1024):
+            assert n > norm1
+            resolvent(A, float(n))
+        assert calls == []
+        for z in (0.5 * norm1, 0.9 * norm1 * 1j, norm1):
+            X = resolvent(A, z)
+            assert operator_norm((z * np.eye(8) - A) @ X - np.eye(8)) <= 1e-10
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_point_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            resolvent(np.diag([-1.0, -2.0]), z)
 
 
 class TestNorms:
@@ -284,8 +318,8 @@ class TestRealKernels:
         seen = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda M: seen.append(M.dtype) or eig(M))
-        semigroup_from_generator(np.array([[-1.0, 2.0], [0.0, -3.0]], dtype=complex))
-        semigroup_from_generator(np.array([[-1.0, 2.0j], [0.0, -3.0]]))
+        semigroup_from_generator(np.array([[-1.0, 2.0], [0.0, -3.0]], dtype=complex)).eval(1.0)
+        semigroup_from_generator(np.array([[-1.0, 2.0j], [0.0, -3.0]])).eval(1.0)
         assert seen == [np.dtype(float), np.dtype(complex)]
 
     def test_complex_generator_values_keep_their_imaginary_part(self):
@@ -381,6 +415,19 @@ class TestSemigroupValue:
         calls.clear()
         expm_semigroup(A, 1.0)
         assert len(calls) == 1
+
+    def test_eigenbasis_factorized_at_first_positive_time(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: calls.append(1) or eig(M))
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        sem = semigroup_from_generator(A)
+        assert np.array_equal(sem.eval(0.0), np.eye(2))
+        assert calls == []
+        for t in (0.5, 1.0, 2.0):
+            assert np.array_equal(sem.eval(t), expm_semigroup(A, t))
+        # expm_semigroup factorizes per call; the semigroup once
+        assert len(calls) == 4
 
     def test_snap_reporting(self):
         from simgroup.opcore import sampled_semigroup
