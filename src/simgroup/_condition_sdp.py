@@ -1,4 +1,4 @@
-"""Barrier path-following for the condition-number SDP.
+"""Primal-dual path-following for the condition-number SDP.
 
 For a constraint map in pair form ``L(X) = c (M* X F + F* X M)`` whose
 cone ``{L(P) <= 0}`` has interior points, the squared similarity
@@ -14,27 +14,48 @@ System and Control Theory*, 1994).  Its dual (Vandenberghe and Boyd,
 
 and every dual-feasible point bounds the optimum from below.
 
-The method minimizes ``t / mu + barrier`` by Newton steps with an exact
-line search, shrinking ``mu`` whenever the iterate is centred.  Each
-iterate carries an upper bound (the condition number of its weight,
-which is strictly feasible) and, once inside its Dikin ellipsoid, a dual
-point from the Newton-corrected slacks whose feasibility is re-checked
-before its objective is used as a lower bound.  The Newton system is
-the Schur complement of the three barrier blocks (Vandenberghe and
-Boyd; Toh, Todd and Tutuncu, *SDPT3*, 1999), assembled in ``O(n^4)``:
-every term of the Hessian has the form ``tr(X A Y B)``, so the whole
-matrix is four gathers from one ``n^2 x n^2`` outer product of the six
-factor pairs ``(A_r, B_r)`` -- the ``n^2``-dimensional constraint map
-is never formed as a matrix.
+The engine follows the central path of this pair with the HKM direction
+(Helmberg, Rendl, Vanderbei and Wolkowicz, *An interior-point method for
+semidefinite programming*, 1996) and Mehrotra's predictor-corrector
+(*On the implementation of a primal-dual interior point method*, 1992).
+The weight side ``(P, t)`` starts strictly feasible, at twice the
+equation seed, and stays so: each step goes ``0.98`` of the way to the
+boundary of the slack blocks ``S1 = P - I``, ``S2 = t I - P`` and ``S3
+= -nu L(P)`` at most.  The dual blocks ``(X1, X2, X3)`` start at ``mu0
+S^-1`` with ``tr X2 = 1`` and reach the coupling ``X1 = X2 + nu L*(X3)``
+only in the limit.  Each iterate carries an upper bound, the condition
+number of its weight, and a lower bound from weak duality with the
+coupling residual ``r = X1 - X2 - nu L*(X3)`` charged: for every
+feasible ``(P, t)`` and ``X1, X2, X3 >= 0``
 
-One Newton step costs one stacked ``eigh`` of the three barrier blocks,
-one stacked ``eigvalsh`` of the scaled search directions for the line
-search, one ``potrf`` of the Newton matrix and one or two ``potrs`` (a
-second one after ``mu`` shrinks), plus the ``O(n^4)`` outer product and
-gather.  At ``n <= 12`` numpy's per-call overhead, not LAPACK, sets the
-cost of a step, so the blocks and factor stacks are filled in arrays
-allocated once per solve, and a Lyapunov target (``F = I``) skips its
-identity products.
+    tr X1 <= <X1, P> = t tr X2 + nu <X3, L(P)> - <X2, t I - P> + <r, P>
+          <= t (tr X2 + tr r+),
+
+so ``C^2 >= tr X1 / (tr X2 + tr r+)`` (:func:`_coupling_bound`).
+
+The Newton system is the Schur complement ``sum_b tr(A_i X_b A_j
+S_b^-1)`` of the three blocks (Toh, Todd and Tutuncu, *SDPT3*, 1999),
+assembled in ``O(n^4)``: every term has the form ``tr(E_k A E_l B)``,
+so the whole matrix is four gathers from one ``n^2 x n^2`` outer
+product of the six factor pairs ``(A_r, B_r)`` -- the
+``n^2``-dimensional constraint map is never formed as a matrix.  One
+step costs one stacked ``eigh`` of the six blocks, one ``eigvalsh`` of
+the residual ``r``, one ``potrf`` of the Newton matrix, two ``potrs``
+(predictor and corrector) and two stacked ``eigvalsh`` for the step
+lengths, plus the ``O(n^4)`` outer product and gather.  At ``n <= 12``
+numpy's per-call overhead, not LAPACK, sets the cost of a step, so the
+blocks and factor stacks are filled in arrays allocated once per solve,
+and a Lyapunov target (``F = I``) skips its identity products.
+
+Some solves the loop does not close: a Newton matrix still fails
+Cholesky after the ridges, a block loses definiteness in rounding, or
+:data:`MAX_PD_STEPS` steps run out.  Such a solve hands over to a primal
+barrier method from the seed, which minimizes ``t / mu + barrier`` by
+Newton steps with an exact line search and, inside the Dikin ellipsoid,
+re-checks the Newton-corrected slacks as a dual point
+(:func:`_dual_bound`).  It closes some thin near-marginal cones that the
+primal-dual iterates leave wide.  The result keeps the smaller kappa
+and the larger lower bound of the two loops.
 """
 
 from dataclasses import dataclass
@@ -42,11 +63,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-#: Hard cap on Newton steps; the bracket normally closes in a few dozen.
+#: Cap on primal-dual steps; the bracket normally closes in about ten.
+MAX_PD_STEPS = 50
+#: Smallest centring parameter of the corrector.
+_SIGMA_MIN = 0.01
+#: Fraction of the step to the boundary that a primal-dual step takes.
+_STEP = 0.98
+#: Hard cap on Newton steps of the barrier hand-over.
 MAX_NEWTON_STEPS = 300
 #: Newton decrement squared below which the iterate counts as centred.
 _CENTRED = 0.5
-#: Factor applied to ``mu`` once centred.
+#: Factor applied to the barrier's ``mu`` once centred.
 _MU_FACTOR = 0.1
 #: Relative bracket width below which the float64 iterates stop improving.
 GAP_FLOOR = 1e-12
@@ -59,13 +86,16 @@ class SdpResult:
     """Best certified bracket ``lower <= sqrt(t*) <= kappa`` found.
 
     ``weight`` is the strictly feasible weight of ``kappa``, scaled to
-    ``eig_min = 1``.
+    ``eig_min = 1``.  ``iterations`` counts the steps of both loops;
+    ``barrier_steps`` those of the barrier hand-over (0 when the
+    primal-dual loop decided).
     """
 
     weight: np.ndarray
     kappa: float
     lower: float
     iterations: int
+    barrier_steps: int = 0
 
 
 class _HermitianBasis:
@@ -199,26 +229,28 @@ class _PairMap:
             G = c * (self.F @ Z @ self.Mh) + c * (self.M @ Z @ self.Fh)
         return 0.5 * (G + G.conj().T)
 
-    def newton_factors(self, W, coef, AB):
+    def newton_factors(self, X, W, coef, AB):
         """Fill the defect block's factor pairs ``AB[:, 2:]``.
 
-        With ``N_0 = F``, ``N_1 = M`` (the right factors) and ``K_ij = N_i W
-        M_j*``, ``AB[0, 2:]`` gets ``coef K_ij`` and ``AB[1, 2:]`` gets
-        ``K_ji`` over ``(i, j) = 00, 01, 10, 11``.
+        With ``N_0 = F``, ``N_1 = M`` (the right factors) and ``K_ij(Y) =
+        N_i Y M_j*``, ``AB[0, 2:]`` gets ``coef K_ij(X)`` and ``AB[1, 2:]``
+        gets ``K_ji(W)`` over ``(i, j) = 00, 01, 10, 11``: the pairs of
+        ``tr(L(E_k) X L(E_l) W) / c^2``.
         """
         A, B = AB[0], AB[1]
-        MW = self.M @ W
-        if self.F is None:
-            np.matmul(W, self.Mh, out=B[2])
-            B[4] = W
-            B[5] = MW
-        else:
-            FW = self.F @ W
-            np.matmul(FW, self.Mh, out=B[2])
-            np.matmul(FW, self.Fh, out=B[4])
-            np.matmul(MW, self.Fh, out=B[5])
-        np.matmul(MW, self.Mh, out=B[3])
-        np.multiply(coef, B[[2, 4, 3, 5]], out=A[2:])
+        for Y, out, (k00, k01, k10, k11) in ((W, B, (2, 4, 3, 5)), (X, A, (2, 3, 4, 5))):
+            MY = self.M @ Y
+            if self.F is None:
+                np.matmul(Y, self.Mh, out=out[k00])
+                out[k01] = Y
+                out[k11] = MY
+            else:
+                FY = self.F @ Y
+                np.matmul(FY, self.Mh, out=out[k00])
+                np.matmul(FY, self.Fh, out=out[k01])
+                np.matmul(MY, self.Fh, out=out[k11])
+            np.matmul(MY, self.Mh, out=out[k10])
+        A[2:] *= coef
 
 
 def _cholesky(H, potrf):
@@ -296,12 +328,167 @@ def solve(form, seed, tol, budget=None):
     -------
     SdpResult
     """
-    n = seed.shape[0]
-    complex_ = any(np.iscomplexobj(X) for X in (seed, form[0], form[1]) if X is not None)
-    basis = _HermitianBasis(n, complex_)
-    L = _PairMap(form, basis.dtype)
-    I = np.eye(n, dtype=basis.dtype)
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    sdp = _Problem(form, seed, tol, budget)
+    best = SdpResult(sdp.seed, _kappa(np.linalg.eigvalsh(sdp.seed)), 1.0, 0)
+    if not _primal_dual(sdp, best):
+        steps = best.iterations
+        _barrier(sdp, best)
+        best.barrier_steps = best.iterations - steps
+    return best
+
+
+class _Problem:
+    """One solve's SDP, scaled at the seed, and its stopping rule."""
+
+    def __init__(self, form, seed, tol, budget):
+        n = seed.shape[0]
+        complex_ = any(np.iscomplexobj(X) for X in (seed, form[0], form[1]) if X is not None)
+        self.n = n
+        self.basis = _HermitianBasis(n, complex_)
+        self.L = _PairMap(form, self.basis.dtype)
+        self.I = np.eye(n, dtype=self.basis.dtype)
+        self.potrf, self.potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+        self.seed = 0.5 * (seed + seed.conj().T)
+        # scale the defect block to unit size at the seed; near-marginal
+        # targets (a step exp(tA) with small t) otherwise carry a defect many
+        # orders below the other two blocks
+        self.nu = 1.0 / float(np.linalg.eigvalsh(-self.L.defect(self.seed))[-1])
+        # the defect block's weight in the Newton matrix
+        self.nu2c2 = self.nu * self.nu * self.L.c * self.L.c
+        self.tol = tol
+        self.budget = budget
+
+    def start(self):
+        """The weight side's start ``(2 seed, 2 eig_max(2 seed))``."""
+        P = 2.0 * self.seed
+        return P, 2.0 * float(np.linalg.eigvalsh(P)[-1])
+
+    def slacks(self, P, t, out):
+        """The blocks ``P - I``, ``t I - P`` and ``-nu L(P)`` into ``out[:3]``."""
+        np.subtract(P, self.I, out=out[0])
+        np.subtract(t * self.I, P, out=out[1])
+        np.multiply(-self.nu, self.L.defect(P), out=out[2])
+
+    def decided(self, best):
+        budget = self.budget
+        return (
+            best.kappa <= (1.0 + max(self.tol, GAP_FLOOR)) * best.lower
+            or (budget is not None and (best.kappa <= budget or best.lower > budget))
+        )
+
+
+def _primal_dual(sdp, best):
+    """Run the primal-dual loop on ``best``; False where it hands over.
+
+    A step is the HKM direction for ``X S = sigma mu I``: with ``dS =
+    -A*(dy)`` the Schur system ``sum_b A(X_b A_b*(dy) S_b^-1) = b - sigma
+    mu A(S^-1) + A(C)`` gives ``dy``, and ``dX = sigma mu S^-1 - X - (X
+    dS + C) S^-1``, symmetrized.  The predictor takes ``sigma = 0`` and
+    ``C = 0``; the corrector ``sigma = (mu_aff / mu)^3`` (at least
+    ``_SIGMA_MIN``) and Mehrotra's second-order term ``C = dX_aff
+    dS_aff``.  ``A`` maps the blocks to the coordinates of ``(P, t)``:
+    ``(-Z1 + Z2 + nu L*(Z3), -tr Z2)``, and ``b = (0, -1)``.
+    """
+    n, basis, L, I, nu = sdp.n, sdp.basis, sdp.L, sdp.I, sdp.nu
+    # S1, S2, S3, X1, X2, X3 and their directions, the factor pairs
+    # (A_r, B_r) and the Newton system, filled at every step
+    blocks = np.empty((6, n, n), dtype=basis.dtype)
+    dirs = np.empty((6, n, n), dtype=basis.dtype)
+    AB = np.empty((2, 6, n, n), dtype=basis.dtype)
+    H = np.empty((basis.dim + 1, basis.dim + 1))
+    rhs = np.empty(basis.dim + 1)
+    S, X = blocks[:3], blocks[3:]
+    P, t = sdp.start()
+    sdp.slacks(P, t, S)
+    w, U = np.linalg.eigh(S)
+    if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+        return False
+    W = (U / w[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    # X = mu0 S^-1 with mu0 = 1 / tr S2^-1, so that tr X2 = 1
+    np.add(W, W.conj().transpose(0, 2, 1), out=X)
+    X *= 0.5 / W[1].trace().real
+
+    for _ in range(MAX_PD_STEPS):
+        best.iterations += 1
+        sdp.slacks(P, t, S)
+        w, U = np.linalg.eigh(blocks)
+        if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+            return False
+        Uh = U.conj().transpose(0, 2, 1)
+        W = (U[:3] / w[:3, None, :]) @ Uh[:3]
+        # upper bound: the weight side is strictly feasible
+        wP = w[0] + 1.0
+        kappa = _kappa(wP)
+        if kappa < best.kappa:
+            best.weight, best.kappa = P / wP[0], kappa
+        best.lower = max(best.lower, _coupling_bound(w[3:], X[0] - X[1] - nu * L.adjoint(X[2]), n))
+        if sdp.decided(best):
+            return True
+
+        # Schur system in relative coordinates dP = R dZ R, R = P^(1/2),
+        # Jacobi-scaled, as in the barrier loop
+        R = (U[0] * np.sqrt(wP)) @ Uh[0]
+        AB[0, :2] = X[:2]
+        AB[1, :2] = W[:2]
+        L.newton_factors(X[2], W[2], sdp.nu2c2, AB)
+        RAB = R @ AB @ R
+        H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
+        XW2 = X[1] @ W[1]
+        H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ XW2 @ R)
+        H[-1, -1] = XW2.trace().real
+        d = H.diagonal()
+        if not ((d > 0.0).all() and np.isfinite(H).all()):
+            return False
+        dsc = 1.0 / np.sqrt(d)
+        chol = _cholesky(H * np.outer(dsc, dsc), sdp.potrf)
+        if chol is None:
+            return False
+        r = 1.0 / np.sqrt(w)
+        scale = r[:, :, None] * r[:, None, :]
+
+        def direction(smu, C):
+            # dy from the Schur system; dS into dirs[:3], dX into dirs[3:]
+            step = dsc * sdp.potrs(chol, dsc * rhs, lower=False)[0]
+            dP = np.matmul(R @ basis.matrix(step[:-1]), R, out=dirs[0])
+            np.subtract(step[-1] * I, dP, out=dirs[1])
+            np.multiply(-nu, L.defect(dP), out=dirs[2])
+            D = smu * W - X - X @ dirs[:3] @ W
+            if C is not None:
+                D -= C
+            np.add(D, D.conj().transpose(0, 2, 1), out=dirs[3:])
+            dirs[3:] *= 0.5
+            return float(step[-1])
+
+        def lengths(frac):
+            # the largest steps keeping S and X definite, each capped at 1
+            K = (Uh @ dirs @ U) * scale
+            lam = np.linalg.eigvalsh(K)[:, 0]
+            return tuple(min(1.0, -frac / m) if m < 0.0 else 1.0 for m in (lam[:3].min(), lam[3:].min()))
+
+        mu = np.vdot(X, S).real / (3 * n)
+        rhs[:-1] = 0.0
+        rhs[-1] = -1.0
+        direction(0.0, None)
+        a_d, a_p = lengths(1.0)
+        mu_aff = np.vdot(X + a_p * dirs[3:], S + a_d * dirs[:3]).real / (3 * n)
+        smu = min(1.0, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) * mu
+        C = dirs[3:] @ dirs[:3] @ W
+        G = smu * (W[0] - W[1]) - C[0] + C[1] + nu * L.adjoint(C[2] - smu * W[2])
+        rhs[:-1] = basis.coords(R @ G @ R)
+        rhs[-1] = -1.0 + smu * W[1].trace().real - C[1].trace().real
+        dt = direction(smu, C)
+        a_d, a_p = lengths(_STEP)
+        P = P + a_d * dirs[0]
+        P = 0.5 * (P + P.conj().T)
+        t = t + a_d * dt
+        X += a_p * dirs[3:]
+    return False
+
+
+def _barrier(sdp, best):
+    """The barrier loop from the seed, folding its brackets into ``best``."""
+    n, basis, L, I, nu = sdp.n, sdp.basis, sdp.L, sdp.I, sdp.nu
+    tol = sdp.tol
     # the three barrier blocks, their search directions, the factor pairs
     # (A_r, B_r) and the Newton system, filled at every step
     blocks = np.empty((3, n, n), dtype=basis.dtype)
@@ -309,32 +496,13 @@ def solve(form, seed, tol, budget=None):
     AB = np.empty((2, 6, n, n), dtype=basis.dtype)
     H = np.empty((basis.dim + 1, basis.dim + 1))
     g = np.empty(basis.dim + 1)
-
-    # scale the defect block to unit size at the seed; near-marginal
-    # targets (a step exp(tA) with small t) otherwise carry a defect many
-    # orders below the other two blocks
-    seed = 0.5 * (seed + seed.conj().T)
-    nu = 1.0 / float(np.linalg.eigvalsh(-L.defect(seed))[-1])
-    # the defect block's weight in the Newton matrix
-    nu2c2 = nu * nu * L.c * L.c
-
-    P = 2.0 * seed
-    t = 2.0 * float(np.linalg.eigvalsh(P)[-1])
-    best = SdpResult(seed, _kappa(np.linalg.eigvalsh(seed)), 1.0, 0)
-
-    def decided():
-        return (
-            best.kappa <= (1.0 + max(tol, GAP_FLOOR)) * best.lower
-            or (budget is not None and (best.kappa <= budget or best.lower > budget))
-        )
+    P, t = sdp.start()
 
     mu = None
-    for it in range(1, MAX_NEWTON_STEPS + 1):
-        best.iterations = it
+    for _ in range(MAX_NEWTON_STEPS):
+        best.iterations += 1
         # the three barrier blocks, factored and inverted as one stack
-        np.subtract(P, I, out=blocks[0])
-        np.subtract(t * I, P, out=blocks[1])
-        np.multiply(-nu, L.defect(P), out=blocks[2])
+        sdp.slacks(P, t, blocks)
         w, U = np.linalg.eigh(blocks)
         if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
             break
@@ -346,7 +514,7 @@ def solve(form, seed, tol, budget=None):
         kappa = _kappa(wP)
         if kappa < best.kappa:
             best.weight, best.kappa = P / wP[0], kappa
-        if decided():
+        if sdp.decided(best):
             break
 
         # Newton system for t / mu - log det(P - I) - log det(tI - P) - log det(-nu L(P))
@@ -356,7 +524,7 @@ def solve(form, seed, tol, budget=None):
         # balances t against the weight
         R = (U[0] * np.sqrt(wP)) @ Uh[0]
         AB[:, :2] = W[:2]
-        L.newton_factors(W3, nu2c2, AB)
+        L.newton_factors(W3, W3, sdp.nu2c2, AB)
         RAB = R @ AB @ R
         H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
         W22 = W2 @ W2
@@ -369,7 +537,7 @@ def solve(form, seed, tol, budget=None):
         if not ((d > 0.0).all() and np.isfinite(H).all()):
             break
         dsc = 1.0 / np.sqrt(d)
-        chol = _cholesky(H * np.outer(dsc, dsc), potrf)
+        chol = _cholesky(H * np.outer(dsc, dsc), sdp.potrf)
         if chol is None:
             break
         g[:-1] = basis.coords(R @ (-W1 + W2 + nu * L.adjoint(W3)) @ R)
@@ -381,7 +549,7 @@ def solve(form, seed, tol, budget=None):
             # the step (dP, dt), L(dP) and the decrement; dirs gets the
             # blocks' directions dP, dt I - dP and -nu L(dP)
             g[-1] = 1.0 / mu - tr_w2
-            step = -dsc * potrs(chol, dsc * g, lower=False)[0]
+            step = -dsc * sdp.potrs(chol, dsc * g, lower=False)[0]
             dP = np.matmul(R @ basis.matrix(step[:-1]), R, out=dirs[0])
             dt = float(step[-1])
             np.subtract(dt * I, dP, out=dirs[1])
@@ -397,7 +565,7 @@ def solve(form, seed, tol, budget=None):
             Z2 = mu * (W2 - W2 @ dirs[1] @ W2)
             Z3 = mu * (W3 + nu * (W3 @ D @ W3))
             best.lower = max(best.lower, _dual_bound(Z2, Z3, nu * L.adjoint(Z3), n))
-            if decided():
+            if sdp.decided(best):
                 break
             if dec <= _CENTRED:
                 if mu * 3 * n <= GAP_FLOOR * t:
@@ -414,7 +582,28 @@ def solve(form, seed, tol, budget=None):
             break
         P = P + a * dP
         t = t + a * dt
-    return best
+
+
+def _coupling_bound(wX, r, n):
+    """Certified lower bound on the constant from dual blocks off the coupling.
+
+    ``wX`` holds the eigenvalues of ``X1, X2, X3`` (rows, ascending) and
+    ``r = X1 - X2 - nu L*(X3)`` is the coupling residual.  For ``X2, X3
+    >= 0`` and every feasible ``(P, t)``, weak duality gives ``tr X1 <=
+    <X1, P> <= t (tr X2 + tr r+)`` (module notes).  ``X2`` and ``X3`` must
+    be positive semidefinite as computed; a negative eigenvalue ``-eps``
+    of ``X1``, which rounding may leave, is charged as in
+    :func:`_dual_bound`: ``<X1, P - I> >= -eps n (t - 1)``.
+    """
+    if not (np.isfinite(wX).all() and wX[1, 0] >= 0.0 and wX[2, 0] >= 0.0):
+        return 1.0
+    wr = np.linalg.eigvalsh(r)
+    eps = max(0.0, -float(wX[0, 0]))
+    num = float(wX[0].sum()) + eps * n
+    den = float(wX[1].sum()) + float(wr[wr > 0.0].sum()) + eps * n
+    if not (den > 0.0 and num > den and np.isfinite(num / den)):
+        return 1.0
+    return float(np.sqrt(num / den))
 
 
 def _kappa(w):

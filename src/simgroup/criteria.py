@@ -259,15 +259,17 @@ def post_widder(A, t, n):
     """Post-Widder approximant ``(I - (t/n) A)^{-n}`` of ``exp(tA)``.
 
     The error decreases in ``n``; the resolvent shift ``n/t`` must stay
-    clear of the spectrum.  ``t`` must be positive and finite.  A shift
-    beyond ``norm(A, 1)``, the usual case for large ``n``, is clear of
-    every eigenvalue, and :func:`~simgroup.opcore.resolvent` then skips
-    the spectrum.
+    clear of the spectrum.  ``t`` must be positive and finite, and ``n``
+    an integer of at least 1 (an integral float such as ``4.0`` counts).
+    A shift beyond ``norm(A, 1)``, the usual case for large ``n``, is
+    clear of every eigenvalue, and :func:`~simgroup.opcore.resolvent`
+    then skips the spectrum.
     """
     A = as_matrix(A, "generator")
+    x = float(n)
+    if not (math.isfinite(x) and x.is_integer() and x >= 1.0):
+        raise ValueError(f"n must be an integer with n >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     t = _positive_finite(t, "t")
     shift = n / t
     M = shift * resolvent(A, shift)

@@ -41,9 +41,11 @@ strictly stable single-constraint targets, picks the target's regime
 * **Seed, dimension up to 32**: the exact interior-point engine
   (:mod:`simgroup._condition_sdp`) alone decides.  ``I`` or the clipped
   seed answers first if it certifies the power/semigroup norm floor;
-  otherwise the engine follows the barrier path from the seed until its
-  strictly feasible weight and a re-checked dual-feasible point bracket
-  the constant within the relative ``tol``; a fixed-budget probe tries
+  otherwise the engine follows the primal-dual central path from the
+  seed until its strictly feasible weight and the weak-duality bound of
+  its dual blocks bracket the constant within the relative ``tol`` (a
+  stalled solve hands over to a barrier loop from the seed, which keeps
+  the better end of each bracket); a fixed-budget probe tries
   the clipped closed-form weights first and otherwise decides from the
   same bracket.  An engine weight that fails the certificate rule is
   restored onto the cone by one equation solve, or replaced by the seed;
@@ -249,7 +251,8 @@ class FeasibilityResult:
     without one, the smallest among the box-clipped weights tried: the
     closed-form weights and, where the engine decided, its weight.
     ``iterations`` counts the steps of the convex right-hand-side search
-    or the engine's Newton steps (0 when a closed-form weight answered).
+    or the engine's steps: its primal-dual steps plus, after a hand-over,
+    its barrier Newton steps (0 when a closed-form weight answered).
     ``nearest`` is a valid certificate at its own (possibly larger than
     budget) kappa: the engine's certificate, or the search's best point
     on the constraint cone; bisection callers use it to tighten their
@@ -276,8 +279,10 @@ class SimilarityVerdict:
 
     ``lower`` is a certified lower bound on the true constant: the
     largest probed power or semigroup norm, or, where the exact engine
-    decided the verdict, the objective of a re-checked dual-feasible
-    point of the condition-number SDP.  A ``finite`` verdict has
+    decided the verdict, a weak-duality bound of the condition-number
+    SDP, from the primal-dual iterates' dual blocks with their coupling
+    residual charged or, after a hand-over to the barrier loop, from a
+    re-checked dual-feasible point.  A ``finite`` verdict has
     ``lower <= constant``, and one the engine decided has ``constant <=
     (1 + tol) lower`` unless ``evidence`` names an engine bracket wider
     than ``tol`` (below about ``1e-9``, or stalled by rounding).  Other
@@ -463,6 +468,22 @@ def _spectral_seeds(target):
     return seeds
 
 
+def _schur_eigenvalues(theta):
+    """Eigenvalues of a Schur form, read off its diagonal blocks.
+
+    A complex Schur form is triangular.  A real one has standardized
+    ``2 x 2`` blocks ``[[a, b], [c, a]]`` with ``b c < 0`` (LAPACK's
+    ``lanv2``), whose eigenvalues are ``a +- i sqrt(-b c)``.
+    """
+    mu = np.diag(theta).astype(complex)
+    if not np.iscomplexobj(theta):
+        k = np.flatnonzero(np.diag(theta, -1))
+        im = np.sqrt(np.abs(theta[k, k + 1] * theta[k + 1, k]))
+        mu[k] += 1j * im
+        mu[k + 1] -= 1j * im
+    return mu
+
+
 class _EquationContext:
     """Cached Schur factorization for one target's defect-equation solves.
 
@@ -471,14 +492,16 @@ class _EquationContext:
     eigenvalue of the pencil ``(M, F)`` lies in the open left half-plane;
     :meth:`for_target` requires the margin of the module notes and
     returns None otherwise (an eigenvalue ``-1`` of a Stein operator
-    makes ``F`` singular and its pencil eigenvalue infinite).  The pairs of both
-    targets commute, so with ``S = M F^{-1}``
+    makes ``F`` singular and its pencil eigenvalue infinite, which the
+    LU pivots of ``F`` show).  The pairs of both targets commute, so
+    with ``S = M F^{-1}``
 
         L(X) = c F* (S* X + X S) F,
 
     and this context solves ``L(X) = -Q`` and the adjoint ``L*(Z) = R``
     with one LAPACK ``trsyl`` call each on a single Schur decomposition
     of ``S``, after the congruence by ``F^{-1}`` (none for ``F = I``).
+    The stability margin is read off the same Schur form.
     """
 
     def __init__(self, theta, U, lu, c):
@@ -494,7 +517,19 @@ class _EquationContext:
             return None
         M, F, c = target._form
         try:
-            mu = scipy.linalg.eigvals(M, F)
+            lu = None
+            S = M
+            if F is not None:
+                # a zero pivot: F = T + I is singular, the pencil eigenvalue
+                # of lam = -1 infinite
+                getrf = scipy.linalg.get_lapack_funcs("getrf", (F,))
+                lu_, piv, info = getrf(F)
+                if info != 0:
+                    return None
+                lu = (lu_, piv)
+                S = scipy.linalg.lu_solve(lu, M.conj().T, trans=2).conj().T
+            theta, U = scipy.linalg.schur(S, output="complex" if np.iscomplexobj(S) else "real")
+            mu = _schur_eigenvalues(theta)
             if not np.all(np.isfinite(mu)):
                 return None
             # the margin 1e-9 on the spectrum of A - shift I, or 1e-9 on
@@ -503,12 +538,6 @@ class _EquationContext:
             margin = 1e-9 if F is None else 0.5e-9 * np.abs(1.0 - mu) ** 2
             if not np.all(mu.real < -margin):
                 return None
-            lu = None
-            S = M
-            if F is not None:
-                lu = scipy.linalg.lu_factor(F)
-                S = scipy.linalg.lu_solve(lu, M.conj().T, trans=2).conj().T
-            theta, U = scipy.linalg.schur(S, output="complex" if np.iscomplexobj(S) else "real")
             return cls(theta, U, lu, c)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
             return None

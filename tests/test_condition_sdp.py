@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from simgroup import _condition_sdp
-from simgroup._condition_sdp import _cholesky, _HermitianBasis, _line_search
+from simgroup._condition_sdp import _cholesky, _coupling_bound, _HermitianBasis, _line_search, _PairMap
 
 
 def _random(rng, shape, complex_):
@@ -67,6 +67,26 @@ class TestHermitianBasis:
         assert basis.dim == (n * n if complex_ else n * (n + 1) // 2)
         E = np.array([M.ravel() for M in _basis_matrices(basis)])
         assert np.linalg.matrix_rank(np.concatenate([E.real, E.imag], axis=1)) == basis.dim
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("identity", [False, True], ids=["pair", "lyapunov"])
+def test_newton_factors_are_the_defect_block_schur_terms(complex_, identity):
+    # the four pairs give Re tr(L(E_k) X L(E_l) W) for two different
+    # Hermitian X and W, as the primal-dual Schur complement needs
+    n = 3
+    rng = np.random.default_rng(5 + 2 * complex_ + identity)
+    M = _random(rng, (n, n), complex_)
+    F = None if identity else _random(rng, (n, n), complex_)
+    L = _PairMap((M, F, 0.5), complex if complex_ else float)
+    G, K = _random(rng, (2, n, n), complex_)
+    X, W = G @ G.conj().T, K @ K.conj().T
+    AB = np.zeros((2, 6, n, n), dtype=L.M.dtype)
+    L.newton_factors(X, W, 0.25, AB)
+    basis = _HermitianBasis(n, complex_)
+    LE = [L.defect(E) for E in _basis_matrices(basis)]
+    expected = np.array([[np.real(np.trace(Lk @ X @ Ll @ W)) for Ll in LE] for Lk in LE])
+    np.testing.assert_allclose(basis.quadratic(AB[0, 2:], AB[1, 2:]), expected, rtol=1e-12, atol=1e-12)
 
 
 def _slope(slope_t, d, a):
@@ -174,13 +194,13 @@ _GENERATORS = {
 
 class TestSolve:
     def test_indefinite_defect_block_stops_at_the_seed(self):
-        # L(P) = A*P + PA is indefinite at P = diag(1, 2): the stacked
-        # positivity test must refuse the first iterate
+        # L(P) = A*P + PA is indefinite at P = diag(1, 2): the primal-dual
+        # loop refuses its start, and the barrier loop its first iterate
         A = np.array([[-1.0, 10.0], [0.0, -1.0]])
         seed = np.diag([1.0, 2.0])
         assert np.linalg.eigvalsh(A.T @ seed + seed @ A)[-1] > 0.0
         res = _condition_sdp.solve(_lyapunov_form(A), seed, 1e-6)
-        assert res.iterations == 1
+        assert (res.iterations, res.barrier_steps) == (1, 1)
         np.testing.assert_array_equal(res.weight, seed)
         assert res.kappa == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert res.lower == 1.0
@@ -190,7 +210,7 @@ class TestSolve:
         A = np.array([[-1.0, 10.0], [0.0, -1.0]])
         seed = _equation_seed(A)
         res = _condition_sdp.solve(_lyapunov_form(A), seed, 1e-6)
-        assert res.iterations > 1
+        assert res.iterations > 1 and res.barrier_steps == 0
         assert res.lower <= res.kappa <= (1.0 + 1e-6) * res.lower
         assert res.kappa < np.sqrt(np.linalg.cond(seed))
 
@@ -207,23 +227,177 @@ class TestSolve:
 
     def test_interleaved_solves_share_no_state(self, monkeypatch):
         # two solves, one of the outer solve's size and field, run to
-        # completion inside the first one's line search: all three must
-        # match the same solves run alone
+        # completion inside the first one's first primal-dual step: all
+        # three must match the same solves run alone
         forms = {name: _lyapunov_form(A) for name, A in _GENERATORS.items()}
         seeds = {name: _equation_seed(A) for name, A in _GENERATORS.items()}
         alone = {name: _condition_sdp.solve(forms[name], seeds[name], 1e-6) for name in forms}
-        search = _condition_sdp._line_search
+        bound = _condition_sdp._coupling_bound
         inner = {}
 
-        def interleaving(slope_t, d):
-            monkeypatch.setattr(_condition_sdp, "_line_search", search)
+        def interleaving(wX, r, n):
+            monkeypatch.setattr(_condition_sdp, "_coupling_bound", bound)
             for name in ("real2", "complex4"):
                 inner[name] = _condition_sdp.solve(forms[name], seeds[name], 1e-6)
-            return search(slope_t, d)
+            return bound(wX, r, n)
 
-        monkeypatch.setattr(_condition_sdp, "_line_search", interleaving)
+        monkeypatch.setattr(_condition_sdp, "_coupling_bound", interleaving)
         outer = _condition_sdp.solve(forms["jordan"], seeds["jordan"], 1e-6)
         assert set(inner) == {"real2", "complex4"}
         assert _same_result(outer, alone["jordan"])
         for name, res in inner.items():
             assert _same_result(res, alone[name])
+
+
+def _stein_form(T):
+    n = len(T)
+    return (T - np.eye(n), T + np.eye(n), 0.5)
+
+
+def _stein_seed(T):
+    X = scipy.linalg.solve_discrete_lyapunov(T.conj().T, np.eye(len(T)))
+    X = 0.5 * (X + X.conj().T)
+    return X / np.linalg.eigvalsh(X)[0]
+
+
+#: Targets with a closed-form constant: the Jordan generator -I + 10 N has
+#: the diagonal weight diag(1, 25) and constant 5, [[-1, 4], [0, -1]] has
+#: 2, and the discrete [[0, 2], [0, 0]] has 2.
+_KNOWN = {
+    "jordan10": (_lyapunov_form(_GENERATORS["jordan"]), _equation_seed(_GENERATORS["jordan"]), 5.0),
+    "jordan4": (_lyapunov_form(np.array([[-1.0, 4.0], [0.0, -1.0]])),
+                _equation_seed(np.array([[-1.0, 4.0], [0.0, -1.0]])), 2.0),
+    "rank_one": (_stein_form(np.array([[0.0, 2.0], [0.0, 0.0]])),
+                 _stein_seed(np.array([[0.0, 2.0], [0.0, 0.0]])), 2.0),
+}
+
+
+def _blocks_bound(form, X1, X2, X3, nu=1.0):
+    L = _PairMap(form, X1.dtype)
+    wX = np.array([np.linalg.eigvalsh(X) for X in (X1, X2, X3)])
+    return _coupling_bound(wX, X1 - X2 - nu * L.adjoint(X3), len(X1))
+
+
+class TestCouplingBound:
+    @pytest.mark.parametrize("name", list(_KNOWN))
+    def test_every_iterate_stays_below_the_constant(self, name, monkeypatch):
+        form, seed, constant = _KNOWN[name]
+        bound = _condition_sdp._coupling_bound
+        seen = []
+
+        def spy(wX, r, n):
+            seen.append(bound(wX, r, n))
+            return seen[-1]
+
+        monkeypatch.setattr(_condition_sdp, "_coupling_bound", spy)
+        res = _condition_sdp.solve(form, seed, 1e-9)
+        assert res.barrier_steps == 0
+        assert len(seen) == res.iterations
+        assert max(seen) <= constant
+        # and the iterates close on the constant from both sides
+        assert res.lower == max(seen) >= (1.0 - 1e-6) * constant
+        assert res.kappa <= (1.0 + 1e-6) * constant
+
+    @pytest.mark.parametrize("name", list(_KNOWN))
+    def test_random_positive_blocks_stay_below_the_constant(self, name):
+        # any positive semidefinite blocks bound the constant, however far
+        # off the coupling: the residual's positive part pays for it
+        form, _, constant = _KNOWN[name]
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            G = rng.standard_normal((3, 2, 2))
+            X1, X2, X3 = G @ G.transpose(0, 2, 1) * rng.uniform(0.0, 30.0, (3, 1, 1))
+            assert _blocks_bound(form, X1, X2, X3) <= constant
+
+    def test_a_negative_block_gives_no_bound(self):
+        # X3 = -Z with A Z + Z A* = (X1 - X2): the coupling holds exactly,
+        # and tr X1 / tr X2 = 100 would claim a constant of 10 for a
+        # generator whose constant is 5
+        form, _, constant = _KNOWN["jordan10"]
+        A = form[0]
+        X1, X2 = 100.0 * np.eye(2), np.eye(2)
+        X3 = scipy.linalg.solve_continuous_lyapunov(A, X1 - X2)
+        assert np.linalg.eigvalsh(X3)[-1] < 0.0
+        wX = np.array([np.linalg.eigvalsh(X) for X in (X1, X2, X3)])
+        assert np.sqrt(wX[0].sum() / wX[1].sum()) > constant
+        assert _blocks_bound(form, X1, X2, X3) == 1.0
+        assert _blocks_bound(form, X1, -X2, np.eye(2)) == 1.0
+
+    def test_a_negative_first_block_is_charged(self):
+        # a negative eigenvalue -eps of X1 costs eps n on both sides
+        wX = np.array([[-0.5, 50.0], [0.5, 0.5], [1.0, 1.0]])
+        r = np.zeros((2, 2))
+        assert _coupling_bound(wX, r, 2) == pytest.approx(np.sqrt(50.5 / 2.0), rel=1e-15)
+
+
+class TestHandOver:
+    def test_forced_stall_keeps_the_better_end_of_each_bracket(self, monkeypatch):
+        # three primal-dual steps cannot close 1e-6: the barrier takes over
+        # from the seed, and the result is never worse than either loop
+        form, seed, constant = _KNOWN["jordan10"]
+        monkeypatch.setattr(_condition_sdp, "MAX_PD_STEPS", 3)
+        entered = []
+        barrier = _condition_sdp._barrier
+
+        def spy(sdp, best):
+            entered.append((best.kappa, best.lower, best.iterations))
+            barrier(sdp, best)
+
+        monkeypatch.setattr(_condition_sdp, "_barrier", spy)
+        res = _condition_sdp.solve(form, seed, 1e-6)
+        (pd_kappa, pd_lower, pd_steps), = entered
+        assert pd_steps == 3 and pd_kappa > (1.0 + 1e-6) * pd_lower
+        assert res.barrier_steps > 0 and res.iterations == 3 + res.barrier_steps
+        assert res.kappa <= pd_kappa and res.lower >= pd_lower
+        assert res.lower <= constant <= res.kappa <= (1.0 + 1e-6) * res.lower
+        # the barrier alone, run from the seed, ends no better than the result
+        monkeypatch.setattr(_condition_sdp, "MAX_PD_STEPS", 0)
+        alone = _condition_sdp.solve(form, seed, 1e-6)
+        assert alone.iterations == alone.barrier_steps
+        assert res.kappa <= alone.kappa and res.lower >= alone.lower
+
+    def test_failed_factorization_hands_over(self, monkeypatch):
+        # a Newton matrix that fails Cholesky at every ridge in the
+        # primal-dual loop ends it; the barrier loop still closes the bracket
+        form, seed, constant = _KNOWN["jordan10"]
+        cholesky = _condition_sdp._cholesky
+        calls = []
+
+        def failing_first(H, potrf):
+            calls.append(len(H))
+            return None if len(calls) == 1 else cholesky(H, potrf)
+
+        monkeypatch.setattr(_condition_sdp, "_cholesky", failing_first)
+        res = _condition_sdp.solve(form, seed, 1e-6)
+        assert res.iterations == 1 + res.barrier_steps and res.barrier_steps > 1
+        assert res.lower <= constant <= res.kappa <= (1.0 + 1e-6) * res.lower
+
+
+def _schur_design(rng, n, complex_):
+    """The benchmark's never-dissipative upper-triangular designs, in a random basis."""
+    d = -rng.uniform(0.5, 0.75, n)
+    phase = rng.choice([-1.0, 1.0], (n, n))
+    if complex_:
+        d = d + 1j * rng.uniform(-1.0, 1.0, n)
+        phase = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    N = (2.0 / np.sqrt(n)) * np.triu(phase, 1)
+    N[0, 1] *= np.sqrt(n)
+    G = _random(rng, (n, n), complex_)
+    Q, R = np.linalg.qr(G)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return Q @ (np.diag(d) + N) @ Q.conj().T
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12])
+    def test_schur_designs_close_in_sixteen_steps(self, n, complex_):
+        # the joint constant and the constant of exp(A / 2), at tol = 1e-3
+        rng = np.random.default_rng(100 * n + complex_)
+        A = _schur_design(rng, n, complex_)
+        T = scipy.linalg.expm(0.5 * A)
+        for form, seed in ((_lyapunov_form(A), _equation_seed(A)), (_stein_form(T), _stein_seed(T))):
+            res = _condition_sdp.solve(form, seed, 1e-3)
+            assert res.barrier_steps == 0
+            assert res.iterations <= 16
+            assert res.kappa <= (1.0 + 1e-3) * res.lower

@@ -204,6 +204,15 @@ class TestPostWidder:
         with pytest.raises(ValueError, match="t must be positive"):
             post_widder(JORDAN, t, 4)
 
+    @pytest.mark.parametrize("n", [2.7, math.nan, math.inf, 0, -3])
+    def test_bad_order_rejected(self, n):
+        # 2.7 used to give the n = 2 approximant, nan an unnamed int() error
+        with pytest.raises(ValueError, match="n must be an integer"):
+            post_widder(JORDAN, 1.0, n)
+
+    def test_integral_float_order_is_that_integer(self):
+        np.testing.assert_array_equal(post_widder(JORDAN, 1.0, 4.0), post_widder(JORDAN, 1.0, 4))
+
 
 class TestAverageRenorm:
     def test_skew_average_is_scalar(self):

@@ -828,6 +828,25 @@ class TestPairForm:
             (D,) = weightsolve._defects(target, X)
             assert np.linalg.norm(D + Q, 2) <= 1e-8 * target.scale() * np.linalg.norm(X, 2)
 
+    def test_margin_reads_the_pencil_spectrum_off_the_schur_form(self, monkeypatch):
+        # the eigenvalues of the Schur form that the solves use are those
+        # of the pencil (M, F); no separate eigenvalue solve runs
+        seen = []
+        monkeypatch.setattr(scipy.linalg, "eigvals", lambda *a, **k: seen.append(a))
+        for target, _ in self._random_targets():
+            ctx = target._context
+            assert ctx is not None
+            M, F, _ = target._form
+            mu = weightsolve._schur_eigenvalues(ctx._theta)
+            ref = np.linalg.eigvals(M if F is None else np.linalg.solve(F.T, M.T).T)
+            np.testing.assert_allclose(np.sort_complex(mu), np.sort_complex(ref), rtol=1e-10, atol=1e-12)
+        assert seen == []
+
+    def test_complex_pairs_of_a_real_schur_form(self):
+        theta = np.array([[-1.0, 3.0, 0.5], [-2.0, -1.0, 0.25], [0.0, 0.0, -4.0]])
+        mu = weightsolve._schur_eigenvalues(theta)
+        np.testing.assert_array_equal(mu, [-1.0 + np.sqrt(6.0) * 1j, -1.0 - np.sqrt(6.0) * 1j, -4.0])
+
     def test_several_operators_have_no_form(self):
         target = SteinTarget((0.5 * np.eye(2), 0.25 * np.eye(2)))
         assert target._form is None and target._context is None and target._seed is None
