@@ -45,7 +45,9 @@ the residual ``r``, one ``potrf`` of the Newton matrix, two ``potrs``
 lengths, plus the ``O(n^4)`` outer product and gather.  At ``n <= 12``
 numpy's per-call overhead, not LAPACK, sets the cost of a step, so the
 blocks and factor stacks are filled in arrays allocated once per solve,
-and a Lyapunov target (``F = I``) skips its identity products.
+a Lyapunov target (``F = I``) skips its identity products, and the
+coordinate basis with its gather indices is built once per size and
+field and cached, as long as its gather is small (:func:`_basis`).
 
 Some solves the loop does not close: a Newton matrix still fails
 Cholesky after the ridges, a block loses definiteness in rounding, or
@@ -55,7 +57,10 @@ Newton steps with an exact line search and, inside the Dikin ellipsoid,
 re-checks the Newton-corrected slacks as a dual point
 (:func:`_dual_bound`).  It closes some thin near-marginal cones that the
 primal-dual iterates leave wide.  The result keeps the smaller kappa
-and the larger lower bound of the two loops.
+and the larger lower bound of the two loops.  A stall whose bracket is
+already within :data:`_HANDOVER_WIDTH` (``1e-9`` relative, the float64
+reach of ``tol``) is not handed over: ``tol`` below it, or a budget
+inside the bracket, cannot be met by either loop.
 """
 
 from dataclasses import dataclass
@@ -79,6 +84,13 @@ _MU_FACTOR = 0.1
 GAP_FLOOR = 1e-12
 #: Ridges, relative to the unit diagonal, tried after a failed Cholesky.
 _RIDGES = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
+#: Relative bracket width within which a stalled primal-dual solve is
+#: not handed over: the float64 reach of ``tol`` (see :func:`solve`).
+_HANDOVER_WIDTH = 1e-9
+#: Largest index gather, in bytes, of a basis kept between solves
+#: (:func:`_basis`); all sizes and fields together stay under 7 MB.
+_BASIS_CACHE_BYTES = 1 << 20
+_BASES = {}
 
 
 @dataclass
@@ -117,8 +129,8 @@ class _HermitianBasis:
         self._m = len(self._re[0])
         self.dim = self._m + len(self._im[0])
         # flat positions a n + b of each pair (a, b) and of its mirror (b, a)
-        self._fwd = [a * n + b for a, b in (self._re, self._im)]
-        self._bwd = [b * n + a for a, b in (self._re, self._im)]
+        self._fwd = tuple(a * n + b for a, b in (self._re, self._im))
+        self._bwd = tuple(b * n + a for a, b in (self._re, self._im))
         # T[y n + x, u n + v] = sum_r A_r[y, u] B_r[v, x] is entry (y n + u,
         # v n + x) of the outer product O = sum_r vec(A_r) vec(B_r)^T, at
         # flat position (y n^3 + x) + n (u n + v).  The Hessian reads T at
@@ -137,6 +149,12 @@ class _HermitianBasis:
             self._sign = np.where(imag, -1.0, 1.0)
             self._rw = np.append(self._w, np.ones(self.dim - self._m))
             self._cw = np.where(imag[:, None] | imag[None, :], -1.0, 1.0) * self._rw
+        # a cached basis is shared by every solve of its size and field
+        index = [*self._re, *self._im, *self._fwd, *self._bwd, self._w, self._gather]
+        if complex_:
+            index += [self._sign, self._rw, self._cw]
+        for a in index:
+            a.flags.writeable = False
 
     def matrix(self, x):
         (ia, ib), (ja, jb) = self._re, self._im
@@ -253,6 +271,27 @@ class _PairMap:
         A[2:] *= coef
 
 
+def _basis(n, complex_):
+    """The :class:`_HermitianBasis` of size ``n`` and field, cached when small.
+
+    Building one takes 40 to 300 microseconds at ``n <= 12`` (2 vCPU),
+    and a verdict makes many solves of one size.  A basis whose index
+    gather takes fewer than :data:`_BASIS_CACHE_BYTES` is kept for every
+    later solve of its size and field.  It depends on
+    nothing else and its index arrays are read-only, so sharing it
+    couples no two solves.  A larger one (real ``n > 18``, complex ``n >
+    13``; 32 MB for a complex ``n = 32``) is built per solve and freed
+    with it.
+    """
+    key = (n, complex_)
+    basis = _BASES.get(key)
+    if basis is None:
+        basis = _HermitianBasis(n, complex_)
+        if basis._gather.nbytes < _BASIS_CACHE_BYTES:
+            _BASES[key] = basis
+    return basis
+
+
 def _cholesky(H, potrf):
     """Upper Cholesky factor of the unit-diagonal Newton matrix.
 
@@ -318,7 +357,7 @@ def solve(form, seed, tol, budget=None):
         Stop once ``kappa <= (1 + tol) * lower``.  Below about ``1e-9``
         the float64 iterates may stall first (a numerically indefinite
         Newton matrix, or ``GAP_FLOOR``); the result is then the tightest
-        bracket reached.
+        bracket reached, and a stall within ``1e-9`` is not handed over.
     budget : float, optional
         Also stop once the bracket decides ``constant <= budget``
         (``kappa <= budget``) or ``constant > budget`` (``lower >
@@ -330,7 +369,7 @@ def solve(form, seed, tol, budget=None):
     """
     sdp = _Problem(form, seed, tol, budget)
     best = SdpResult(sdp.seed, _kappa(np.linalg.eigvalsh(sdp.seed)), 1.0, 0)
-    if not _primal_dual(sdp, best):
+    if not _primal_dual(sdp, best) and best.kappa > (1.0 + _HANDOVER_WIDTH) * best.lower:
         steps = best.iterations
         _barrier(sdp, best)
         best.barrier_steps = best.iterations - steps
@@ -344,7 +383,7 @@ class _Problem:
         n = seed.shape[0]
         complex_ = any(np.iscomplexobj(X) for X in (seed, form[0], form[1]) if X is not None)
         self.n = n
-        self.basis = _HermitianBasis(n, complex_)
+        self.basis = _basis(n, complex_)
         self.L = _PairMap(form, self.basis.dtype)
         self.I = np.eye(n, dtype=self.basis.dtype)
         self.potrf, self.potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)

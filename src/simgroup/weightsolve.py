@@ -40,17 +40,22 @@ strictly stable single-constraint targets, picks the target's regime
   <= kappa^2 I``.
 * **Seed, dimension up to 32**: the exact interior-point engine
   (:mod:`simgroup._condition_sdp`) alone decides.  ``I`` or the clipped
-  seed answers first if it certifies the power/semigroup norm floor;
-  otherwise the engine follows the primal-dual central path from the
-  seed until its strictly feasible weight and the weak-duality bound of
-  its dual blocks bracket the constant within the relative ``tol`` (a
-  stalled solve hands over to a barrier loop from the seed, which keeps
-  the better end of each bracket); a fixed-budget probe tries
-  the clipped closed-form weights first and otherwise decides from the
-  same bracket.  An engine weight that fails the certificate rule is
+  seed answers first if it certifies the power norm floor (or a sampled
+  semigroup norm floor); a generator whose seed's kappa is within the
+  budget samples no semigroup norm floor up front (every norm is at
+  most that kappa, so the floor cannot exceed the budget, and a bracket
+  closed to ``tol`` needs no floor), and ``I`` alone answers first, at
+  kappa 1.  Otherwise the engine follows the primal-dual central path
+  from the seed until its strictly feasible weight and the weak-duality
+  bound of its dual blocks bracket the constant within the relative
+  ``tol`` (a stalled solve hands over to a barrier loop from the seed,
+  which keeps the better end of each bracket); a fixed-budget probe
+  tries the clipped closed-form weights first and otherwise decides
+  from the same bracket.  An engine weight that fails the certificate rule is
   restored onto the cone by one equation solve, or replaced by the seed;
   a bracket wider than ``tol`` (below about ``1e-9``) is reported in
-  ``evidence``.
+  ``evidence``, and only then is an unsampled semigroup norm floor
+  sampled to raise its lower end.
 * **Seed, larger dimension**: bisection over ``kappa``.  A probe tries
   the clipped closed-form weights, restores the best onto the cone with
   one equation solve, and runs a convex search over the equation's
@@ -80,7 +85,7 @@ with that norm as ``lower``.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -144,6 +149,19 @@ class _Target:
         return _EquationContext.for_target(self)
 
     @cached_property
+    def _equation_seed(self):
+        """``(seed, kappa_seed)``, or ``(None, inf)``: see :attr:`_seed`."""
+        if self._context is None:
+            return None, math.inf
+        X = self._context.solve(np.eye(self.dim, dtype=_native_dtype(self)))
+        if X is None:
+            return None, math.inf
+        w = np.linalg.eigvalsh(X)
+        if not np.all(np.isfinite(w)) or w[0] <= self.dim * np.finfo(float).eps * w[-1]:
+            return None, math.inf
+        return X / w[0], math.sqrt(w[-1] / w[0])
+
+    @property
     def _seed(self):
         """Interior feasible point from the Stein/Lyapunov *equation*, or None.
 
@@ -154,15 +172,12 @@ class _Target:
         rounding level ``n eps eig_max`` is not positive definite in
         float64, so it is no seed.
         """
-        if self._context is None:
-            return None
-        X = self._context.solve(np.eye(self.dim, dtype=_native_dtype(self)))
-        if X is None:
-            return None
-        w = np.linalg.eigvalsh(X)
-        if not np.all(np.isfinite(w)) or w[0] <= self.dim * np.finfo(float).eps * w[-1]:
-            return None
-        return X / w[0]
+        return self._equation_seed[0]
+
+    @property
+    def _seed_kappa(self):
+        """The seed's kappa, from the eigenvalues that normalized it; inf without a seed."""
+        return self._equation_seed[1]
 
     @cached_property
     def _regime(self):
@@ -282,7 +297,10 @@ class SimilarityVerdict:
     decided the verdict, a weak-duality bound of the condition-number
     SDP, from the primal-dual iterates' dual blocks with their coupling
     residual charged or, after a hand-over to the barrier loop, from a
-    re-checked dual-feasible point.  A ``finite`` verdict has
+    re-checked dual-feasible point, raised by a sampled norm floor.
+    Power norms are always sampled; semigroup norms of an engine target
+    whose seed's kappa is within the budget only when the engine's
+    bracket stays wider than ``tol``.  A ``finite`` verdict has
     ``lower <= constant``, and one the engine decided has ``constant <=
     (1 + tol) lower`` unless ``evidence`` names an engine bracket wider
     than ``tol`` (below about ``1e-9``, or stalled by rounding).  Other
@@ -721,7 +739,7 @@ def _engine_solve(target, tol, budget=None):
     return res, cert
 
 
-def _engine_constant(target, floor, tol, kappa_max):
+def _engine_constant(target, floor, tol, kappa_max, late_floor=None):
     """``(certificate or None, searched budget, lower, evidence)`` of the exact engine.
 
     A closed-form weight certifying the norm floor answers first, so
@@ -729,14 +747,20 @@ def _engine_constant(target, floor, tol, kappa_max):
     instant; otherwise the condition-number SDP is bracketed to relative
     width ``tol``.  A bracket that stays wider (``tol`` below the float64
     floor, or a numerically singular Newton system) is reported in
-    ``evidence``.
+    ``evidence``.  ``late_floor`` stands for a norm floor left unsampled
+    (``floor`` is then 1, and ``I`` alone is probed first): it is sampled
+    only where the bracket stays wider than ``tol``, and it raises
+    ``lower`` as a floor sampled up front would.
     """
-    done, _, _ = _closed_form_probe(target, floor, (target._seed,))
+    head = (target._seed,) if late_floor is None else ()
+    done, _, _ = _closed_form_probe(target, floor, head)
     if done:
         return done.certificate, floor, floor, ""
     res, cert = _engine_solve(target, tol)
     # the floor may exceed the constant by rounding; the dual bound may not
     lower = max(min(floor, res.kappa), res.lower)
+    if late_floor is not None and cert.kappa > (1.0 + tol) * lower:
+        lower = max(min(late_floor(), res.kappa), lower)
     if lower > kappa_max or cert.kappa > kappa_max * (1.0 + 1e-9):
         return None, kappa_max, lower, ""
     evidence = ""
@@ -877,17 +901,23 @@ def _continuous_norm_floor(target, kappa_max):
 
     ``T(t) = exp(t (A - shift I))`` of the :class:`LyapunovTarget` is
     sampled at ``t = 10^-2 ... 10^8`` (41 points), and the largest norm
-    is the floor.  The grid stops early on either of two conditions:
+    is the floor.  The joint verdict samples it up front only where it can
+    still decide: without a seed, past the engine's dimension, and where
+    ``kappa_seed > kappa_max``, when a norm above the budget is a fast
+    ``infeasible``.  In the engine regime within budget it is sampled
+    only for a bracket that stays wider than ``tol``.  The grid stops
+    early on either of two conditions:
 
     - the floor exceeds ``kappa_max``;
-    - a sample has ``norm(T(t_k)) * kappa_seed <= 1/2``, with
-      ``kappa_seed`` the kappa of the target's equation seed.
+    - a sample has ``norm(T(t_k)) * kappa_seed <= floor / 2``, with
+      ``kappa_seed`` the kappa of the target's equation seed and
+      ``floor`` the largest norm so far.
 
     The second stop leaves the floor unchanged.  The seed renorms ``T``
     into a contraction, so ``norm(T(s)) <= kappa_seed`` for every ``s``,
     and for every ``t >= t_k``
 
-        norm(T(t)) <= norm(T(t_k)) norm(T(t - t_k)) <= 1/2 < 1 <= floor.
+        norm(T(t)) <= norm(T(t_k)) norm(T(t - t_k)) <= floor / 2 < floor.
 
     The factor 2 absorbs the rounding in the samples and in
     ``kappa_seed``.  A target without a seed (critical spectrum) runs
@@ -897,12 +927,7 @@ def _continuous_norm_floor(target, kappa_max):
     range; every other error propagates.
     """
     sem = semigroup_from_generator(target._form[0])
-    kappa_seed = math.inf
-    if target._seed is not None:
-        # the recomputed eigenvalues of a barely definite seed may round to
-        # <= 0; the overflowing kappa is inf: no stop
-        with np.errstate(over="ignore"):
-            kappa_seed = _kappa_of(target._seed)
+    kappa_seed = target._seed_kappa
     lb = 1.0
     for t in np.logspace(-2, 8, 41):
         try:
@@ -913,7 +938,7 @@ def _continuous_norm_floor(target, kappa_max):
             return np.inf
         nrm = operator_norm(E)
         lb = max(lb, nrm)
-        if lb > kappa_max or nrm * kappa_seed <= 0.5:
+        if lb > kappa_max or nrm * kappa_seed <= 0.5 * lb:
             break
     return lb
 
@@ -979,13 +1004,14 @@ def _unbounded(evidence, searched=0.0, lower=math.inf):
     return SimilarityVerdict("unbounded", math.inf, None, searched, evidence=evidence, lower=lower)
 
 
-def _constant_verdict(target, floor, tol, kappa_max, growth):
+def _constant_verdict(target, floor, tol, kappa_max, growth, late_floor=None):
     """Verdict above the certified norm ``floor``; the regime picks the solver.
 
     A floor above ``kappa_max`` decides first: ``infeasible`` for a
     strictly stable target (its equation context exists), whose constant
     is finite; otherwise, or when a probed norm overflowed float64
     (``floor`` is inf), ``unbounded`` with ``growth`` as evidence.
+    ``late_floor`` goes to the engine (:func:`_engine_constant`).
     """
     evidence = ""
     lower = floor
@@ -994,7 +1020,9 @@ def _constant_verdict(target, floor, tol, kappa_max, growth):
             return _unbounded(growth, kappa_max, floor)
         cert, searched = None, kappa_max
     elif target._regime == "engine":
-        cert, searched, lower, evidence = _engine_constant(target, floor, tol, kappa_max)
+        cert, searched, lower, evidence = _engine_constant(
+            target, floor, tol, kappa_max, late_floor
+        )
     elif target._regime == "bisect":
         cert, searched = _bisect_constant(target, floor, kappa_max, tol)
     else:
@@ -1061,8 +1089,13 @@ def _shifted_constant(A, shift, tol, kappa_max):
     if gb > shift + 1e-10:
         return _unbounded(f"growth bound {gb:.12g} exceeds shift {shift:.12g}")
     target = LyapunovTarget(A, float(shift))
-    floor = _continuous_norm_floor(target, kappa_max)
     growth = "semigroup norms exceed the budget (marginal defective spectrum)"
+    if target._regime == "engine" and target._seed_kappa <= kappa_max:
+        # every norm is at most kappa_seed: the floor cannot exceed the
+        # budget, and a bracket closed to tol needs no floor
+        late_floor = partial(_continuous_norm_floor, target, kappa_max)
+        return _constant_verdict(target, 1.0, tol, kappa_max, growth, late_floor)
+    floor = _continuous_norm_floor(target, kappa_max)
     return _constant_verdict(target, floor, tol, kappa_max, growth)
 
 
@@ -1074,7 +1107,12 @@ def joint_similarity_constant(A, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     condition number of such a certificate, found within relative
     ``tol`` and with the verdicts of :func:`discrete_similarity_constant`,
     semigroup norms taking the place of power norms (``tol`` and
-    ``kappa_max`` are checked as there).
+    ``kappa_max`` are checked as there).  The semigroup norms are sampled
+    on a log time grid only where they can decide: without an equation
+    seed, past dimension 32, where the seed's kappa exceeds
+    ``kappa_max`` (a norm over the budget is then an early
+    ``infeasible``), and after an engine solve whose bracket stays wider
+    than ``tol``.
     """
     return _shifted_constant(A, 0.0, tol, kappa_max)
 

@@ -16,6 +16,23 @@ def random_stable(rng, n, margin=0.3, complex_entries=True):
     return M - shift * np.eye(n)
 
 
+def schur_design(rng, n, complex_):
+    """The benchmark's never-dissipative upper-triangular designs, in a random basis."""
+    d = -rng.uniform(0.5, 0.75, n)
+    phase = rng.choice([-1.0, 1.0], (n, n))
+    if complex_:
+        d = d + 1j * rng.uniform(-1.0, 1.0, n)
+        phase = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    N = (2.0 / np.sqrt(n)) * np.triu(phase, 1)
+    N[0, 1] *= np.sqrt(n)
+    G = rng.standard_normal((n, n))
+    if complex_:
+        G = G + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(G)
+    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    return Q @ (np.diag(d) + N) @ Q.conj().T
+
+
 @pytest.fixture
 def stable_corpus(rng):
     """Mixed-size strictly stable generators, not necessarily dissipative."""

@@ -7,6 +7,8 @@ import scipy.linalg
 from simgroup import _condition_sdp
 from simgroup._condition_sdp import _cholesky, _coupling_bound, _HermitianBasis, _line_search, _PairMap
 
+from conftest import schur_design
+
 
 def _random(rng, shape, complex_):
     X = rng.standard_normal(shape)
@@ -356,6 +358,16 @@ class TestHandOver:
         assert alone.iterations == alone.barrier_steps
         assert res.kappa <= alone.kappa and res.lower >= alone.lower
 
+    @pytest.mark.parametrize("tol, budget", [(0.0, None), (1e-12, None), (1e-13, None), (0.0, 5.0)])
+    def test_stall_at_the_float64_floor_is_not_handed_over(self, tol, budget):
+        # the primal-dual loop stalls about 4e-12 wide: the barrier loop
+        # from the seed cannot close tol below 1e-9, or decide a budget
+        # equal to the constant, either
+        form, seed, constant = _KNOWN["jordan10"]
+        res = _condition_sdp.solve(form, seed, tol, budget=budget)
+        assert res.barrier_steps == 0
+        assert res.lower <= constant <= res.kappa <= (1.0 + 1e-9) * res.lower
+
     def test_failed_factorization_hands_over(self, monkeypatch):
         # a Newton matrix that fails Cholesky at every ridge in the
         # primal-dual loop ends it; the barrier loop still closes the bracket
@@ -373,31 +385,57 @@ class TestHandOver:
         assert res.lower <= constant <= res.kappa <= (1.0 + 1e-6) * res.lower
 
 
-def _schur_design(rng, n, complex_):
-    """The benchmark's never-dissipative upper-triangular designs, in a random basis."""
-    d = -rng.uniform(0.5, 0.75, n)
-    phase = rng.choice([-1.0, 1.0], (n, n))
-    if complex_:
-        d = d + 1j * rng.uniform(-1.0, 1.0, n)
-        phase = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
-    N = (2.0 / np.sqrt(n)) * np.triu(phase, 1)
-    N[0, 1] *= np.sqrt(n)
-    G = _random(rng, (n, n), complex_)
-    Q, R = np.linalg.qr(G)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    return Q @ (np.diag(d) + N) @ Q.conj().T
-
-
 class TestStepCount:
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12])
     def test_schur_designs_close_in_sixteen_steps(self, n, complex_):
         # the joint constant and the constant of exp(A / 2), at tol = 1e-3
         rng = np.random.default_rng(100 * n + complex_)
-        A = _schur_design(rng, n, complex_)
+        A = schur_design(rng, n, complex_)
         T = scipy.linalg.expm(0.5 * A)
         for form, seed in ((_lyapunov_form(A), _equation_seed(A)), (_stein_form(T), _stein_seed(T))):
             res = _condition_sdp.solve(form, seed, 1e-3)
             assert res.barrier_steps == 0
             assert res.iterations <= 16
             assert res.kappa <= (1.0 + 1e-3) * res.lower
+
+
+def _index_arrays(basis):
+    for value in vars(basis).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                yield a
+
+
+class TestBasisCache:
+    @pytest.mark.parametrize("n, complex_", [(1, False), (4, True), (12, True), (18, False), (13, True)])
+    def test_small_bases_are_shared_and_read_only(self, n, complex_):
+        basis = _condition_sdp._basis(n, complex_)
+        assert _condition_sdp._basis(n, complex_) is basis
+        assert (basis.n, basis.complex) == (n, complex_)
+        arrays = list(_index_arrays(basis))
+        assert len(arrays) >= 6
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+    @pytest.mark.parametrize("n, complex_", [(19, False), (14, True)])
+    def test_large_bases_are_built_per_solve(self, n, complex_):
+        basis = _condition_sdp._basis(n, complex_)
+        assert basis._gather.nbytes >= _condition_sdp._BASIS_CACHE_BYTES
+        assert _condition_sdp._basis(n, complex_) is not basis
+        assert (n, complex_) not in _condition_sdp._BASES
+
+    @pytest.mark.parametrize("name", list(_GENERATORS))
+    def test_solves_on_a_cached_basis_are_bit_identical(self, name, monkeypatch):
+        A = _GENERATORS[name]
+        form, seed = _lyapunov_form(A), _equation_seed(A)
+        cached = [_condition_sdp.solve(form, seed, 1e-6) for _ in range(2)]
+        assert (len(A), np.iscomplexobj(A)) in _condition_sdp._BASES
+        monkeypatch.setattr(_condition_sdp, "_BASES", {})
+        monkeypatch.setattr(_condition_sdp, "_BASIS_CACHE_BYTES", 0)
+        fresh = _condition_sdp.solve(form, seed, 1e-6)
+        assert _condition_sdp._BASES == {}
+        for res in cached:
+            assert _same_result(res, fresh)

@@ -31,10 +31,13 @@ from simgroup.weightsolve import (
     stein_feasible,
 )
 
-from conftest import fixed_examples, random_stable
+from conftest import fixed_examples, random_stable, schur_design
 from oracles import grid_similarity_constant
 
 JORDAN = np.array([[-1.0, 4.0], [0.0, -1.0]])
+#: a budget between JORDAN's constant 2 and its seed's kappa 2 + sqrt 5,
+#: where the joint verdict still samples its norm floor up front
+JORDAN_FLOOR_BUDGET = 3.0
 RANK_ONE = np.array([[0.0, 2.0], [0.0, 0.0]])
 #: ``(r, b)`` of strictly stable ``[[r, b], [0, r]]`` whose Stein defect
 #: ``T*PT - P`` cancels to a ``(1 - r)``-relative remainder; the engine
@@ -762,9 +765,9 @@ class TestContinuousNormFloor:
             return sem
 
         monkeypatch.setattr(weightsolve, "semigroup_from_generator", counting)
-        assert joint_similarity_constant(JORDAN).finite
+        assert joint_similarity_constant(JORDAN, kappa_max=JORDAN_FLOOR_BUDGET).finite
         # the floor's grid has 41 times up to 1e8; exp(tA) has decayed below
-        # 1/(2 kappa_seed) by t = 10
+        # floor/(2 kappa_seed) by t = 10
         assert len(times) <= 15 and max(times) <= 10.0
 
 
@@ -779,12 +782,90 @@ class TestNormFloorErrors:
     def test_other_errors_propagate(self, monkeypatch):
         self._failing_semigroup(monkeypatch, RuntimeError("solver bug"))
         with pytest.raises(RuntimeError, match="solver bug"):
-            joint_similarity_constant(JORDAN)
+            joint_similarity_constant(JORDAN, kappa_max=JORDAN_FLOOR_BUDGET)
 
     def test_saturation_is_growth_evidence(self, monkeypatch):
         self._failing_semigroup(monkeypatch, SaturationError("overflow"))
-        v = joint_similarity_constant(JORDAN)
+        v = joint_similarity_constant(JORDAN, kappa_max=JORDAN_FLOOR_BUDGET)
         assert v.status == "unbounded"
+
+
+class TestFloorRule:
+    """The joint verdict samples its norm floor only where the floor can decide."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        floor = weightsolve._continuous_norm_floor
+
+        def spy(target, kappa_max):
+            calls.append(target.dim)
+            return floor(target, kappa_max)
+
+        monkeypatch.setattr(weightsolve, "_continuous_norm_floor", spy)
+        return calls
+
+    @pytest.mark.parametrize("A", [JORDAN, lemerdy_semigroup(8).generator], ids=["jordan", "lemerdy8"])
+    def test_engine_regime_within_budget_samples_no_grid(self, sampled, A):
+        v = joint_similarity_constant(A, tol=1e-4)
+        assert v.finite and v.evidence == ""
+        assert v.constant <= (1.0 + 1e-4) * v.lower
+        assert sampled == []
+
+    def test_dissipative_generator_is_exact_without_a_grid(self, sampled):
+        A = np.array([[-1.0, 0.5], [-0.5, -2.0]])
+        v = joint_similarity_constant(A)
+        assert v.constant == v.lower == v.searched_kappa_max == 1.0
+        assert sampled == []
+
+    def test_seed_over_the_budget_samples_the_grid(self, sampled):
+        assert LyapunovTarget(JORDAN, 0.0)._seed_kappa > 1.5
+        v = joint_similarity_constant(JORDAN, kappa_max=1.5)
+        assert v.status == "infeasible"
+        assert v.lower == pytest.approx(1.558, abs=1e-3)
+        assert sampled == [2]
+
+    def test_marginal_generator_samples_the_grid(self, sampled):
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert joint_similarity_constant(skew).constant == 1.0
+        assert joint_similarity_constant(RANK_ONE).status == "unbounded"
+        assert sampled == [2, 2]
+
+    def test_bisection_regime_samples_the_grid(self, sampled):
+        v = joint_similarity_constant(-np.eye(34))
+        assert v.constant == 1.0
+        assert sampled == [34]
+
+    def test_wide_bracket_samples_the_grid_after_the_solve(self, sampled):
+        v = joint_similarity_constant(JORDAN, tol=0.0)
+        assert v.evidence.startswith("engine bracket")
+        assert sampled == [2]
+
+    @staticmethod
+    def _generators():
+        for n in range(2, 13):
+            for complex_ in (False, True):
+                yield schur_design(np.random.default_rng(1000 * n + complex_), n, complex_)
+        for example in fixed_examples(12, 16, eps=(1e-6, 1.0), b=(1e-2, 100.0)):
+            yield np.array([[-example["eps"], example["b"]], [0.0, -example["eps"]]])
+        yield lemerdy_semigroup(8).generator
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 0.0])
+    def test_verdicts_match_the_sampled_floor(self, tol):
+        # status, constant and lower as where the floor is sampled up front
+        kappa_max = weightsolve.KAPPA_MAX_DEFAULT
+        for A in self._generators():
+            v = joint_similarity_constant(A, tol=tol)
+            target = LyapunovTarget(as_matrix(A), 0.0)
+            floor = weightsolve._continuous_norm_floor(target, kappa_max)
+            explicit = weightsolve._constant_verdict(target, floor, tol, kappa_max, "")
+            assert target._regime == "engine"
+            assert (v.status, v.constant, v.lower, v.evidence) == (
+                explicit.status,
+                explicit.constant,
+                explicit.lower,
+                explicit.evidence,
+            )
 
 
 class TestPairForm:
