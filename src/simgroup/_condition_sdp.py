@@ -34,33 +34,36 @@ feasible ``(P, t)`` and ``X1, X2, X3 >= 0``
 so ``C^2 >= tr X1 / (tr X2 + tr r+)`` (:func:`_coupling_bound`).
 
 The Newton system is the Schur complement ``sum_b tr(A_i X_b A_j
-S_b^-1)`` of the three blocks (Toh, Todd and Tutuncu, *SDPT3*, 1999),
-assembled in ``O(n^4)``: every term has the form ``tr(E_k A E_l B)``,
-so the whole matrix is four gathers from one ``n^2 x n^2`` outer
-product of the six factor pairs ``(A_r, B_r)`` -- the
-``n^2``-dimensional constraint map is never formed as a matrix.  One
-step costs one stacked ``eigh`` of the six blocks, one ``eigvalsh`` of
-the residual ``r``, one ``potrf`` of the Newton matrix, two ``potrs``
-(predictor and corrector) and two stacked ``eigvalsh`` for the step
-lengths, plus the ``O(n^4)`` outer product and gather.  At ``n <= 12``
-numpy's per-call overhead, not LAPACK, sets the cost of a step, so the
-blocks and factor stacks are filled in arrays allocated once per solve,
-a Lyapunov target (``F = I``) skips its identity products, and the
-coordinate basis with its gather indices is built once per size and
-field and cached, as long as its gather is small (:func:`_basis`).
+S_b^-1)`` of the three blocks (Toh, Todd and Tutuncu, *SDPT3*, 1999).
+Both loops step on it: :class:`_Problem` builds, scales, factors and
+solves it in one place, and the barrier loop's Hessian is the Schur
+matrix at ``X = S^-1``.  It is assembled in ``O(n^4)``: every term has
+the form ``tr(E_k A E_l B)``, so the whole matrix is four gathers from
+one ``n^2 x n^2`` outer product of the six factor pairs ``(A_r, B_r)``
+-- the ``n^2``-dimensional constraint map is never formed as a matrix.
+One primal-dual step costs one stacked ``eigh`` of the six blocks, one
+``eigvalsh`` of the residual ``r``, one ``potrf`` of the Newton matrix,
+two ``potrs`` (predictor and corrector) and two stacked ``eigvalsh``
+for the step lengths, plus the ``O(n^4)`` outer product and gather.  At
+``n <= 12`` numpy's per-call overhead, not LAPACK, sets the cost of a
+step, so the blocks and factor stacks are filled in arrays allocated
+once per solve, a Lyapunov target (``F = I``) skips its identity
+products, and the coordinate basis with its gather indices is built
+once per size and field and cached, as long as its gather is small
+(:func:`_basis`).
 
 Some solves the loop does not close: a Newton matrix still fails
 Cholesky after the ridges, a block loses definiteness in rounding, or
 :data:`MAX_PD_STEPS` steps run out.  Such a solve hands over to a primal
 barrier method from the seed, which minimizes ``t / mu + barrier`` by
-Newton steps with an exact line search and, inside the Dikin ellipsoid,
-re-checks the Newton-corrected slacks as a dual point
-(:func:`_dual_bound`).  It closes some thin near-marginal cones that the
-primal-dual iterates leave wide.  The result keeps the smaller kappa
-and the larger lower bound of the two loops.  A stall whose bracket is
-already within :data:`_HANDOVER_WIDTH` (``1e-9`` relative, the float64
-reach of ``tol``) is not handed over: ``tol`` below it, or a budget
-inside the bracket, cannot be met by either loop.
+Newton steps on the same system with an exact line search and, inside
+the Dikin ellipsoid, re-checks the Newton-corrected slacks as a dual
+point (:func:`_dual_bound`).  It closes some thin near-marginal cones
+that the primal-dual iterates leave wide.  The result keeps the smaller
+kappa and the larger lower bound of the two loops.  A stall whose
+bracket is already within :data:`_HANDOVER_WIDTH` (``1e-9`` relative,
+the float64 reach of ``tol``) is not handed over: ``tol`` below it, or
+a budget inside the bracket, cannot be met by either loop.
 """
 
 from dataclasses import dataclass
@@ -377,7 +380,18 @@ def solve(form, seed, tol, budget=None):
 
 
 class _Problem:
-    """One solve's SDP, scaled at the seed, and its stopping rule."""
+    """One solve's SDP, scaled at the seed, its Newton system and its stopping rule.
+
+    Both loops step on the Newton system held here: :meth:`factor` factors
+    the slack blocks of an iterate (and, in the primal-dual loop, the dual
+    blocks with them), :meth:`schur` builds and factors the Schur matrix
+    at dual blocks ``X`` (the barrier's Hessian is the one at ``X = W =
+    S^-1``), :meth:`step` solves it for one right-hand side and
+    :meth:`ratios` gives the scaled block directions that the step lengths
+    read.  The arrays ``blocks`` (``S1, S2, S3, X1, X2, X3``), ``dirs``
+    (their directions), ``AB`` (the factor pairs ``(A_r, B_r)``) and ``H``
+    are allocated once per solve and shared by both loops.
+    """
 
     def __init__(self, form, seed, tol, budget):
         n = seed.shape[0]
@@ -396,6 +410,10 @@ class _Problem:
         self.nu2c2 = self.nu * self.nu * self.L.c * self.L.c
         self.tol = tol
         self.budget = budget
+        self.blocks = np.empty((6, n, n), dtype=self.basis.dtype)
+        self.dirs = np.empty((6, n, n), dtype=self.basis.dtype)
+        self.AB = np.empty((2, 6, n, n), dtype=self.basis.dtype)
+        self.H = np.empty((self.basis.dim + 1, self.basis.dim + 1))
 
     def start(self):
         """The weight side's start ``(2 seed, 2 eig_max(2 seed))``."""
@@ -407,6 +425,68 @@ class _Problem:
         np.subtract(P, self.I, out=out[0])
         np.subtract(t * self.I, P, out=out[1])
         np.multiply(-self.nu, self.L.defect(P), out=out[2])
+
+    def factor(self, P, t, best, k):
+        """Factor the slacks of ``(P, t)`` and ``blocks[3:k]``; False if not definite.
+
+        One stacked ``eigh`` of the first ``k`` blocks gives ``w``, ``U``
+        and ``W = S^-1`` of the three slacks.  The weight side is strictly
+        feasible, so its kappa is folded into ``best``.
+        """
+        self.slacks(P, t, self.blocks)
+        w, U = np.linalg.eigh(self.blocks[:k])
+        if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+            return False
+        self.w, self.U = w, U
+        self.Uh = U.conj().transpose(0, 2, 1)
+        r = 1.0 / np.sqrt(w)
+        self.scale = r[:, :, None] * r[:, None, :]
+        self.W = (U[:3] / w[:3, None, :]) @ self.Uh[:3]
+        self.wP = w[0] + 1.0
+        kappa = _kappa(self.wP)
+        if kappa < best.kappa:
+            best.weight, best.kappa = P / self.wP[0], kappa
+        return True
+
+    def schur(self, X):
+        """Build and factor the Schur matrix ``sum_b tr(A_i X_b A_j W_b)``; False if it fails.
+
+        In relative coordinates ``dP = R dZ R``, ``R = P^(1/2)``: ``P``
+        spans a condition number up to the constant squared, which the raw
+        entries would pass on to the matrix; the Jacobi scaling on top
+        balances ``t`` against the weight.
+        """
+        W, AB, H, basis = self.W, self.AB, self.H, self.basis
+        self.R = R = (self.U[0] * np.sqrt(self.wP)) @ self.Uh[0]
+        AB[0, :2] = X[:2]
+        AB[1, :2] = W[:2]
+        self.L.newton_factors(X[2], W[2], self.nu2c2, AB)
+        RAB = R @ AB @ R
+        H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
+        XW2 = X[1] @ W[1]
+        H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ XW2 @ R)
+        H[-1, -1] = XW2.trace().real
+        # near a marginal target rounding can leave a non-positive diagonal
+        # entry or a non-finite one: like a failed factorization, that
+        # ends the loop with the best bracket so far
+        d = H.diagonal()
+        if not ((d > 0.0).all() and np.isfinite(H).all()):
+            return False
+        self.dsc = 1.0 / np.sqrt(d)
+        self.chol = _cholesky(H * np.outer(self.dsc, self.dsc), self.potrf)
+        return self.chol is not None
+
+    def step(self, rhs):
+        """Solve the factored system for ``rhs``; ``dP``, ``dt I - dP``, ``-nu L(dP)`` into ``dirs``."""
+        step = self.dsc * self.potrs(self.chol, self.dsc * rhs, lower=False)[0]
+        dP = np.matmul(self.R @ self.basis.matrix(step[:-1]), self.R, out=self.dirs[0])
+        np.subtract(step[-1] * self.I, dP, out=self.dirs[1])
+        np.multiply(-self.nu, self.L.defect(dP), out=self.dirs[2])
+        return step
+
+    def ratios(self):
+        """``S^-1/2 dS S^-1/2`` of each factored block, in its eigenbasis."""
+        return (self.Uh @ self.dirs[:len(self.w)] @ self.U) * self.scale
 
     def decided(self, best):
         budget = self.budget
@@ -428,80 +508,41 @@ def _primal_dual(sdp, best):
     dS_aff``.  ``A`` maps the blocks to the coordinates of ``(P, t)``:
     ``(-Z1 + Z2 + nu L*(Z3), -tr Z2)``, and ``b = (0, -1)``.
     """
-    n, basis, L, I, nu = sdp.n, sdp.basis, sdp.L, sdp.I, sdp.nu
-    # S1, S2, S3, X1, X2, X3 and their directions, the factor pairs
-    # (A_r, B_r) and the Newton system, filled at every step
-    blocks = np.empty((6, n, n), dtype=basis.dtype)
-    dirs = np.empty((6, n, n), dtype=basis.dtype)
-    AB = np.empty((2, 6, n, n), dtype=basis.dtype)
-    H = np.empty((basis.dim + 1, basis.dim + 1))
+    n, basis, L, nu = sdp.n, sdp.basis, sdp.L, sdp.nu
+    S, X, dirs = sdp.blocks[:3], sdp.blocks[3:], sdp.dirs
     rhs = np.empty(basis.dim + 1)
-    S, X = blocks[:3], blocks[3:]
     P, t = sdp.start()
-    sdp.slacks(P, t, S)
-    w, U = np.linalg.eigh(S)
-    if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+    if not sdp.factor(P, t, best, 3):
         return False
-    W = (U / w[:, None, :]) @ U.conj().transpose(0, 2, 1)
+    W = sdp.W
     # X = mu0 S^-1 with mu0 = 1 / tr S2^-1, so that tr X2 = 1
     np.add(W, W.conj().transpose(0, 2, 1), out=X)
     X *= 0.5 / W[1].trace().real
 
     for _ in range(MAX_PD_STEPS):
         best.iterations += 1
-        sdp.slacks(P, t, S)
-        w, U = np.linalg.eigh(blocks)
-        if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+        if not sdp.factor(P, t, best, 6):
             return False
-        Uh = U.conj().transpose(0, 2, 1)
-        W = (U[:3] / w[:3, None, :]) @ Uh[:3]
-        # upper bound: the weight side is strictly feasible
-        wP = w[0] + 1.0
-        kappa = _kappa(wP)
-        if kappa < best.kappa:
-            best.weight, best.kappa = P / wP[0], kappa
-        best.lower = max(best.lower, _coupling_bound(w[3:], X[0] - X[1] - nu * L.adjoint(X[2]), n))
+        W = sdp.W
+        best.lower = max(best.lower, _coupling_bound(sdp.w[3:], X[0] - X[1] - nu * L.adjoint(X[2]), n))
         if sdp.decided(best):
             return True
-
-        # Schur system in relative coordinates dP = R dZ R, R = P^(1/2),
-        # Jacobi-scaled, as in the barrier loop
-        R = (U[0] * np.sqrt(wP)) @ Uh[0]
-        AB[0, :2] = X[:2]
-        AB[1, :2] = W[:2]
-        L.newton_factors(X[2], W[2], sdp.nu2c2, AB)
-        RAB = R @ AB @ R
-        H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
-        XW2 = X[1] @ W[1]
-        H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ XW2 @ R)
-        H[-1, -1] = XW2.trace().real
-        d = H.diagonal()
-        if not ((d > 0.0).all() and np.isfinite(H).all()):
+        if not sdp.schur(X):
             return False
-        dsc = 1.0 / np.sqrt(d)
-        chol = _cholesky(H * np.outer(dsc, dsc), sdp.potrf)
-        if chol is None:
-            return False
-        r = 1.0 / np.sqrt(w)
-        scale = r[:, :, None] * r[:, None, :]
 
         def direction(smu, C):
-            # dy from the Schur system; dS into dirs[:3], dX into dirs[3:]
-            step = dsc * sdp.potrs(chol, dsc * rhs, lower=False)[0]
-            dP = np.matmul(R @ basis.matrix(step[:-1]), R, out=dirs[0])
-            np.subtract(step[-1] * I, dP, out=dirs[1])
-            np.multiply(-nu, L.defect(dP), out=dirs[2])
+            # dS into dirs[:3], dX into dirs[3:]
+            dt = float(sdp.step(rhs)[-1])
             D = smu * W - X - X @ dirs[:3] @ W
             if C is not None:
                 D -= C
             np.add(D, D.conj().transpose(0, 2, 1), out=dirs[3:])
             dirs[3:] *= 0.5
-            return float(step[-1])
+            return dt
 
         def lengths(frac):
             # the largest steps keeping S and X definite, each capped at 1
-            K = (Uh @ dirs @ U) * scale
-            lam = np.linalg.eigvalsh(K)[:, 0]
+            lam = np.linalg.eigvalsh(sdp.ratios())[:, 0]
             return tuple(min(1.0, -frac / m) if m < 0.0 else 1.0 for m in (lam[:3].min(), lam[3:].min()))
 
         mu = np.vdot(X, S).real / (3 * n)
@@ -513,7 +554,7 @@ def _primal_dual(sdp, best):
         smu = min(1.0, max(_SIGMA_MIN, (mu_aff / mu) ** 3)) * mu
         C = dirs[3:] @ dirs[:3] @ W
         G = smu * (W[0] - W[1]) - C[0] + C[1] + nu * L.adjoint(C[2] - smu * W[2])
-        rhs[:-1] = basis.coords(R @ G @ R)
+        rhs[:-1] = basis.coords(sdp.R @ G @ sdp.R)
         rhs[-1] = -1.0 + smu * W[1].trace().real - C[1].trace().real
         dt = direction(smu, C)
         a_d, a_p = lengths(_STEP)
@@ -525,84 +566,45 @@ def _primal_dual(sdp, best):
 
 
 def _barrier(sdp, best):
-    """The barrier loop from the seed, folding its brackets into ``best``."""
-    n, basis, L, I, nu = sdp.n, sdp.basis, sdp.L, sdp.I, sdp.nu
+    """The barrier loop from the seed, folding its brackets into ``best``.
+
+    Newton steps for ``t / mu - log det(P - I) - log det(tI - P) - log
+    det(-nu L(P))``; the Hessian is the Schur matrix at ``X = W``.
+    """
+    n, basis, L, nu = sdp.n, sdp.basis, sdp.L, sdp.nu
     tol = sdp.tol
-    # the three barrier blocks, their search directions, the factor pairs
-    # (A_r, B_r) and the Newton system, filled at every step
-    blocks = np.empty((3, n, n), dtype=basis.dtype)
-    dirs = np.empty((3, n, n), dtype=basis.dtype)
-    AB = np.empty((2, 6, n, n), dtype=basis.dtype)
-    H = np.empty((basis.dim + 1, basis.dim + 1))
+    dirs = sdp.dirs
     g = np.empty(basis.dim + 1)
     P, t = sdp.start()
 
     mu = None
     for _ in range(MAX_NEWTON_STEPS):
         best.iterations += 1
-        # the three barrier blocks, factored and inverted as one stack
-        sdp.slacks(P, t, blocks)
-        w, U = np.linalg.eigh(blocks)
-        if not ((w[:, 0] > 0.0).all() and np.isfinite(w).all()):
+        # the three barrier blocks, factored and inverted as one stack;
+        # the iterate itself is strictly feasible
+        if not sdp.factor(P, t, best, 3) or sdp.decided(best) or not sdp.schur(sdp.W):
             break
-        Uh = U.conj().transpose(0, 2, 1)
-        W = (U / w[:, None, :]) @ Uh
-        W1, W2, W3 = W
-        # upper bound: the iterate itself is strictly feasible
-        wP = w[0] + 1.0
-        kappa = _kappa(wP)
-        if kappa < best.kappa:
-            best.weight, best.kappa = P / wP[0], kappa
-        if sdp.decided(best):
-            break
-
-        # Newton system for t / mu - log det(P - I) - log det(tI - P) - log det(-nu L(P))
-        # in relative coordinates dP = R dX R, R = P^(1/2): P spans a
-        # condition number up to the constant squared, which the raw
-        # entries would pass on to the Hessian; the Jacobi scaling on top
-        # balances t against the weight
-        R = (U[0] * np.sqrt(wP)) @ Uh[0]
-        AB[:, :2] = W[:2]
-        L.newton_factors(W3, W3, sdp.nu2c2, AB)
-        RAB = R @ AB @ R
-        H[:-1, :-1] = basis.quadratic(RAB[0], RAB[1])
-        W22 = W2 @ W2
-        H[:-1, -1] = H[-1, :-1] = -basis.coords(R @ W22 @ R)
-        H[-1, -1] = W22.trace().real
-        # near a marginal target rounding can leave a non-positive diagonal
-        # entry or a non-finite one: like a failed factorization, that
-        # ends the solve with the best bracket so far
-        d = H.diagonal()
-        if not ((d > 0.0).all() and np.isfinite(H).all()):
-            break
-        dsc = 1.0 / np.sqrt(d)
-        chol = _cholesky(H * np.outer(dsc, dsc), sdp.potrf)
-        if chol is None:
-            break
-        g[:-1] = basis.coords(R @ (-W1 + W2 + nu * L.adjoint(W3)) @ R)
+        W1, W2, W3 = sdp.W
+        g[:-1] = basis.coords(sdp.R @ (-W1 + W2 + nu * L.adjoint(W3)) @ sdp.R)
         tr_w2 = float(W2.trace().real)
         if mu is None:
             mu = 1.0 / tr_w2
 
         def newton(mu):
-            # the step (dP, dt), L(dP) and the decrement; dirs gets the
-            # blocks' directions dP, dt I - dP and -nu L(dP)
+            # the step (dP, dt) and the decrement; dirs gets the blocks'
+            # directions dP, dt I - dP and -nu L(dP)
             g[-1] = 1.0 / mu - tr_w2
-            step = -dsc * sdp.potrs(chol, dsc * g, lower=False)[0]
-            dP = np.matmul(R @ basis.matrix(step[:-1]), R, out=dirs[0])
-            dt = float(step[-1])
-            np.subtract(dt * I, dP, out=dirs[1])
-            D = L.defect(dP)
-            np.multiply(-nu, D, out=dirs[2])
-            return dP, dt, D, -float(g @ step)
+            step = sdp.step(-g)
+            return float(step[-1]), -float(g @ step)
 
-        dP, dt, D, dec = newton(mu)
+        dt, dec = newton(mu)
         if dec < 1.0:
             # inside the Dikin ellipsoid the Newton-corrected slacks
             # mu (S^-1 - S^-1 dS S^-1) satisfy the dual equations; their
             # positivity and the dual objective are re-checked from scratch
             Z2 = mu * (W2 - W2 @ dirs[1] @ W2)
-            Z3 = mu * (W3 + nu * (W3 @ D @ W3))
+            # L(dP) again, not dirs[2] = -nu L(dP): that rounds differently
+            Z3 = mu * (W3 + nu * (W3 @ L.defect(dirs[0]) @ W3))
             best.lower = max(best.lower, _dual_bound(Z2, Z3, nu * L.adjoint(Z3), n))
             if sdp.decided(best):
                 break
@@ -612,14 +614,12 @@ def _barrier(sdp, best):
                 # the next centre needs a duality gap near 3 n mu
                 mu_stop = 0.5 * t * (1.0 - (1.0 + tol) ** -2) / (3 * n)
                 mu = max(_MU_FACTOR * mu, mu_stop) if mu_stop < mu else _MU_FACTOR * mu
-                dP, dt, D, dec = newton(mu)
-        # eigenvalues of S^-1/2 dS S^-1/2 for the three blocks S
-        r = 1.0 / np.sqrt(w)
-        K = (Uh @ dirs @ U) * (r[:, :, None] * r[:, None, :])
+                dt, dec = newton(mu)
+        K = sdp.ratios()
         a = _line_search(dt / mu, np.linalg.eigvalsh(0.5 * (K + K.conj().transpose(0, 2, 1))).ravel())
         if not a > 0.0:
             break
-        P = P + a * dP
+        P = P + a * dirs[0]
         t = t + a * dt
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, SaturationError, StabilityError
+from .exceptions import DimensionError, InputFormatError, SaturationError, StabilityError
 from .opcore import (
     _orbit_integral,
     _positive_finite,
@@ -77,13 +77,8 @@ class ObservedSystem:
 
     def __post_init__(self):
         A = as_matrix(self.A, "generator")
-        C = np.atleast_2d(_real_if_exact(self.C))
-        if C.shape[1] != A.shape[0]:
-            raise DimensionError(
-                f"observation has {C.shape[1]} columns for state dimension {A.shape[0]}"
-            )
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", _observation(self.C, A.shape[0]))
 
     @property
     def dim(self):
@@ -102,10 +97,43 @@ def _rect_to_json(M):
     }
 
 
+def _observation(C, n):
+    """``C`` as a float64 or complex128 matrix with ``n`` columns, all entries finite.
+
+    A 1-D ``C`` is one row.  Any other shape, or a non-finite entry,
+    raises :class:`~simgroup.exceptions.DimensionError`.
+    """
+    C = np.atleast_2d(_real_if_exact(C))
+    if C.ndim != 2 or C.shape[1] != n:
+        raise DimensionError(
+            f"observation must be a matrix with {n} columns (the state dimension), got shape {C.shape}"
+        )
+    if not np.all(np.isfinite(C)):
+        raise DimensionError("observation contains non-finite entries")
+    return C
+
+
 def _rect_from_json(obj, name="C"):
-    re = np.array(obj["re"], dtype=float)
-    im = np.array(obj.get("im", np.zeros_like(re)), dtype=float)
-    return re + 1j * im
+    """Decode ``{"rows", "cols", "re", "im"}``; the data must be ``rows x cols``."""
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        re, im = obj["re"], obj.get("im")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"{name}: missing or invalid fields: {exc}") from exc
+    if rows <= 0 or cols <= 0:
+        raise InputFormatError(f"{name}: rows and cols must be positive")
+    for part, label in ((re, "re"), (im, "im")):
+        if part is not None and not (
+            isinstance(part, list)
+            and len(part) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in part)
+        ):
+            raise InputFormatError(f"{name}: {label} must be {rows} rows of {cols} entries")
+    C = np.array(re, dtype=complex)
+    if im is not None:
+        # set, not 1j * im, which makes an infinite part a NaN one with a warning
+        C.imag = np.array(im, dtype=float)
+    return C
 
 
 def system_from_json(obj):
@@ -371,7 +399,8 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     exp(-2 eps t) norm(C T(t) h)^2 dt``, which collapses to the shifted
     Lyapunov solve ``(A - eps)* X + X (A - eps) = -C*C``.  Both the
     extremes over probes and the relative agreement are reported; each
-    ``eps`` and ``xi_max`` must be positive and finite.  The probes share
+    ``eps`` and ``xi_max`` must be positive and finite, and ``C`` (the
+    identity by default) a finite matrix with ``n`` columns.  The probes share
     each panel's resolvent evaluation: one product (or one stacked solve)
     serves every probe still refining the panel, and each probe keeps its
     own refinement and summation, as if integrated alone.
@@ -381,9 +410,7 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     if growth_bound(A) > 1e-10:
         raise StabilityError("spectrum must lie in the closed left half-plane")
     n = A.shape[0]
-    C = np.eye(n) if C is None else np.atleast_2d(_real_if_exact(C))
-    if C.shape[1] != n:
-        raise DimensionError("observation dimension mismatch")
+    C = np.eye(n) if C is None else _observation(C, n)
     Q = C.conj().T @ C
     # C R(z) e_j for a vector of nodes z and of probes j, one column per
     # (probe, node): through a cached eigendecomposition when safe, else
@@ -448,13 +475,15 @@ def cesaro_orbit_mean(A, C=None, t_max=50.0):
     isometry criterion.  One block exponential gives ``G`` and ``T`` at
     ``t_max/4``; the composition law ``G_{s+t} = G_s + T(s)* G_t T(s)``
     reaches each horizon from there.  A Gramian beyond the floating-point
-    range raises :class:`~simgroup.exceptions.SaturationError`, and a
-    ``t_max`` that is not positive and finite raises ``ValueError``.
+    range raises :class:`~simgroup.exceptions.SaturationError`, a
+    ``t_max`` that is not positive and finite raises ``ValueError``, and
+    a ``C`` that is not a finite matrix with ``n`` columns raises
+    :class:`~simgroup.exceptions.DimensionError`.
     """
     A = as_matrix(A, "generator")
     t_max = _positive_finite(t_max, "t_max")
     n = A.shape[0]
-    C = np.eye(n) if C is None else np.atleast_2d(_real_if_exact(C))
+    C = np.eye(n) if C is None else _observation(C, n)
     G_q, T_q = _orbit_integral(A, C.conj().T @ C, 0.25 * t_max)
     with np.errstate(over="ignore", invalid="ignore"):
         T_h = T_q @ T_q

@@ -460,6 +460,30 @@ class TestMalformedInput:
         assert message in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "C,message",
+        [
+            ({"rows": 1, "cols": 2, "re": [[math.nan, 1.0]]}, "non-finite"),
+            ({"rows": 1, "cols": 2, "re": [[1.0, math.inf]]}, "non-finite"),
+            ({"rows": 1, "cols": 2, "re": [[1.0, 1.0]], "im": [[-math.inf, 0.0]]}, "non-finite"),
+            ({"rows": 5, "cols": 7, "re": [[1.0, 1.0]]}, "re must be 5 rows of 7 entries"),
+            ({"rows": 1, "cols": 3, "re": [[1.0, 1.0, 1.0]]}, "with 2 columns"),
+        ],
+        ids=["nan", "inf", "imag_inf", "rows_cols", "columns"],
+    )
+    @pytest.mark.parametrize(
+        "command,config", [("observe", "observe_stable.cfg"), ("naboko", "naboko_skew.cfg")]
+    )
+    def test_bad_observation_exit_two(self, tmp_path, capsys, command, config, C, message):
+        # json writes and reads NaN and Infinity; neither reaches a solver
+        system = tmp_path / "system.json"
+        A = {"n": 2, "re": [[-1.0, 0.0], [0.0, -2.0]]}
+        system.write_text(json.dumps({"A": A, "C": C}))
+        out = tmp_path / "out"
+        assert run(command, config, out, f"system={system}") == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestByteStability:
     @pytest.mark.parametrize(

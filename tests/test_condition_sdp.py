@@ -91,6 +91,66 @@ def test_newton_factors_are_the_defect_block_schur_terms(complex_, identity):
     np.testing.assert_allclose(basis.quadratic(AB[0, 2:], AB[1, 2:]), expected, rtol=1e-12, atol=1e-12)
 
 
+def _pd(rng, n, complex_):
+    G = _random(rng, (n, n), complex_)
+    return G @ G.conj().T + 0.1 * np.eye(n)
+
+
+def _newton_point(rng, n, complex_, kind):
+    """A form and a point ``(P, t)`` whose three slack blocks are positive definite."""
+    Q = _pd(rng, n, complex_)
+    Q = 0.5 * (Q + Q.conj().T)
+    if kind == "stein":
+        # T* P T - P <= -P / 2 where norm(T)^2 cond(P) <= 1/2
+        w = np.linalg.eigvalsh(Q)
+        T = _random(rng, (n, n), complex_)
+        T *= np.sqrt(0.5 * w[0] / w[-1]) / np.linalg.norm(T, 2)
+        form = _stein_form(T)
+        P = Q
+    else:
+        A = _random(rng, (n, n), complex_) - 3.0 * np.sqrt(n) * np.eye(n)
+        form = _lyapunov_form(A)
+        P = scipy.linalg.solve_continuous_lyapunov(A.conj().T, -Q)
+        P = 0.5 * (P + P.conj().T)
+    w = np.linalg.eigvalsh(P)
+    P = P * (1.5 / w[0])
+    return form, P, 1.5 * w[-1] / w[0] + rng.uniform(0.1, 2.0)
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["X", "X=W"])
+@pytest.mark.parametrize("kind", ["stein", "lyapunov"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schur_matrix_matches_trace_loop(n, complex_, kind, same):
+    # the unscaled Newton matrix sum_b tr(A_bi X_b A_bj W_b) of the three
+    # slack blocks P - I, t I - P and -nu L(P), in the coordinates (Z, t)
+    # of P = R Z R, R = P^(1/2), against the explicit basis matrices
+    rng = np.random.default_rng(1000 * n + 100 * complex_ + 10 * (kind == "stein") + same)
+    form, P, t = _newton_point(rng, n, complex_, kind)
+    seed = P / np.linalg.eigvalsh(P)[0]
+    sdp = _condition_sdp._Problem(form, seed, 1e-6, None)
+    best = _condition_sdp.SdpResult(seed, np.inf, 1.0, 0)
+    assert sdp.factor(P, t, best, 3)
+    X = sdp.W if same else np.array([_pd(rng, n, complex_) for _ in range(3)])
+    assert sdp.schur(X)
+
+    S = [P - np.eye(n), t * np.eye(n) - P, -sdp.nu * sdp.L.defect(P)]
+    for Sb, Wb in zip(S, sdp.W):
+        np.testing.assert_allclose(Wb, np.linalg.inv(Sb), rtol=1e-9, atol=1e-9 * np.abs(Wb).max())
+    wP, UP = np.linalg.eigh(P)
+    R = (UP * np.sqrt(wP)) @ UP.conj().T
+    zero, I = np.zeros((n, n)), np.eye(n)
+    # the blocks' derivatives along each coordinate, then along t
+    A = [(R @ E @ R, -R @ E @ R, -sdp.nu * sdp.L.defect(R @ E @ R)) for E in _basis_matrices(sdp.basis)]
+    A.append((zero, I, zero))
+    expected = np.array([
+        [sum(np.real(np.trace(Ai[b] @ X[b] @ Aj[b] @ sdp.W[b])) for b in range(3)) for Aj in A]
+        for Ai in A
+    ])
+    assert sdp.H.shape == expected.shape == (sdp.basis.dim + 1,) * 2
+    np.testing.assert_allclose(sdp.H, expected, rtol=1e-9, atol=1e-11 * np.abs(expected).max())
+
+
 def _slope(slope_t, d, a):
     return slope_t - np.sum(d / (1.0 + a * d))
 

@@ -17,7 +17,7 @@ from simgroup.control import (
     observability_gramian,
     system_from_json,
 )
-from simgroup.exceptions import DimensionError, SaturationError, StabilityError
+from simgroup.exceptions import DimensionError, InputFormatError, SaturationError, StabilityError
 from simgroup.opcore import expm_semigroup, matrix_to_json, operator_norm, semigroup_from_generator
 from simgroup.weightsolve import LyapunovTarget, certificate_check
 
@@ -61,6 +61,20 @@ class TestObservabilityGramian:
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
             ObservedSystem(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "C",
+        [[[np.nan, 1.0]], [[1.0, np.inf]], [[1.0, 1.0 - np.inf * 1j]], np.ones((1, 1, 2)), [[1.0, 2.0, 3.0]]],
+        ids=["nan", "inf", "imag_inf", "three_dims", "columns"],
+    )
+    def test_observation_is_checked_in_every_entry_point(self, C):
+        A = -np.eye(2)
+        with pytest.raises(DimensionError):
+            ObservedSystem(A, C)
+        with pytest.raises(DimensionError):
+            naboko_integral(A, [0.1], C=C)
+        with pytest.raises(DimensionError):
+            cesaro_orbit_mean(A, C=C)
 
     def test_full_observation_long_horizon(self):
         # the stiff mode's exp(-tau A*) reaches e^40 on this horizon
@@ -488,6 +502,26 @@ class TestSystemJson:
         back = system_from_json(sys_obj.to_json())
         assert operator_norm(back.A - sys_obj.A) == 0.0
         assert operator_norm(back.C - sys_obj.C) == 0.0
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            {"rows": 5, "cols": 7, "re": [[1.0, 1.0]]},
+            {"rows": 1, "cols": 2, "re": [[1.0, 1.0], [1.0, 1.0]]},
+            {"rows": 1, "cols": 2, "re": [[1.0, 1.0]], "im": [[0.0]]},
+            {"rows": 0, "cols": 2, "re": []},
+            {"re": [[1.0, 1.0]]},
+        ],
+        ids=["rows_cols", "extra_row", "ragged_im", "no_rows", "no_shape"],
+    )
+    def test_rectangular_shape_is_checked(self, C):
+        with pytest.raises(InputFormatError):
+            system_from_json({"A": matrix_to_json(JORDAN), "C": C})
+
+    def test_non_finite_observation_is_rejected(self):
+        C = {"rows": 1, "cols": 2, "re": [[float("nan"), 1.0]]}
+        with pytest.raises(DimensionError, match="non-finite"):
+            system_from_json({"A": matrix_to_json(JORDAN), "C": C})
 
     def test_square_observation_schema(self):
         obj = {"A": matrix_to_json(JORDAN), "C": matrix_to_json(np.eye(2))}
