@@ -99,8 +99,15 @@ def _matrix_text(a):
 
 def _distinct_values_text(a):
     """:func:`_matrix_text` for any matrix: each distinct bit pattern is formatted once."""
-    # np.unique over the bit patterns keeps -0.0 apart from 0.0
-    distinct, index = np.unique(a.view(np.int64), return_inverse=True)
+    # sorting the bit patterns, not the values, keeps -0.0 apart from 0.0;
+    # a sort and a search are cheaper than np.unique's inverse, an argsort
+    bits = a.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    index = np.searchsorted(distinct, bits)
     texts = np.array([_float_text(x) for x in distinct.view(float).tolist()], dtype=object)
     rows = texts[index].reshape(a.shape).tolist()
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
@@ -381,7 +388,8 @@ def _w_suite(sem):
     permutations, each entry of that product is a sum of at most two
     products with a unit factor, whatever ``V`` holds, and it is the
     entry the pair's own product would give.  The product is compared
-    with the block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``;
+    with the block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``,
+    each distinct one sliced once and placed at every position it fills;
     a pair whose block of the difference has no nonzero entry has
     residual 0, and only the other blocks of the difference are
     densified and bounded.  Each entry of such a block is the
@@ -405,7 +413,8 @@ def _w_suite(sem):
     bound = opcore.norm_upper_bound
     ks = range(0, 2 * m + 1, max(1, m // 8))
     W = _sparse_values(sem, {i + j for i in ks for j in ks}, 1.0 / m)
-    hankel = bmat([[W[i + j][:m, m:] for j in ks] for i in ks], format="csr")
+    fill = {k: Wk[:m, m:] for k, Wk in W.items()}  # each distinct block sliced once
+    hankel = bmat([[fill[i + j] for j in ks] for i in ks], format="csr")
     top = vstack([W[k][:m] for k in ks], format="csr")
     diff = (hankel - top @ hstack([W[k][:, m:] for k in ks], format="csr")).tocsr()
     rows, cols = diff.nonzero()

@@ -9,18 +9,21 @@ contraction (infinite horizon, stable case) and quasi-contraction
 in the other direction: a Lyapunov weight ``P`` yields an observation
 ``C`` with ``C*C = -(A*P + PA)`` whose Gramian telescopes back to ``P``.
 Every finite-horizon Gramian and orbit mean is the one orbit integral
-:func:`~simgroup.opcore.gramian_integral`, re-exported here.  Its
-doublings also end on ``T(tau)``, which the finite-horizon Gramian reads
-instead of evaluating the semigroup again, and one block exponential at
-``t_max/4`` serves every Cesàro horizon through the composition law
-``G_{s+t} = G_s + T(s)* G_t T(s)``.  The Gramian identity check alone
-evaluates ``T(tau)`` apart from the doublings, through
-:func:`~simgroup.opcore.semigroup_from_generator`, so that its route
-stays independent.  The resolvent means of Naboko's isometry criterion
-are evaluated both by quadrature on the critical line and through their
-Plancherel form, which reduces to a shifted Lyapunov solve.  ``A`` and
-the rectangular ``C`` take the field :func:`~simgroup.opcore.as_matrix`
-decides, so a real pair gives float64 Gramians and weights.
+:func:`~simgroup.opcore.gramian_integral`, re-exported here: a degree-13
+Padé step of Van Loan's block exponential, evaluated in ``n x n``
+blocks, then doublings.  Its weight ``Q = C*C`` must be Hermitian, as
+every Gramian's is.  Its doublings also end on ``T(tau)``, which the
+finite-horizon Gramian reads instead of evaluating the semigroup again,
+and one orbit integral at ``t_max/4`` serves every Cesàro horizon
+through the composition law ``G_{s+t} = G_s + T(s)* G_t T(s)``.  The
+Gramian identity check alone evaluates ``T(tau)`` apart from the
+doublings, through :func:`~simgroup.opcore.semigroup_from_generator`,
+so that its route stays independent.  The resolvent means of Naboko's
+isometry criterion are evaluated both by quadrature on the critical line
+and through their Plancherel form, which reduces to a shifted Lyapunov
+solve.  ``A`` and the rectangular ``C`` take the field
+:func:`~simgroup.opcore.as_matrix` decides, so a real pair gives float64
+Gramians and weights.
 """
 
 import math
@@ -298,7 +301,7 @@ def duality_check(sys, tau):
 
     the integral of the derivative of ``exp(sA*) C*C exp(sA)``.  The right
     side needs one semigroup evaluation and no quadrature, so it checks
-    the block-exponential Gramian along an independent route.
+    the orbit-integral Gramian along an independent route.
     ``residual`` is the identity's defect relative to the size of its
     terms.  The identity determines ``G`` wherever ``A`` and ``-A*``
     share no eigenvalue; for ``A = 0`` it holds for every ``G``.
@@ -472,7 +475,7 @@ def cesaro_orbit_mean(A, C=None, t_max=50.0):
     eigenvalues.  They are evaluated at the horizons ``t_max/2``,
     ``3 t_max/4`` and ``t_max``; the reported pair bounds the liminf and
     limsup estimates.  A positive lower estimate is the mean form of the
-    isometry criterion.  One block exponential gives ``G`` and ``T`` at
+    isometry criterion.  One orbit integral gives ``G`` and ``T`` at
     ``t_max/4``; the composition law ``G_{s+t} = G_s + T(s)* G_t T(s)``
     reaches each horizon from there.  A Gramian beyond the floating-point
     range raises :class:`~simgroup.exceptions.SaturationError`, a

@@ -14,6 +14,7 @@ implementation, not in the data.
 
 import bisect
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -583,13 +584,20 @@ def nagy_isometry_test(A, t_grid=None):
     semigroup toward an isometry, and the report carries the worst
     relative isometry defect ``max |norm(S E h) / norm(S h) - 1|`` over
     all vectors ``h`` and grid times, with ``S = P^{1/2}``: the largest
-    distance from 1 of a singular value of ``S exp(tA) S^{-1}``.
+    distance from 1 of a singular value of ``S exp(tA) S^{-1}``.  A
+    ``t_grid`` that is empty, holds a non-finite or negative time, or
+    ends at a time that is not positive raises ``ValueError``.
     """
     A = as_matrix(A, "generator")
     sem = semigroup_from_generator(A)
     if t_grid is None:
         t_grid = np.linspace(0.25, 20.0, 33)
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
+    if not (t_grid.size and np.all(np.isfinite(t_grid)) and t_grid[0] >= 0.0 and t_grid[-1] > 0.0):
+        raise ValueError(
+            "t_grid must be nonempty and finite, with no negative time and a positive last "
+            f"time, got {reprlib.repr(t_grid.tolist())}"
+        )
     alpha = math.inf
     beta = 0.0
     norms = []

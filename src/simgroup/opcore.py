@@ -3,8 +3,11 @@
 Everything downstream (weight solvers, the example-semigroup gallery,
 audits, Gramians) is built on the handful of primitives in this module:
 matrix exponentials evaluated as one-parameter semigroups, resolvents,
-operator norms in plain and weighted inner products, and the two growth
-quantities of a generator (spectral bound and numerical abscissa).
+operator norms in plain and weighted inner products, the orbit
+integral behind every Gramian and averaged weight (a degree-13 Padé
+step of Van Loan's block exponential, evaluated in ``n x n`` blocks,
+then doublings), and the two growth quantities of a generator (spectral
+bound and numerical abscissa).
 
 Matrices are plain ``numpy`` arrays.  :func:`as_matrix` decides their
 field, float64 for real-valued data and complex128 otherwise, and every
@@ -306,19 +309,56 @@ def _expm_with(A, eig, growth, t):
 def gramian_integral(A, Q, tau):
     """Orbit integral ``integral_0^tau exp(sA*) Q exp(sA) ds`` for ``tau >= 0``.
 
-    Van Loan's block exponential ``exp(h [[-A*, Q], [0, A]])`` carries
-    ``exp(hA)`` and ``exp(-hA*)`` times the integral over ``[0, h]``.
-    It is taken on the step ``h = tau / 2^k``, with ``k`` the smallest
-    integer such that ``h norm(A) <= 1/2``, so the factor ``exp(-hA*)``
-    cannot swamp the integral in rounding.  ``k`` doublings ``G <- G +
-    T* G T``, ``T <- T^2`` then reach ``tau``; for semidefinite ``Q``
-    every doubling adds terms of one sign, so nothing cancels at long or
-    stiff horizons.  For real ``A`` and ``Q`` the block is real, and so
-    are every product and the float64 result.  An integral beyond the
-    floating-point range raises :class:`~simgroup.exceptions.SaturationError`;
-    a negative or non-finite ``tau`` raises ``ValueError``.
+    ``Q`` is Hermitian, of ``A``'s shape.  Van Loan's block exponential
+    ``exp(h [[-A*, Q], [0, A]])`` carries ``exp(hA)`` in its (2,2)
+    block and ``exp(-hA*)`` times the integral over ``[0, h]`` in its
+    (1,2) block; it is evaluated by a degree-13 Padé approximant in
+    ``n x n`` blocks (:func:`_orbit_step`).  The step is ``h = tau /
+    2^k``, with ``k`` the smallest integer such that ``h norm(A) <= 1/2``,
+    so the factor ``exp(-hA*)`` cannot swamp the integral in rounding,
+    and ``2 h max(norm(A, 1), norm(A, inf)) <= theta_13``.  ``k``
+    doublings ``G <- G + T* G T``, ``T <- T^2`` then reach ``tau``; for
+    semidefinite ``Q`` every doubling adds terms of one sign, so nothing
+    cancels at long or stiff horizons.
+
+    Why ``Q`` never picks the step: for ``S = diag(I, a I)``, ``a > 0``,
+    ``S^{-1} M S = [[-A*, a Q], [0, A]]``, and a rational function
+    commutes with the similarity, so the approximant's (1,2) block at
+    ``a Q`` is ``a`` times the one at ``Q``, in exact arithmetic and, for
+    ``a`` a power of two, bit for bit.  Al-Mohy and Higham's bound
+    (SIAM J. Matrix Anal. Appl. 31, 2009) makes the approximant at ``a
+    Q`` the exact exponential of a block perturbed by less than the unit
+    roundoff in relative 1-norm once that block's 1-norm is at most
+    ``theta_13``.  With ``a`` chosen so that ``norm(a h Q, 1) <= h
+    max(norm(A, 1), norm(A, inf))``, that 1-norm is at most the step
+    rule's ``2 h max(norm(A, 1), norm(A, inf))``; scaling back by ``1/a``
+    leaves the (1,2) block's relative error unchanged.  For real ``A``
+    and ``Q`` every block is real, and so is the float64 result.
+
+    An integral beyond the floating-point range raises
+    :class:`~simgroup.exceptions.SaturationError`; a negative or
+    non-finite ``tau`` and a ``Q`` that is not Hermitian to within
+    ``1e-12 norm(Q, 1)`` in each entry raise ``ValueError``; a ``Q``
+    whose shape is not ``A``'s raises
+    :class:`~simgroup.exceptions.DimensionError`.
     """
     return _orbit_integral(A, Q, tau)[0]
+
+
+#: Numerator coefficients ``b_0, ..., b_13`` of the degree-13 Padé
+#: approximant of ``exp``; the denominator's are ``(-1)^j b_j``.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+#: Largest 1-norm at which the degree-13 Padé approximant's backward
+#: error stays below the unit roundoff (Al-Mohy and Higham, 2009).
+_THETA13 = 5.371920351148152
+
+#: Entrywise tolerance of the Hermitian test of an orbit weight, relative to its 1-norm.
+_HERMITIAN_RTOL = 1e-12
 
 
 def _orbit_integral(A, Q, tau):
@@ -326,28 +366,93 @@ def _orbit_integral(A, Q, tau):
 
     ``T`` is the last square of the doublings, which hold it anyway.  Both
     are real for real ``A`` and ``Q``.  ``T`` may overflow where ``G`` does
-    not; the caller that uses it checks.
+    not; the caller that uses it checks.  Neither the step nor the number
+    of doublings reads ``Q``, and every operation on ``Q``'s descendants
+    is linear, so scaling ``Q`` by a power of two scales ``G`` bit for bit.
     """
     A = as_matrix(A, "generator")
-    Q = as_matrix(Q, "Q")
-    n = A.shape[0]
+    Q = _orbit_weight(Q, A.shape)
     tau = _nonnegative_finite(tau, "tau")
     k = max(0, math.ceil(math.log2(max(2.0 * tau * operator_norm(A), 1.0))))
-    M = np.zeros((2 * n, 2 * n), dtype=np.result_type(A, Q))
-    M[:n, :n] = -A.conj().T
-    M[:n, n:] = Q
-    M[n:, n:] = A
-    E = scipy.linalg.expm((tau / 2**k) * M)
-    T = E[n:, n:]
-    G = T.conj().T @ E[:n, n:]
+    absA = np.abs(A)
+    wide = 2.0 * tau * max(float(absA.sum(axis=0).max()), float(absA.sum(axis=1).max()))
+    while wide > _THETA13 * 2.0**k:
+        k += 1
+    h = tau / 2**k
     # an overflow stays inf or nan through every later step
     with np.errstate(over="ignore", invalid="ignore"):
+        G, T = _orbit_step(h * A, h * Q)
         for _ in range(k):
             G = G + T.conj().T @ G @ T
             T = T @ T
         G = 0.5 * (G + G.conj().T)
     if not np.all(np.isfinite(G)):
         raise SaturationError(f"orbit integral over [0, {tau:.6g}] overflows the floating range")
+    return G, T
+
+
+def _orbit_weight(Q, shape):
+    """The Hermitian part of ``Q``, after checking its shape and that it is Hermitian."""
+    Q = as_matrix(Q, "Q")
+    if Q.shape != shape:
+        raise DimensionError(f"Q must have the generator's shape {shape}, got {Q.shape}")
+    QH = Q.conj().T
+    skew = float(np.abs(Q - QH).max())
+    if skew > _HERMITIAN_RTOL * float(np.abs(Q).sum(axis=0).max()):
+        raise ValueError(f"Q must be Hermitian, got max |Q - Q*| = {skew:.3g}")
+    return 0.5 * (Q + QH)
+
+
+def _orbit_step(Y, Z):
+    """``(T* R_12, T)`` for the degree-13 Padé approximant ``R`` of ``exp([[-Y*, Z], [0, Y]])``.
+
+    ``Z`` is Hermitian.  ``T = R_22`` approximates ``exp(Y)`` and
+    ``R_11 = T^{-*}``, so ``T* R_12`` approximates the orbit integral on
+    the step.  Only ``n x n`` blocks are formed.  Write ``X = [[-Y*, Z],
+    [0, Y]]``, ``Y_j`` and ``Z_j`` for the (2,2) and (1,2) blocks of
+    ``X^j``.  Any polynomial ``p`` with real coefficients has ``p(X)_11
+    = p(-Y*) = `` the conjugate transpose of ``p(-Y)``, so the (1,1)
+    block of the even part ``V`` is ``V_22*`` and that of the odd part
+    ``U`` is ``-U_22*``: the denominator's (1,1) block ``V_11 - U_11``
+    is the numerator's (2,2) block conjugate-transposed, ``D_11 =
+    N_22*``, and ``N_11 = D_22*``.  The (1,2) blocks follow the product
+    rule ``(PR)_12 = P_11 R_12 + P_12 R_22``, linear in ``Z``:
+
+        Z_2 = Z Y - (Z Y)*          (Z Hermitian)
+        Z_4 = Z_2 Y_2 - (Z_2 Y_2)*  (Z_2 skew-Hermitian)
+        Z_6 = Y_4* Z_2 + Z_4 Y_2.
+
+    The quotient ``R = D^{-1} N`` has ``T = D_22^{-1} N_22`` and ``R_12
+    = N_22^{-*} (N_12 - D_12 T)``.  ``N_22`` and ``D_22`` are polynomials
+    in ``Y`` and commute, so ``T* N_22^{-*} = D_22^{-*}``: the step's
+    integral ``T* R_12 = D_22^{-*} (N_12 - D_12 T)`` takes one LU
+    factorization, of ``D_22``, for both solves.
+    """
+    b = _PADE13
+    I = np.eye(Y.shape[0], dtype=Y.dtype)
+    Y2 = Y @ Y
+    Y4 = Y2 @ Y2
+    Y6 = Y4 @ Y2
+    P = Z @ Y
+    Z2 = P - P.conj().T
+    P = Z2 @ Y2
+    Z4 = P - P.conj().T
+    Z6 = Y4.conj().T @ Z2 + Z4 @ Y2
+    # V = X6 (b12 X6 + b10 X4 + b8 X2) + b6 X6 + b4 X4 + b2 X2 + b0 I, even
+    W = b[12] * Y6 + b[10] * Y4 + b[8] * Y2
+    W12 = b[12] * Z6 + b[10] * Z4 + b[8] * Z2
+    V = Y6 @ W + (b[6] * Y6 + b[4] * Y4 + b[2] * Y2 + b[0] * I)
+    V12 = Y6.conj().T @ W12 + Z6 @ W + (b[6] * Z6 + b[4] * Z4 + b[2] * Z2)
+    # U = X K, K = X6 (b13 X6 + b11 X4 + b9 X2) + b7 X6 + b5 X4 + b3 X2 + b1 I
+    W = b[13] * Y6 + b[11] * Y4 + b[9] * Y2
+    W12 = b[13] * Z6 + b[11] * Z4 + b[9] * Z2
+    K = Y6 @ W + (b[7] * Y6 + b[5] * Y4 + b[3] * Y2 + b[1] * I)
+    K12 = Y6.conj().T @ W12 + Z6 @ W + (b[7] * Z6 + b[5] * Z4 + b[3] * Z2)
+    U = Y @ K
+    U12 = Z @ K - Y.conj().T @ K12
+    lu = scipy.linalg.lu_factor(V - U, check_finite=False)
+    T = scipy.linalg.lu_solve(lu, V + U, check_finite=False)
+    G = scipy.linalg.lu_solve(lu, (V12 + U12) - (V12 - U12) @ T, trans=2, check_finite=False)
     return G, T
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from simgroup import control
 from simgroup.control import (
     ObservedSystem,
     _gramian_identity_residual,
@@ -465,11 +466,18 @@ class TestCesaro:
                 assert high == pytest.approx(float(w[-1]), rel=1e-12)
 
     def test_one_block_exponential(self, monkeypatch):
-        calls = []
+        # one orbit integral at t_max/4 serves every horizon, and its step
+        # is the n x n block Pade, not a 2n x 2n expm
+        expm_calls, orbit_calls = [], []
         expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+        orbit = control._orbit_integral
+        monkeypatch.setattr(scipy.linalg, "expm", lambda M: expm_calls.append(M.shape) or expm(M))
+        monkeypatch.setattr(
+            control, "_orbit_integral", lambda A, Q, tau: orbit_calls.append(tau) or orbit(A, Q, tau)
+        )
         cesaro_orbit_mean(1j * np.diag([0.4, -1.0, 2.0]), t_max=40.0)
-        assert calls == [(6, 6)]
+        assert expm_calls == []
+        assert orbit_calls == [10.0]
 
     @pytest.mark.parametrize("t_max", [0.0, -10.0])
     def test_non_positive_horizon_rejected(self, t_max):

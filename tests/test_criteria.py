@@ -518,6 +518,13 @@ class TestIsometryAndSlope:
         rep = nagy_isometry_test(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not rep.positive
 
+    @pytest.mark.parametrize(
+        "t_grid", [[0.0], [], [1.0, math.nan], [1.0, math.inf], [-1.0, 2.0]], ids=repr
+    )
+    def test_bad_grid_rejected(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid"):
+            nagy_isometry_test(np.array([[0.7j, 0], [0, -0.2j]]), t_grid)
+
     def test_transformed_skew_weight_condition(self):
         S = np.array([[1.0, 0.6], [0.0, 1.0]])
         A = S @ np.diag([1j, -0.7j]) @ np.linalg.inv(S)

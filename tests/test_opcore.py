@@ -10,6 +10,7 @@ import scipy.linalg
 
 from simgroup import exceptions
 from simgroup.opcore import (
+    _orbit_integral,
     as_matrix,
     expm_semigroup,
     gramian_integral,
@@ -70,7 +71,110 @@ def _lyapunov_orbit_integral(A, Q, tau):
     return P - T.conj().T @ P @ T, P, T
 
 
+def _van_loan_orbit_integral(A, Q, tau):
+    """The orbit integral through one dense ``2n x 2n`` Van Loan ``expm`` per step.
+
+    The same step rule (``h norm(A) <= 1/2``) and the same doublings as
+    ``gramian_integral``; an independent route to the step's integral.
+    ``Q`` enters the block scaled by a power of two to ``A``'s size, and
+    the result is scaled back: otherwise ``expm`` would choose its own
+    squarings by ``norm(Q)`` and lose ``exp(hA)`` in them.
+    """
+    n = A.shape[0]
+    k = max(0, math.ceil(math.log2(max(2.0 * tau * np.linalg.norm(A, 2), 1.0))))
+    s = 2.0 ** round(math.log2(max(np.linalg.norm(A, 2), 1e-3) / np.linalg.norm(Q, 2)))
+    M = np.zeros((2 * n, 2 * n), dtype=np.result_type(A, Q))
+    M[:n, :n] = -A.conj().T
+    M[:n, n:] = s * Q
+    M[n:, n:] = A
+    E = scipy.linalg.expm((tau / 2**k) * M)
+    T = E[n:, n:]
+    G = T.conj().T @ E[:n, n:]
+    for _ in range(k):
+        G = G + T.conj().T @ G @ T
+        T = T @ T
+    return 0.5 * (G + G.conj().T) / s, T
+
+
+def _orbit_corpus_generator(rng, n, kind, complex_entries):
+    """A stable, skew (isometric), near-skew or Jordan generator, in a random basis."""
+    M = rng.standard_normal((n, n))
+    if complex_entries:
+        M = M + 1j * rng.standard_normal((n, n))
+    if kind == "stable":
+        return random_stable(rng, n, complex_entries=complex_entries)
+    if kind == "jordan":
+        J = np.diag(np.full(n - 1, 1.0), 1) - 0.5 * np.eye(n)
+        U, _ = np.linalg.qr(M)
+        return U @ J @ U.conj().T
+    S = (M - M.conj().T) / (2.0 * math.sqrt(n))
+    return S if kind == "skew" else S + 1e-3 * (rng.standard_normal((n, n)) - 2.0 * np.eye(n))
+
+
 class TestGramianIntegral:
+    def test_matches_dense_van_loan(self):
+        kinds = ("stable", "skew", "near_skew", "jordan")
+        for example in fixed_examples(
+            41,
+            24,
+            seed=(0, 2**32 - 1),
+            n=(1, 128),
+            complex_entries=(False, True),
+            kind=(0, 3),
+            tau=(1e-3, 50.0),
+            q_ratio=(1e-8, 1e8),
+            definite=(False, True),
+        ):
+            rng = np.random.default_rng(example["seed"])
+            n = example["n"]
+            A = _orbit_corpus_generator(rng, n, kinds[example["kind"]], example["complex_entries"])
+            B = rng.standard_normal((n, n))
+            if example["complex_entries"]:
+                B = B + 1j * rng.standard_normal((n, n))
+            Q = B @ B.conj().T if example["definite"] else B + B.conj().T
+            Q = 0.5 * (Q + Q.conj().T)
+            q = example["q_ratio"] * max(np.linalg.norm(A, 2), 1e-3)
+            Q *= q / np.linalg.norm(Q, 2)
+            tau = example["tau"]
+            G, T = _orbit_integral(A, Q, tau)
+            G_ref, T_ref = _van_loan_orbit_integral(A, Q, tau)
+            # either route's rounding is relative to the integral of norm(Q) I,
+            # not to G, which cancels for indefinite Q
+            scale = np.linalg.norm(_van_loan_orbit_integral(A, q * np.eye(n), tau)[0], 2)
+            assert np.linalg.norm(G - G_ref, 2) <= 1e-12 * scale, example
+            assert np.linalg.norm(T - T_ref, 2) <= 1e-12 * max(1.0, np.linalg.norm(T_ref, 2)), example
+
+    @pytest.mark.parametrize("j", [-20, 20])
+    def test_power_of_two_weight_scales_the_integral_exactly(self, j):
+        # neither the step nor the doublings read Q, so the result is
+        # linear in Q bit for bit
+        rng = np.random.default_rng(6)
+        for complex_entries in (False, True):
+            A = random_stable(rng, 6, complex_entries=complex_entries)
+            B = rng.standard_normal((6, 6))
+            Q = B @ B.T
+            G = gramian_integral(A, Q, 1.7)
+            assert np.array_equal(gramian_integral(A, 2.0**j * Q, 1.7), 2.0**j * G)
+
+    def test_non_hermitian_weight_rejected(self):
+        # quadrature gives [[0, 0.2454], [0, 0.0792]]; the Hermitian part's
+        # integral, [[0, 0.1227], [0.1227, 0.0792]], answers another question
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        with pytest.raises(ValueError, match="Q must be Hermitian"):
+            gramian_integral(A, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_rounding_level_asymmetry_accepted(self):
+        rng = np.random.default_rng(8)
+        C = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+        Q = C.conj().T @ C
+        A = random_stable(rng, 5)
+        G = gramian_integral(A, Q, 2.0)
+        assert np.array_equal(G, gramian_integral(A, 0.5 * (Q + Q.conj().T), 2.0))
+
+    def test_weight_of_another_shape_rejected(self):
+        with pytest.raises(exceptions.DimensionError, match="Q must have the generator's shape"):
+            gramian_integral(np.diag([-1.0, -2.0]), np.eye(3), 1.0)
+
     def test_long_horizon_closed_form(self):
         # exp(-tau A*) reaches e^40 here: one block exponential over the
         # whole horizon loses the integral in rounding
