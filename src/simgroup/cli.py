@@ -37,6 +37,9 @@ EXIT_UNBOUNDED = 3
 EXIT_INFEASIBLE = 4
 EXIT_PRECONDITION = 5
 
+#: Header of every curve CSV that ``classify`` writes.
+_CURVE_HEADER = ("parameter", "constant", "status", "residual")
+
 
 def _fmt(x):
     """Deterministic float formatting (17 significant digits)."""
@@ -142,27 +145,22 @@ class RunConfig:
         return default
 
     def get_float(self, key, default=None, required=False, positive=False):
-        raw = self.get(key, default, required)
-        if raw is None:
-            return None
-        try:
-            val = float(raw)
-        except (TypeError, ValueError):
-            raise InputFormatError(f"config key '{key}' is not a number: {raw!r}")
-        if not math.isfinite(val):
-            raise InputFormatError(f"config key '{key}' must be finite")
-        if positive and not val > 0:
-            raise InputFormatError(f"config key '{key}' must be positive")
-        return val
+        return self._get_number(key, default, required, positive, float, "a number")
 
     def get_int(self, key, default=None, required=False, positive=False):
+        return self._get_number(key, default, required, positive, lambda raw: int(str(raw)), "an integer")
+
+    def _get_number(self, key, default, required, positive, parse, noun):
+        """``parse`` of the value, or None when absent and not required; a finite value, ``> 0`` if ``positive``."""
         raw = self.get(key, default, required)
         if raw is None:
             return None
         try:
-            val = int(str(raw))
+            val = parse(raw)
         except (TypeError, ValueError):
-            raise InputFormatError(f"config key '{key}' is not an integer: {raw!r}")
+            raise InputFormatError(f"config key '{key}' is not {noun}: {raw!r}")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise InputFormatError(f"config key '{key}' must be finite")
         if positive and not val > 0:
             raise InputFormatError(f"config key '{key}' must be positive")
         return val
@@ -278,20 +276,12 @@ def cmd_classify(cfg, out):
         },
     )
     if report.time_curve is not None:
-        write_csv(
-            os.path.join(out, "curve_time.csv"),
-            ("parameter", "constant", "status", "residual"),
-            report.time_curve.rows(),
-        )
-        write_csv(
-            os.path.join(out, "curve_resolvent.csv"),
-            ("parameter", "constant", "status", "residual"),
-            report.resolvent_curve.rows(),
-        )
+        write_csv(os.path.join(out, "curve_time.csv"), _CURVE_HEADER, report.time_curve.rows())
+        write_csv(os.path.join(out, "curve_resolvent.csv"), _CURVE_HEADER, report.resolvent_curve.rows())
     if report.family_curve:
         write_csv(
             os.path.join(out, "curve_family.csv"),
-            ("parameter", "constant", "status", "residual"),
+            _CURVE_HEADER,
             [(p, c, "finite" if math.isfinite(c) else "infeasible", "") for p, c in report.family_curve],
         )
     return EXIT_INFEASIBLE if report.case == "BudgetExhausted" else EXIT_OK

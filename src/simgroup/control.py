@@ -33,8 +33,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, InputFormatError, SaturationError, StabilityError
+from .exceptions import DimensionError, SaturationError, StabilityError
 from .opcore import (
+    _eig_cached,
+    _hermitian_part,
+    _matrix_payload,
     _orbit_integral,
     _positive_finite,
     _real_if_exact,
@@ -88,16 +91,9 @@ class ObservedSystem:
         return self.A.shape[0]
 
     def to_json(self):
-        return {"A": matrix_to_json(self.A), "C": _rect_to_json(self.C), "label": self.label}
-
-
-def _rect_to_json(M):
-    return {
-        "rows": int(M.shape[0]),
-        "cols": int(M.shape[1]),
-        "re": [[float(x) for x in row] for row in M.real],
-        "im": [[float(x) for x in row] for row in M.imag],
-    }
+        rows, cols = self.C.shape
+        C = {"rows": rows, "cols": cols, "re": self.C.real.tolist(), "im": self.C.imag.tolist()}
+        return {"A": matrix_to_json(self.A), "C": C, "label": self.label}
 
 
 def _observation(C, n):
@@ -116,38 +112,10 @@ def _observation(C, n):
     return C
 
 
-def _rect_from_json(obj, name="C"):
-    """Decode ``{"rows", "cols", "re", "im"}``; the data must be ``rows x cols``."""
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re, im = obj["re"], obj.get("im")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{name}: missing or invalid fields: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise InputFormatError(f"{name}: rows and cols must be positive")
-    for part, label in ((re, "re"), (im, "im")):
-        if part is not None and not (
-            isinstance(part, list)
-            and len(part) == rows
-            and all(isinstance(row, list) and len(row) == cols for row in part)
-        ):
-            raise InputFormatError(f"{name}: {label} must be {rows} rows of {cols} entries")
-    C = np.array(re, dtype=complex)
-    if im is not None:
-        # set, not 1j * im, which makes an infinite part a NaN one with a warning
-        C.imag = np.array(im, dtype=float)
-    return C
-
-
 def system_from_json(obj):
     """Decode ``{"A": matrix schema, "C": matrix-or-rectangular schema}``."""
     A = matrix_from_json(obj["A"], "A")
-    C_obj = obj["C"]
-    if "n" in C_obj:
-        C = matrix_from_json(C_obj, "C")
-    else:
-        C = _rect_from_json(C_obj)
-    return ObservedSystem(A, C, label=obj.get("label", ""))
+    return ObservedSystem(A, _matrix_payload(obj["C"], "C"), label=obj.get("label", ""))
 
 
 @dataclass(frozen=True)
@@ -276,10 +244,13 @@ def defect_observation(A, P):
     The defect may exceed zero by ``1e-10 max(1, norm(P) norm(A))``.
     ``C`` is the PSD square root of the (negated) Lyapunov defect; the
     Gramian identity ``integral_0^t norm(C exp(sA) h)^2 ds = norm(h)_P^2
-    - norm(exp(tA) h)_P^2`` then holds exactly.
+    - norm(exp(tA) h)_P^2`` then holds exactly.  A ``P`` that is not
+    Hermitian to within ``1e-12 norm(P, 1)`` in each entry raises
+    :class:`~simgroup.exceptions.InvalidWeightError`.
     """
     A = as_matrix(A, "generator")
     P = as_matrix(P, "weight")
+    _hermitian_part(P, "weight")  # the check alone: the defect below is symmetrized
     D = A.conj().T @ P + P @ A
     D = 0.5 * (D + D.conj().T)
     w, U = np.linalg.eigh(D)
@@ -418,14 +389,12 @@ def naboko_integral(A, eps_list, C=None, xi_max=200.0, quad_m=32):
     # C R(z) e_j for a vector of nodes z and of probes j, one column per
     # (probe, node): through a cached eigendecomposition when safe, else
     # by stacked solves
-    try:
-        w_eig, V = np.linalg.eig(A)
-        Vinv = np.linalg.inv(V)
-        use_eig = np.linalg.cond(V) < 1e8
-    except np.linalg.LinAlgError:
-        use_eig = False
+    ded = _eig_cached(A)
+    use_eig = ded is not None and ded[3] < 1e8
+    if use_eig:
+        w_eig, V, Vinv, _ = ded
+        CV = C @ V
     I = np.eye(n)
-    CV = C @ V if use_eig else None
 
     def resolvent_columns(z, probes):
         if use_eig:

@@ -33,6 +33,7 @@ from .opcore import (
     numerical_abscissa,
     operator_norm,
     resolvent,
+    sampled_semigroup,
     semigroup_from_generator,
     weight_factors,
 )
@@ -46,7 +47,6 @@ from .weightsolve import (
     quasi_similarity_constant,
 )
 from .gallery import HolbrookFactorization
-from .opcore import sampled_semigroup
 
 __all__ = [
     "CurvePoint",
@@ -132,20 +132,10 @@ def small_time_constants(A, t_grid=None, tol=1e-4, kappa_max=1e6):
     semigroup whenever that is finite.
     """
     A = as_matrix(A, "generator")
-    sem = semigroup_from_generator(A)
     if t_grid is None:
         scale = max(1.0, operator_norm(A))
         t_grid = np.geomspace(1e-3, 2.0, 6) / scale
-    pts = []
-    for t in sorted(float(t) for t in t_grid):
-        if t <= 0:
-            raise ValueError("time grid must be positive")
-        try:
-            v = discrete_similarity_constant(sem.eval(t), tol=tol, kappa_max=kappa_max)
-            pts.append(CurvePoint(t, v))
-        except SimgroupError as exc:  # recorded per point
-            pts.append(CurvePoint(t, None, error=str(exc)))
-    return ConstantCurve("time", tuple(pts))
+    return _constant_curve("time", t_grid, semigroup_from_generator(A).eval, tol, kappa_max)
 
 
 def resolvent_constants(A, lam_grid, tol=1e-4, kappa_max=1e6):
@@ -156,17 +146,21 @@ def resolvent_constants(A, lam_grid, tol=1e-4, kappa_max=1e6):
     constant.
     """
     A = as_matrix(A, "generator")
+    return _constant_curve("resolvent", lam_grid, lambda lam: lam * resolvent(A, lam), tol, kappa_max)
+
+
+def _constant_curve(kind, grid, operator, tol, kappa_max):
+    """``C(operator(x))`` at each ``x`` of the positive ``grid``, ascending; an error entry per failed point."""
     pts = []
-    for lam in sorted(float(x) for x in lam_grid):
-        if lam <= 0:
-            raise ValueError("resolvent grid must be positive")
+    for x in sorted(float(x) for x in grid):
+        if x <= 0:
+            raise ValueError(f"{kind} grid must be positive")
         try:
-            R = lam * resolvent(A, lam)
-            v = discrete_similarity_constant(R, tol=tol, kappa_max=kappa_max)
-            pts.append(CurvePoint(lam, v))
-        except SimgroupError as exc:
-            pts.append(CurvePoint(lam, None, error=str(exc)))
-    return ConstantCurve("resolvent", tuple(pts))
+            v = discrete_similarity_constant(operator(x), tol=tol, kappa_max=kappa_max)
+            pts.append(CurvePoint(x, v))
+        except SimgroupError as exc:  # recorded per point
+            pts.append(CurvePoint(x, None, error=str(exc)))
+    return ConstantCurve(kind, tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ def _member_constant(member, tol, kappa_max):
             v = discrete_similarity_constant(
                 member.eval(member.step), tol=tol, kappa_max=kappa_max
             )
-        elif hasattr(member, "generator"):
+        elif member.generator is not None:
             v = joint_similarity_constant(member.generator, tol=tol, kappa_max=kappa_max)
         else:
             raise ValueError("sampled member without step or generator")
@@ -300,8 +294,7 @@ def sup_norm_on_interval(sem, tau, inflate=AUDIT_TOL):
     samples.
     """
     tau = _nonnegative_finite(tau, "tau")
-    generator = getattr(sem, "generator", None)
-    omega = None if generator is None else numerical_abscissa(generator)
+    omega = None if sem.generator is None else numerical_abscissa(sem.generator)
     times, values = [], []  # the evaluated samples, in time order
     top = -math.inf
 
@@ -601,8 +594,9 @@ def nagy_isometry_test(A, t_grid=None):
     alpha = math.inf
     beta = 0.0
     norms = []
-    for t in t_grid:
-        sv = _singular_values(sem.eval(t))
+    values = [sem.eval(t) for t in t_grid]
+    for E in values:
+        sv = _singular_values(E)
         alpha = min(alpha, float(sv[-1]))
         norms.append(float(sv[0]))
         beta = max(beta, norms[-1])
@@ -622,8 +616,8 @@ def nagy_isometry_test(A, t_grid=None):
     kappa = math.sqrt(ev[-1] / ev[0])
     S, Sinv = weight_factors(P)
     defect = 0.0
-    for t in t_grid:
-        sv = np.linalg.svd(S @ sem.eval(t) @ Sinv, compute_uv=False)
+    for E in values:
+        sv = np.linalg.svd(S @ E @ Sinv, compute_uv=False)
         defect = max(defect, float(sv[0]) - 1.0, 1.0 - float(sv[-1]))
     return IsometryReport(alpha, beta, True, P, kappa, defect)
 

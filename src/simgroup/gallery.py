@@ -118,15 +118,11 @@ def right_shift(space):
     of ``R(k*step)`` is exactly ``exp(-lam*k*step)``.  Each evaluation is
     a fresh real (float64) array.
     """
-    m, step, lam = space.m, space.step, space.lam
 
     def ev(t):
-        k, _ = space.snap(t)
-        if k >= m:
-            return np.zeros((m, m))
-        return math.exp(-lam * k * step) * np.eye(m, k=-k)
+        return _grid_shift(space, space.snap(t)[0])
 
-    return sampled_semigroup(m, ev, f"right shift on [0,{space.nu}]", step=step)
+    return sampled_semigroup(space.m, ev, f"right shift on [0,{space.nu}]", step=space.step)
 
 
 def left_shift(space):
@@ -134,15 +130,19 @@ def left_shift(space):
 
     Each evaluation is a fresh real (float64) array.
     """
-    m, step, lam = space.m, space.step, space.lam
 
     def ev(t):
-        k, _ = space.snap(t)
-        if k >= m:
-            return np.zeros((m, m))
-        return math.exp(lam * k * step) * np.eye(m, k=k)
+        return _grid_shift(space, -space.snap(t)[0])
 
-    return sampled_semigroup(m, ev, f"left shift on [0,{space.nu}]", step=step)
+    return sampled_semigroup(space.m, ev, f"left shift on [0,{space.nu}]", step=space.step)
+
+
+def _grid_shift(space, k):
+    """Weighted shift by ``k`` cells, a fresh float64 array: ``R(k step)``, or ``L(-k step)`` for ``k < 0``."""
+    m = space.m
+    if abs(k) >= m:
+        return np.zeros((m, m))
+    return math.exp(-space.lam * k * space.step) * np.eye(m, k=-k)
 
 
 def evolution_semigroup(inner, space):
@@ -151,15 +151,14 @@ def evolution_semigroup(inner, space):
     The inner semigroup rides along the right shift; with the identity
     inner semigroup this reduces to :func:`right_shift`.
     """
-    m, step, lam = space.m, space.step, space.lam
+    m, step = space.m, space.step
     d = inner.dim
 
     def ev(t):
         k, _ = space.snap(t)
         if k >= m:
             return np.zeros((m * d, m * d))
-        shift = math.exp(-lam * k * step) * np.eye(m, k=-k)
-        return np.kron(shift, inner.eval(k * step))
+        return np.kron(_grid_shift(space, k), inner.eval(k * step))
 
     return sampled_semigroup(m * d, ev, f"evolution semigroup over {inner.description}", step=step)
 
@@ -290,13 +289,7 @@ def packel_semigroup(a, space):
     R = right_shift(space)
 
     def ev(t):
-        k, _ = space.snap(t)
-        V = _reflection_matrix(cells, k, m)
-        out = np.zeros((2 * m, 2 * m))
-        out[:m, :m] = L.eval(t)
-        out[:m, m:] = V
-        out[m:, m:] = R.eval(t)
-        return out
+        return _coupling(L.eval(t), _reflection_matrix(cells, space.snap(t)[0], m), R.eval(t))
 
     return sampled_semigroup(2 * m, ev, f"packel semigroup ({a.kind})", step=space.step)
 
@@ -375,13 +368,27 @@ def periodic_shift(m):
     """
 
     def ev(t):
-        k = int(round(t * m)) % m
-        P = np.zeros((m, m))
-        i = np.arange(m)
-        P[i, (i - k) % m] = 1.0
-        return P
+        return _cyclic_shift(m, int(round(t * m)) % m)
 
     return sampled_semigroup(m, ev, "periodic shift", step=1.0 / m)
+
+
+def _cyclic_shift(m, k, rows=None):
+    """0/1 matrix of the cyclic shift by ``0 <= k < m`` cells, kept on its first ``rows`` rows (all by default)."""
+    P = np.zeros((m, m))
+    i = np.arange(m if rows is None else rows)
+    P[i, (i - k) % m] = 1.0
+    return P
+
+
+def _coupling(top, corner, bottom):
+    """The block upper-triangular ``[[top, corner], [0, bottom]]`` of three ``m x m`` blocks, float64."""
+    m = top.shape[0]
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, :m] = top
+    out[:m, m:] = corner
+    out[m:, m:] = bottom
+    return out
 
 
 def wrap_fill(m):
@@ -395,15 +402,8 @@ def wrap_fill(m):
     def ev(t):
         k = int(round(t * m))
         if k >= m:
-            kk = (k - m) % m
-            P = np.zeros((m, m))
-            i = np.arange(m)
-            P[i, (i - kk) % m] = 1.0
-            return P
-        V = np.zeros((m, m))
-        i = np.arange(k)
-        V[i, (i - k) % m] = 1.0
-        return V
+            return _cyclic_shift(m, (k - m) % m)
+        return _cyclic_shift(m, k, rows=k)
 
     return sampled_semigroup(m, ev, "wrap fill", step=1.0 / m)
 
@@ -424,11 +424,7 @@ def w_semigroup(m, inner=None):
     R = right_shift(space)
 
     def w_eval(t):
-        out = np.zeros((2 * m, 2 * m))
-        out[:m, :m] = Rp.eval(t)
-        out[:m, m:] = V.eval(t)
-        out[m:, m:] = R.eval(t)
-        return out
+        return _coupling(Rp.eval(t), V.eval(t), R.eval(t))
 
     if inner is None:
         return sampled_semigroup(2 * m, w_eval, "wrap coupling W", step=1.0 / m)
@@ -451,9 +447,7 @@ def wrap_coupling_weight(m):
     ``d`` the weight is ``kron(wrap_coupling_weight(m), I_d)``.
     """
     I = np.eye(m)
-    top = np.hstack([I, I])
-    bot = np.hstack([np.zeros_like(I), I])
-    lam = np.vstack([top, bot])
+    lam = _coupling(I, I, I)
     return lam.conj().T @ lam
 
 
@@ -490,9 +484,7 @@ def lemerdy_semigroup(n, basis=None):
             d = np.exp(-rates * t)
         return (B * d) @ Binv
 
-    sem = sampled_semigroup(n, ev, f"lemerdy section (n={n})", step=None)
-    sem.generator = (B * (-rates)) @ Binv
-    return sem
+    return MatrixSemigroup(n, ev, f"lemerdy section (n={n})", generator=(B * (-rates)) @ Binv)
 
 
 def riemann_liouville(space, t):
@@ -562,11 +554,8 @@ def _bhat_skeide_matrix(T, m, t):
     if K < 0:
         raise ValueError("time must be nonnegative")
     q, k = divmod(K, m)
-    i = np.arange(m)
-    Cwrap = np.zeros((m, m))
-    Cmain = np.zeros((m, m))
-    Cwrap[i[:k], (i[:k] - k) % m] = 1.0
-    Cmain[i[k:], i[k:] - k] = 1.0
+    Cwrap = _cyclic_shift(m, k, rows=k)
+    Cmain = _cyclic_shift(m, k) - Cwrap
     Tq = np.linalg.matrix_power(T, q)
     return np.kron(Cwrap, T @ Tq) + np.kron(Cmain, Tq)
 

@@ -239,18 +239,16 @@ def numerical_abscissa(A):
 
 
 def _eig_cached(A):
-    """Eigendecomposition with condition number of the eigenvector basis.
+    """Eigendecomposition ``(w, V, Vinv, cond)``, with ``cond`` that of the eigenvector basis.
 
-    Returns ``(w, V, Vinv, cond)`` or ``None`` when the basis is too
-    ill-conditioned to be trusted.  A real generator is factorized in
-    real arithmetic: ``w``, ``V`` and ``Vinv`` are real when every
-    eigenvalue is.
+    The package's one ``eig``; each caller refuses the basis above its
+    own limit on ``cond``.  None when LAPACK fails.  A real ``A`` is
+    factorized in real arithmetic: ``w``, ``V`` and ``Vinv`` are real
+    when every eigenvalue is.
     """
     try:
         w, V = np.linalg.eig(A)
         cond = np.linalg.cond(V)
-        if not np.isfinite(cond) or cond >= _EIG_COND_LIMIT:
-            return None
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return None
@@ -258,52 +256,16 @@ def _eig_cached(A):
 
 
 def expm_semigroup(A, t):
-    """Evaluate ``exp(t*A)`` for ``t >= 0``.
-
-    Uses the eigendecomposition of ``A`` when the eigenvector basis is
-    well conditioned (many gallery generators are non-normal, where this
-    is cheaper and lets one factorization serve a whole time grid), and
-    scaling-and-squaring otherwise.
+    """Evaluate ``exp(t*A)`` for ``t >= 0``: ``semigroup_from_generator(A).eval(t)``.
 
     Raises
     ------
     SaturationError
         If ``t * growth_bound(A)`` exceeds the floating-point range.
+    ValueError
+        If ``t`` is negative or not finite.
     """
-    A = as_matrix(A)
-    return _expm_with(A, lambda: _eig_cached(A), lambda: growth_bound(A), t)
-
-
-def _expm_with(A, eig, growth, t):
-    """:func:`expm_semigroup` given ``eig() = _eig_cached(A)`` and ``growth() = growth_bound(A)``.
-
-    One generator's times share both.  Neither is called at ``t = 0``,
-    where ``exp(0 A) = I``, and ``growth`` only on the scaling-and-squaring
-    route, where ``eig()`` is None.  ``exp(tA)`` takes
-    the dtype of ``A``: for a real generator with complex eigenvalues the
-    eigenbasis product is complex, and its real part, dropping a
-    rounding-level imaginary part, is the value.
-    """
-    t = float(t)
-    if t < 0:
-        raise ValueError("semigroup evaluation requires t >= 0")
-    if t == 0.0:
-        return np.eye(A.shape[0], dtype=A.dtype)
-    ded = eig()
-    if ded is not None:
-        w = ded[0]
-        if t * float(np.max(w.real)) > _EXP_SATURATION:
-            raise SaturationError(
-                f"t * spectral abscissa = {t * float(np.max(w.real)):.3g} overflows"
-            )
-        _, V, Vinv, _ = ded
-        E = (V * np.exp(t * w)) @ Vinv
-        if E.dtype != A.dtype:
-            E = E.real.copy()
-        return E
-    if t * growth() > _EXP_SATURATION:
-        raise SaturationError("t * spectral abscissa overflows the floating range")
-    return scipy.linalg.expm(t * A)
+    return semigroup_from_generator(A).eval(t)
 
 
 def gramian_integral(A, Q, tau):
@@ -396,11 +358,21 @@ def _orbit_weight(Q, shape):
     Q = as_matrix(Q, "Q")
     if Q.shape != shape:
         raise DimensionError(f"Q must have the generator's shape {shape}, got {Q.shape}")
-    QH = Q.conj().T
-    skew = float(np.abs(Q - QH).max())
-    if skew > _HERMITIAN_RTOL * float(np.abs(Q).sum(axis=0).max()):
-        raise ValueError(f"Q must be Hermitian, got max |Q - Q*| = {skew:.3g}")
-    return 0.5 * (Q + QH)
+    return _hermitian_part(Q, "Q", ValueError)
+
+
+def _hermitian_part(M, name, error=InvalidWeightError):
+    """``(M + M*)/2``; ``error`` unless each entry of ``|M - M*|`` is at most ``1e-12 norm(M, 1)``.
+
+    The package's one Hermitian test of a weight: solvers drift
+    Hermitian symmetry at rounding level, which the test admits, but a
+    skew part beyond it is not the weight's to drop.
+    """
+    MH = M.conj().T
+    skew = float(np.abs(M - MH).max())
+    if skew > _HERMITIAN_RTOL * float(np.abs(M).sum(axis=0).max()):
+        raise error(f"{name} must be Hermitian, got max |{name} - {name}*| = {skew:.3g}")
+    return 0.5 * (M + MH)
 
 
 def _orbit_step(Y, Z):
@@ -503,10 +475,11 @@ def check_hermitian_pd(P, name="weight"):
     Returns the symmetrized matrix together with ``(eig_min, eig_max)``.
     The test is ``eig_min > 1e-12 * eig_max`` after ``P <- (P + P*)/2``;
     iterative solvers drift Hermitian symmetry, so the symmetrization is
-    always applied first.
+    always applied first, to a ``P`` whose entries of ``|P - P*|`` are at
+    most ``1e-12 norm(P, 1)``.  Either test failing raises
+    :class:`~simgroup.exceptions.InvalidWeightError`.
     """
-    P = as_matrix(P, name)
-    P = 0.5 * (P + P.conj().T)
+    P = _hermitian_part(as_matrix(P, name), name)
     w = np.linalg.eigvalsh(P)
     lo, hi = float(w[0]), float(w[-1])
     if hi <= 0 or lo <= PD_EIG_FLOOR * hi:
@@ -553,30 +526,26 @@ def weighted_norm(T, P):
 class MatrixSemigroup:
     """A one-parameter family ``t -> T(t)`` of matrices.
 
-    Two kinds exist: ``generator`` semigroups evaluate ``exp(tA)`` from a
-    fixed generator, and ``sampled`` semigroups evaluate a closed-form
-    sampler (the gallery constructions, including coupling families that
-    need not satisfy the semigroup law).  Sampled kinds may carry a grid
-    ``step``; times are then snapped to the nearest multiple and the snap
+    ``generator`` is the matrix ``A`` of ``exp(tA)``, None for a
+    closed-form sampler (the gallery constructions, including coupling
+    families that need not satisfy the semigroup law).  With a grid
+    ``step`` times are snapped to the nearest multiple, and the snap
     distance is reported on request, since the gallery identities are
-    exact only for aligned times.
-
-    Evaluation is pure; the only internal state is a cached
-    factorization, computed once, at the first time that needs it.
+    exact only for aligned times.  A time that is not finite and ``>=
+    0`` raises ``ValueError``.  Evaluation is pure, up to a cached
+    factorization.
     """
 
-    def __init__(self, dim, eval_fn, kind, description, step=None):
+    def __init__(self, dim, eval_fn, description, step=None, generator=None):
         self.dim = int(dim)
-        self.kind = kind
         self.description = description
         self.step = step
+        self.generator = generator
         self._eval = eval_fn
 
     def snap(self, t):
         """Snap ``t`` to the alignment grid; returns ``(t_aligned, distance)``."""
-        t = float(t)
-        if t < 0:
-            raise ValueError("semigroup times must be nonnegative")
+        t = _nonnegative_finite(t, "t")
         if self.step is None:
             return t, 0.0
         k = round(t / self.step)
@@ -584,7 +553,7 @@ class MatrixSemigroup:
         return ta, abs(t - ta)
 
     def eval(self, t):
-        """Evaluate ``T(t)`` (after snapping, for gridded kinds)."""
+        """Evaluate ``T(t)`` (after snapping, for gridded samplers)."""
         ta, _ = self.snap(t)
         return self._eval(ta)
 
@@ -594,38 +563,48 @@ class MatrixSemigroup:
         return self._eval(ta), dist
 
     def __repr__(self):
-        return f"MatrixSemigroup({self.description!r}, dim={self.dim}, kind={self.kind!r})"
+        return f"MatrixSemigroup({self.description!r}, dim={self.dim}, step={self.step!r})"
 
 
 def semigroup_from_generator(A):
-    """Semigroup ``t -> exp(tA)`` with a cached spectral factorization.
+    """Semigroup ``t -> exp(tA)``, carrying ``A``, with a cached spectral factorization.
 
-    The eigenbasis is factorized at the first ``t > 0``, not here, so a
-    caller that needs only ``T(0) = I`` never pays for it.  A generator
-    whose eigenbasis is refused takes scaling-and-squaring at every time;
-    its growth bound is computed on the first such time and reused.
+    ``exp(tA) = V exp(tw) V^{-1}`` while the eigenbasis has condition
+    below ``1e6``, else scaling-and-squaring, whose growth bound is
+    computed once.  Neither is computed before the first ``t > 0``.  The
+    value takes the dtype of ``A`` (the real part of a complex eigenbasis
+    product for a real ``A``).  A ``t`` times the spectral bound beyond
+    the floating-point range raises
+    :class:`~simgroup.exceptions.SaturationError`.
     """
     A = as_matrix(A, "generator")
-    ded = functools.cache(lambda: _eig_cached(A))
+    eig = functools.cache(lambda: _eig_cached(A))
     growth = functools.cache(lambda: growth_bound(A))
 
     def ev(t):
-        return _expm_with(A, ded, growth, t)
+        if t == 0.0:
+            return np.eye(A.shape[0], dtype=A.dtype)
+        ded = eig()
+        if ded is not None and ded[3] < _EIG_COND_LIMIT:
+            w, V, Vinv, _ = ded
+            if t * float(np.max(w.real)) > _EXP_SATURATION:
+                raise SaturationError(
+                    f"t * spectral abscissa = {t * float(np.max(w.real)):.3g} overflows"
+                )
+            E = (V * np.exp(t * w)) @ Vinv
+            if E.dtype != A.dtype:
+                E = E.real.copy()
+            return E
+        if t * growth() > _EXP_SATURATION:
+            raise SaturationError("t * spectral abscissa overflows the floating range")
+        return scipy.linalg.expm(t * A)
 
-    sem = MatrixSemigroup(
-        A.shape[0],
-        ev,
-        kind="generator",
-        description="exp(tA)",
-        step=None,
-    )
-    sem.generator = A
-    return sem
+    return MatrixSemigroup(A.shape[0], ev, "exp(tA)", generator=A)
 
 
 def sampled_semigroup(dim, eval_fn, description, step=None):
-    """Wrap a closed-form sampler as a :class:`MatrixSemigroup`."""
-    return MatrixSemigroup(dim, eval_fn, kind="sampled", description=description, step=step)
+    """Wrap a closed-form sampler as a :class:`MatrixSemigroup` without a generator."""
+    return MatrixSemigroup(dim, eval_fn, description, step)
 
 
 def semigroup_law_residual(sem, s, t):
@@ -643,7 +622,8 @@ def semigroup_law_residual(sem, s, t):
 
 
 # ---------------------------------------------------------------------------
-# matrix JSON schema: {"n": int, "re": [[float]], "im": [[float]]}
+# matrix JSON schema: {"n": int, "re": [[float]], "im": [[float]]}, or
+# {"rows": int, "cols": int, ...} for a rectangular matrix
 
 
 def _matrix_fields(M):
@@ -667,26 +647,38 @@ def matrix_to_json(M):
 
 def matrix_from_json(obj, name="matrix"):
     """Decode the wire schema, rejecting ragged or non-square payloads."""
+    return as_matrix(_matrix_payload(obj, name), name)
+
+
+def _matrix_payload(obj, name):
+    """The complex array of a ``{n, re, im}`` or ``{rows, cols, re, im}`` payload.
+
+    ``im`` may be omitted.  A payload that is not an object, lacks its
+    shape, or has a part that is not ``rows`` lists of ``cols`` entries
+    raises :class:`~simgroup.exceptions.InputFormatError`; the entries are
+    the caller's to check.
+    """
     if not isinstance(obj, dict):
-        raise InputFormatError(f"{name}: expected an object with keys n/re/im")
+        raise InputFormatError(f"{name}: expected an object with keys n/re/im or rows/cols/re/im")
     try:
-        n = int(obj["n"])
-        re = obj["re"]
-        im = obj.get("im")
+        rows, cols = (int(obj["n"]),) * 2 if "n" in obj else (int(obj["rows"]), int(obj["cols"]))
+        re, im = obj["re"], obj.get("im")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{name}: missing or invalid fields: {exc}") from exc
-    if n <= 0:
-        raise InputFormatError(f"{name}: n must be positive")
-    if im is None:
-        im = [[0.0] * n for _ in range(n)]
+    if rows <= 0 or cols <= 0:
+        raise InputFormatError(f"{name}: the shape must be positive, got {rows} x {cols}")
     for part, label in ((re, "re"), (im, "im")):
-        if not isinstance(part, list) or len(part) != n:
-            raise InputFormatError(f"{name}: {label} must be an n-row list")
-        for row in part:
-            if not isinstance(row, list) or len(row) != n:
-                raise InputFormatError(f"{name}: {label} is ragged or non-square")
-    M = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return as_matrix(M, name)
+        if part is not None and not (
+            isinstance(part, list)
+            and len(part) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in part)
+        ):
+            raise InputFormatError(f"{name}: {label} must be {rows} rows of {cols} entries")
+    M = np.array(re, dtype=complex)
+    if im is not None:
+        # set, not 1j * im, which makes an infinite part a NaN one with a warning
+        M.imag = np.array(im, dtype=float)
+    return M
 
 
 def load_matrix(path):

@@ -94,6 +94,8 @@ import scipy.linalg
 from . import _condition_sdp
 from .exceptions import DimensionError, SaturationError
 from .opcore import (
+    _eig_cached,
+    _hermitian_part,
     as_matrix,
     growth_bound,
     matrix_to_json,
@@ -395,11 +397,10 @@ def _diagonalizer_weight(M):
 
     The weight renorms ``M`` to its diagonal part ``L``.
     """
-    _, V = np.linalg.eig(M)
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e8:
+    ded = _eig_cached(M)
+    if ded is None or not ded[3] <= 1e8:
         return None
-    return np.linalg.inv(V @ V.conj().T)
+    return np.linalg.inv(ded[1] @ ded[1].conj().T)
 
 
 def _spectral_seeds(target):
@@ -821,7 +822,7 @@ def stein_feasible(operators, kappa):
         The operators that must become joint contractions; all square of
         one dimension.
     kappa : float
-        Condition budget, ``>= 1``.
+        Condition budget, ``>= 1``; any other, NaN included, raises ``ValueError``.
 
     A weight certifies when its worst defect eigenvalue is at most
     ``scale max(1e-8, 8e-16 k^2)``, with ``scale = max(1, max_i
@@ -851,8 +852,7 @@ def stein_feasible(operators, kappa):
     # one field for the family: complex as soon as one operator is
     field = np.result_type(*ops)
     ops = tuple(T.astype(field, copy=False) for T in ops)
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    _check_budget(kappa, "kappa")
     return _feasibility(SteinTarget(ops), kappa)
 
 
@@ -865,12 +865,13 @@ def lyapunov_feasible(A, shift, kappa):
     k^2)``, with ``scale = max(1, 2 norm(A) + 2 abs(shift))`` and ``k``
     as for :func:`stein_feasible`, budget-read paths included.  As
     there, a strictly stable ``A - shift I`` of dimension up to 32 is
-    decided exactly by the engine's bracket.
+    decided exactly by the engine's bracket.  A ``kappa`` below 1 or NaN,
+    and a ``shift`` that is not finite, raise ``ValueError``.
     """
     A = as_matrix(A, "generator")
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
-    return _feasibility(LyapunovTarget(A, float(shift)), kappa)
+    shift = _finite_shift(shift)
+    _check_budget(kappa, "kappa")
+    return _feasibility(LyapunovTarget(A, shift), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,14 +1077,26 @@ def discrete_similarity_constant(T, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
 def _check_tol_budget(tol, kappa_max):
     if not (tol >= 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not kappa_max >= 1.0:
-        raise ValueError(f"kappa_max must be >= 1, got {kappa_max!r}")
+    _check_budget(kappa_max, "kappa_max")
+
+
+def _check_budget(kappa, name):
+    """A ``ValueError`` naming ``name`` unless ``kappa >= 1``; NaN fails the test."""
+    if not kappa >= 1.0:
+        raise ValueError(f"{name} must be >= 1, got {kappa!r}")
+
+
+def _finite_shift(shift):
+    """``float(shift)``; a ``ValueError`` unless it is finite."""
+    shift = float(shift)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    return shift
 
 
 def _shifted_constant(A, shift, tol, kappa_max):
     A = as_matrix(A, "generator")
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift!r}")
+    shift = _finite_shift(shift)
     _check_tol_budget(tol, kappa_max)
     gb = growth_bound(A)
     if gb > shift + 1e-10:
@@ -1123,7 +1136,7 @@ def quasi_similarity_constant(A, shift, tol=1e-4, kappa_max=KAPPA_MAX_DEFAULT):
     ``shift`` must be finite; ``tol`` and ``kappa_max`` are checked as in
     :func:`discrete_similarity_constant`.
     """
-    return _shifted_constant(A, float(shift), tol, kappa_max)
+    return _shifted_constant(A, shift, tol, kappa_max)
 
 
 def min_quasi_shift(A, kappa_budget):
@@ -1144,8 +1157,7 @@ def min_quasi_shift(A, kappa_budget):
     feasibility tolerances.
     """
     A = as_matrix(A, "generator")
-    if kappa_budget < 1.0:
-        raise ValueError("kappa_budget must be >= 1")
+    _check_budget(kappa_budget, "kappa_budget")
     lo = growth_bound(A)
     hi = numerical_abscissa(A)
     width = 1e-4 * (hi - lo)
@@ -1198,18 +1210,21 @@ def certificate_check(cert, target):
 
     ``target`` is a :class:`SteinTarget` or :class:`LyapunovTarget`.  The
     defect eigenvalues are recomputed from scratch and ``kappa`` via
-    singular values, so a buggy solver cannot vouch for itself.
+    singular values, so a buggy solver cannot vouch for itself.  A weight
+    that is not Hermitian to within ``1e-12 norm(P, 1)`` in each entry
+    raises :class:`~simgroup.exceptions.InvalidWeightError`.
     """
     P = as_matrix(cert.weight, "certificate weight")
     if P.shape[0] != target.dim:
         raise DimensionError("certificate and target dimensions differ")
-    sv = scipy.linalg.svdvals(0.5 * (P + P.conj().T))
+    PH = _hermitian_part(P, "certificate weight")
+    sv = scipy.linalg.svdvals(PH)
     kappa = float(math.sqrt(sv[0] / max(sv[-1], np.finfo(float).tiny)))
     violations = []
     for D in _defects(target, P):
         lam = float(np.linalg.eigvalsh(0.5 * (D + D.conj().T))[-1])
         violations.append(max(lam, 0.0))
-    w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
+    w = np.linalg.eigvalsh(PH)
     box = max(0.0, 1.0 - float(w[0]))
     return CertificateReport(
         kappa=kappa,

@@ -15,6 +15,22 @@ def run(command, config, out, *overrides):
     return main([command, "--config", os.path.join(DEMO, config), "--out", str(out), *overrides])
 
 
+def test_replay_outputs_lists_every_output_file(tmp_path, capsys):
+    import replay_outputs
+
+    listing = replay_outputs.replay(str(tmp_path))
+    written = sorted(
+        os.path.relpath(os.path.join(root, name), tmp_path)
+        for root, _, files in os.walk(tmp_path)
+        for name in files
+    )
+    assert [path for path, _ in listing] == written
+    assert len(written) == 14
+    assert all(len(digest) == 64 for _, digest in listing)
+    exits = capsys.readouterr().err.splitlines()
+    assert len(exits) == len(os.listdir(DEMO)) and all(line.startswith("exit 0 ") for line in exits)
+
+
 class TestConstantCommand:
     def test_identity_matrix(self, tmp_path):
         path = tmp_path / "ident.json"

@@ -531,6 +531,16 @@ class TestSystemJson:
         with pytest.raises(DimensionError, match="non-finite"):
             system_from_json({"A": matrix_to_json(JORDAN), "C": C})
 
+    @pytest.mark.parametrize(
+        "C",
+        [matrix_to_json(np.eye(2)), {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}],
+        ids=["square", "rectangular"],
+    )
+    def test_infinite_imaginary_part_is_rejected(self, C):
+        C = {**C, "im": [[math.inf, 0.0], [0.0, 0.0]]}
+        with pytest.raises(DimensionError, match="non-finite"):
+            system_from_json({"A": matrix_to_json(JORDAN), "C": C})
+
     def test_square_observation_schema(self):
         obj = {"A": matrix_to_json(JORDAN), "C": matrix_to_json(np.eye(2))}
         sys_obj = system_from_json(obj)

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from simgroup import exceptions
+from simgroup.gallery import lemerdy_semigroup, w_semigroup
 from simgroup.opcore import (
     _orbit_integral,
     as_matrix,
@@ -540,6 +541,31 @@ class TestSemigroupValue:
         _, dist = sem.eval_with_snap(0.3)
         assert abs(dist - 0.05) < 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda t: expm_semigroup(np.array([[-1.0, 4.0], [0.0, -1.0]]), t),
+            lambda t: semigroup_from_generator(np.array([[0.5, 0.0], [0.0, -1.0]])).eval(t),
+            lambda t: w_semigroup(2).eval(t),
+            lambda t: w_semigroup(2).eval_with_snap(t),
+        ],
+        ids=["expm_semigroup", "generator", "gridded", "gridded_with_snap"],
+    )
+    def test_non_finite_time_is_rejected(self, evaluate, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            evaluate(t)
+
+    def test_generator_is_carried_by_generated_semigroups_only(self):
+        from simgroup.opcore import sampled_semigroup
+
+        A = np.array([[-1.0, 4.0], [0.0, -1.0]])
+        assert semigroup_from_generator(A).generator is A
+        lemerdy = lemerdy_semigroup(3)
+        assert operator_norm(scipy.linalg.expm(0.4 * lemerdy.generator) - lemerdy.eval(0.4)) <= 1e-12
+        assert sampled_semigroup(2, lambda t: np.eye(2), "const").generator is None
+        assert w_semigroup(2).generator is None
+
 
 class TestMatrixJson:
     def test_round_trip(self, rng):
@@ -607,6 +633,28 @@ class TestMatrixJson:
     )
     def test_rejects_non_object_and_non_positive_n(self, bad):
         with pytest.raises(exceptions.InputFormatError):
+            matrix_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"re": [[1.0, -0.0], [2.0, 3.0]], "im": [[0.0, 0.0], [-1.5, 0.0]]},
+            {"re": [[-0.0, 1.0], [0.5, 2.0]]},
+        ],
+        ids=["complex", "real_with_negative_zero"],
+    )
+    def test_square_and_rectangular_schemas_decode_alike(self, payload):
+        from simgroup.opcore import _matrix_payload
+
+        square = matrix_from_json({"n": 2, **payload})
+        rect = _matrix_payload({"rows": 2, "cols": 2, **payload}, "matrix")
+        assert square.tobytes() == as_matrix(rect).tobytes()
+        # the decoder keeps every sign bit, so a saved matrix reads back exactly
+        assert matrix_to_json(square) == {"n": 2, "re": payload["re"], "im": payload.get("im", [[0.0] * 2] * 2)}
+
+    def test_infinite_imaginary_part_is_rejected_without_a_warning(self):
+        bad = {"n": 1, "re": [[1.0]], "im": [[math.inf]]}
+        with pytest.raises(exceptions.DimensionError, match="non-finite"):
             matrix_from_json(bad)
 
     def test_load_rejects_invalid_json(self, tmp_path):

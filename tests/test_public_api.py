@@ -218,3 +218,31 @@ def test_real_input_gives_float64_and_complex_input_complex128(name):
 def test_real_valued_samples_are_float64(name):
     for M in _arrays(REAL_SAMPLES[name]()):
         assert M.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# weights
+
+#: Each public entry point that reads a Hermitian weight, applied to ``P``.
+WEIGHT_INPUTS = {
+    "check_hermitian_pd": simgroup.opcore.check_hermitian_pd,
+    "weight_factors": simgroup.weight_factors,
+    "weighted_norm": lambda P: simgroup.weighted_norm(np.eye(2), P),
+    "certificate_check": lambda P: simgroup.certificate_check(
+        simgroup.WeightCertificate(P, 1.0, 0.0), simgroup.LyapunovTarget(-np.eye(2), 0.0)
+    ),
+    "defect_observation": lambda P: simgroup.defect_observation(-np.eye(2), P),
+    "average_renorm": lambda P: simgroup.average_renorm(-np.eye(2), P, 1.0),
+    "factorization_from_certificate": lambda P: simgroup.factorization_from_certificate(
+        0.5 * np.eye(2), simgroup.WeightCertificate(P, 1.0, 0.0), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_INPUTS))
+@pytest.mark.parametrize("P", [[[1.0, 5.0], [-3.0, 4.0]], [[1.0, 3.0], [-3.0, 1.0]]], ids=["general", "skew_part"])
+def test_non_hermitian_weight_is_rejected(name, P):
+    # the Hermitian parts are diag(1, 4) and I: a weight read as its
+    # Hermitian part would pass every entry point
+    with pytest.raises(simgroup.InvalidWeightError, match="must be Hermitian"):
+        WEIGHT_INPUTS[name](np.array(P))

@@ -148,6 +148,22 @@ class TestLyapunovFeasible:
             lyapunov_feasible(JORDAN, 0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: lyapunov_feasible(-np.eye(2), 0.0, math.nan),
+        lambda: stein_feasible([[[0.5, 1.0], [0.0, 0.5]]], math.nan),
+        lambda: lyapunov_feasible([[-1.0, 1.0], [0.0, -1.0]], math.nan, 2.0),
+        lambda: lyapunov_feasible([[-1.0, 1.0], [0.0, -1.0]], math.inf, 2.0),
+        lambda: min_quasi_shift([[-1.0, 4.0], [0.0, -1.0]], math.nan),
+    ],
+    ids=["lyapunov_kappa", "stein_kappa", "lyapunov_shift_nan", "lyapunov_shift_inf", "min_quasi_shift_budget"],
+)
+def test_probes_reject_nan_budgets_and_non_finite_shifts(probe):
+    with pytest.raises(ValueError, match="must be"):
+        probe()
+
+
 class TestDiscreteConstant:
     def test_contraction_is_one(self):
         v = discrete_similarity_constant(0.3 * np.eye(2))
