@@ -19,7 +19,15 @@ The engine follows the central path of this pair with the HKM direction
 semidefinite programming*, 1996) and Mehrotra's predictor-corrector
 (*On the implementation of a primal-dual interior point method*, 1992).
 The weight side ``(P, t)`` starts strictly feasible, at twice the
-equation seed, and stays so: each step goes ``0.98`` of the way to the
+seed weight, and stays so.  The solver in :mod:`simgroup.weightsolve`
+passes the balanced weight ``X_o # X_c^-1``, the geometric mean of the
+two Gramians ``X_o = L^-1(-I)`` and ``X_c = L*^-1(-I)``: the weight that a
+balancing transformation turns into ``I`` (Moore, *Principal component
+analysis in linear systems*, 1981), whose kappa is near the constant
+where the equation seed ``X_o`` alone is often many times above it.
+Where float64 does not certify the mean (not positive definite above
+its rounding level, or a pair-form defect that is not negative
+definite) it passes ``X_o``.  Each step goes ``0.98`` of the way to the
 boundary of the slack blocks ``S1 = P - I``, ``S2 = t I - P`` and ``S3
 = -nu L(P)`` at most.  The dual blocks ``(X1, X2, X3)`` start at ``mu0
 S^-1`` with ``tr X2 = 1`` and reach the coupling ``X1 = X2 + nu L*(X3)``
@@ -354,8 +362,11 @@ def solve(form, seed, tol, budget=None):
         The pair form ``L(X) = c (M* X F + F* X M)`` with square ``M``,
         ``F`` of one size; ``F = None`` stands for the identity.
     seed : ndarray
-        Hermitian weight with ``L(seed) < 0`` and ``eig_min(seed) = 1``
-        (the equation seed ``L^{-1}(-I)``, normalized).
+        Hermitian weight with ``L(seed) < 0`` in float64 and
+        ``eig_min(seed) = 1``; both loops start from twice it.  The
+        verdicts pass the balanced weight ``L^{-1}(-I) # L*^{-1}(-I)^{-1}``
+        where float64 certifies it, and else the equation seed
+        ``L^{-1}(-I)``, each normalized.
     tol : float
         Stop once ``kappa <= (1 + tol) * lower``.  Below about ``1e-9``
         the float64 iterates may stall first (a numerically indefinite

@@ -23,6 +23,8 @@ import scipy.linalg
 from .exceptions import DimensionError, NotContractionError, WindowError
 from .opcore import (
     MatrixSemigroup,
+    _nonnegative_finite,
+    _positive_finite,
     _real_if_exact,
     as_matrix,
     operator_norm,
@@ -89,10 +91,8 @@ class GridSpace:
         return np.exp(-2.0 * self.lam * self.midpoints) * self.step
 
     def snap(self, t):
-        """Snap ``t >= 0`` to the grid; returns ``(k, distance)``."""
-        t = float(t)
-        if t < 0:
-            raise ValueError("times must be nonnegative")
+        """Snap a finite ``t >= 0`` to the grid; returns ``(k, distance)``."""
+        t = _nonnegative_finite(t, "t")
         k = int(round(t / self.step))
         return k, abs(t - k * self.step)
 
@@ -495,9 +495,7 @@ def riemann_liouville(space, t):
     lower-triangular Toeplitz.  The kernel is integrably singular for
     ``t < 1``, which is why the moments must be exact.
     """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("fractional order must be positive")
+    t = _positive_finite(t, "t")
     m, step = space.m, space.step
     d = np.arange(m, dtype=float)
     upper = (d + 0.5) ** t
@@ -545,14 +543,13 @@ def bhat_skeide(T, circle_m, t):
     """
     T = as_matrix(T)
     m = int(circle_m)
+    t = _nonnegative_finite(t, "t")
     return _bhat_skeide_matrix(T, m, t), _bhat_skeide_weight(T, m)
 
 
 def _bhat_skeide_matrix(T, m, t):
-    """The matrix of :func:`bhat_skeide` alone, for a validated ``T``."""
+    """The matrix of :func:`bhat_skeide` alone, for a validated ``T`` and ``t``."""
     K = int(round(t * m))
-    if K < 0:
-        raise ValueError("time must be nonnegative")
     q, k = divmod(K, m)
     Cwrap = _cyclic_shift(m, k, rows=k)
     Cmain = _cyclic_shift(m, k) - Cwrap

@@ -46,10 +46,12 @@ strictly stable single-constraint targets, picks the target's regime
   most that kappa, so the floor cannot exceed the budget, and a bracket
   closed to ``tol`` needs no floor), and ``I`` alone answers first, at
   kappa 1.  Otherwise the engine follows the primal-dual central path
-  from the seed until its strictly feasible weight and the weak-duality
-  bound of its dual blocks bracket the constant within the relative
-  ``tol`` (a stalled solve hands over to a barrier loop from the seed,
-  which keeps the better end of each bracket); a fixed-budget probe
+  from the balanced start (``_Target._start``: the geometric mean of the
+  two Gramians where float64 certifies it, else the seed) until its
+  strictly feasible weight and the weak-duality bound of its dual blocks
+  bracket the constant within the relative ``tol`` (a stalled solve
+  hands over to a barrier loop from the same start, which keeps the
+  better end of each bracket); a fixed-budget probe
   tries the clipped closed-form weights first and otherwise decides
   from the same bracket.  An engine weight that fails the certificate rule is
   restored onto the cone by one equation solve, or replaced by the seed;
@@ -180,6 +182,45 @@ class _Target:
     def _seed_kappa(self):
         """The seed's kappa, from the eigenvalues that normalized it; inf without a seed."""
         return self._equation_seed[1]
+
+    @cached_property
+    def _start(self):
+        """The engine's start: the balanced weight ``X_o # X_c^{-1}``, or the seed.
+
+        ``X_o = L^{-1}(-I)`` (the seed) certifies the target and ``X_c =
+        L*^{-1}(-I)`` its adjoint, so ``X_c^{-1}`` certifies the target
+        too.  Their geometric mean is strictly feasible, as ``#`` is
+        congruence-covariant and monotone (Kubo and Ando, *Means of
+        positive linear operators*, 1980), and it is the weight that a
+        balancing transformation turns into ``I`` (Moore, 1981).  With
+        ``X_o = L_o L_o*`` it is formed as ``L_o (L_o* X_c L_o)^{-1/2}
+        L_o*``, the non-positive eigenvalues of ``L_o* X_c L_o`` dropped,
+        and normalized to ``eig_min = 1``.  It replaces the seed only if
+        it is positive definite above its rounding level ``n eps
+        eig_max`` and its pair-form defect is negative definite in
+        float64: near the circle ``X_c`` may be indefinite in float64, or
+        the mean may leave the cone by rounding.
+        """
+        seed = self._seed
+        n = self.dim
+        X_c = self._context.solve_adjoint(-np.eye(n, dtype=_native_dtype(self)))
+        if X_c is None:
+            return seed
+        try:
+            L_o = np.linalg.cholesky(seed)
+        except np.linalg.LinAlgError:
+            return seed
+        s, V = np.linalg.eigh(L_o.conj().T @ X_c @ L_o)
+        G = (L_o @ V) * np.where(s > 0.0, s, np.inf) ** -0.25
+        P = G @ G.conj().T
+        if not np.isfinite(P).all():
+            return seed
+        w = np.linalg.eigvalsh(P)
+        if not w[0] > n * np.finfo(float).eps * w[-1]:
+            return seed
+        P /= w[0]
+        D = _condition_sdp._PairMap(self._form, np.result_type(P, self._form[0])).defect(P)
+        return P if np.linalg.eigvalsh(D)[-1] < 0.0 else seed
 
     @cached_property
     def _regime(self):
@@ -503,6 +544,17 @@ def _schur_eigenvalues(theta):
     return mu
 
 
+def _getrs(lu, B, trans):
+    """``F^{-1} B`` (``trans=0``) or ``F^{-*} B`` (``trans=2``) from the ``getrf`` factors of ``F``.
+
+    LAPACK's ``getrs``, the routine behind ``scipy.linalg.lu_solve``,
+    called without that wrapper's checks: at small ``n`` they cost several
+    times the solve, and every equation solve of a Stein target runs two.
+    """
+    lu_, piv = lu
+    return scipy.linalg.get_lapack_funcs("getrs", (lu_, B))(lu_, piv, B, trans=trans)[0]
+
+
 class _EquationContext:
     """Cached Schur factorization for one target's defect-equation solves.
 
@@ -546,7 +598,7 @@ class _EquationContext:
                 if info != 0:
                     return None
                 lu = (lu_, piv)
-                S = scipy.linalg.lu_solve(lu, M.conj().T, trans=2).conj().T
+                S = _getrs(lu, M.conj().T, trans=2).conj().T
             theta, U = scipy.linalg.schur(S, output="complex" if np.iscomplexobj(S) else "real")
             mu = _schur_eigenvalues(theta)
             if not np.all(np.isfinite(mu)):
@@ -578,8 +630,8 @@ class _EquationContext:
         """``G Q G* / c`` for ``G = F^{-*}`` (``trans=2``) or ``G = F^{-1}`` (``trans=0``)."""
         if self._lu is None:
             return self._inv_c * Q
-        Y = scipy.linalg.lu_solve(self._lu, Q, trans=trans)
-        return self._inv_c * scipy.linalg.lu_solve(self._lu, Y.conj().T, trans=trans).conj().T
+        Y = _getrs(self._lu, Q, trans)
+        return self._inv_c * _getrs(self._lu, Y.conj().T, trans).conj().T
 
     def solve(self, Q):
         """Hermitian ``X`` with ``defect(X) = -Q``."""
@@ -731,7 +783,7 @@ def _engine_solve(target, tol, budget=None):
     restores it onto the cone, and failing that the strictly feasible
     equation seed certifies.
     """
-    res = _condition_sdp.solve(target._form, target._seed, tol, budget=budget)
+    res = _condition_sdp.solve(target._form, target._start, tol, budget=budget)
     cert = _certificate(target, res.weight, kappa=res.kappa)
     if not _certifies(target, cert):
         cert = _cone_certificate(target, res.weight)

@@ -69,6 +69,12 @@ class TestShifts:
         _, dist = R.eval_with_snap(0.13)
         assert abs(dist - 0.03) < 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_snap_rejects_a_bad_time(self, t):
+        # nan and inf once raised bare errors from int()
+        with pytest.raises(ValueError, match="t must be finite"):
+            GridSpace(1.0, 4).snap(t)
+
 
 class TestEvolution:
     def test_identity_inner_reduces_to_shift(self):
@@ -322,6 +328,12 @@ class TestRiemannLiouville:
         with pytest.raises(ValueError):
             riemann_liouville(GridSpace(1.0, 8), 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_order_rejected(self, t):
+        # nan once gave NaN entries, inf the zero matrix
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            riemann_liouville(GridSpace(1.0, 4), t)
+
 
 class TestBhatSkeide:
     def test_integer_times_interpolate_exactly(self):
@@ -369,6 +381,12 @@ class TestBhatSkeide:
         for k in range(10):
             sem.eval(k / 4)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_bad_time_rejected(self, t):
+        # inf once raised a bare OverflowError and nan a bare ValueError from int()
+        with pytest.raises(ValueError, match="t must be finite"):
+            bhat_skeide(0.5 * np.eye(2), 4, t)
 
 
 class TestLeftZeroIdempotents:

@@ -42,7 +42,8 @@ RANK_ONE = np.array([[0.0, 2.0], [0.0, 0.0]])
 #: ``(r, b)`` of strictly stable ``[[r, b], [0, r]]`` whose Stein defect
 #: ``T*PT - P`` cancels to a ``(1 - r)``-relative remainder; the engine
 #: closes them in the pair form.  The first four once met a non-finite
-#: Newton matrix, and all read about twice the constant
+#: Newton matrix, and all read about twice the constant; the last two,
+#: nearer the circle, stopped wide until the engine started balanced
 NEAR_MARGINAL_JORDAN = (
     (1 - 1e-5, 0.5),
     (1 - 1e-5, 1.0),
@@ -52,9 +53,9 @@ NEAR_MARGINAL_JORDAN = (
     (1 - 1e-4, 4.0),
     (1 - 1e-5, 2.0),
     (1 - 1e-6, 1.0),
+    (1 - 1e-6, 0.5),
+    (1 - 1e-7, 0.1),
 )
-#: nearer the circle, where the engine's bracket still stops wide
-NEARER_MARGINAL_JORDAN = ((1 - 1e-6, 0.5), (1 - 1e-7, 0.1))
 #: the shift on C^8, whose ``N - eps I`` has norms far above ``1 / eps``
 SHIFT8 = np.eye(8, k=1)
 
@@ -240,17 +241,6 @@ class TestDiscreteConstant:
         assert v.finite and v.evidence == ""
         assert v.lower <= v.constant <= (1.0 + tol) * v.lower
         assert v.constant == pytest.approx(b / (2.0 * (1.0 - r)), rel=1e-3)
-        rep = certificate_check(v.certificate, SteinTarget((T,)))
-        assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
-        assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
-
-    @pytest.mark.parametrize("r, b", NEARER_MARGINAL_JORDAN)
-    def test_nearer_marginal_jordan_block_reports_its_wide_bracket(self, r, b):
-        T = np.array([[r, b], [0.0, r]])
-        v = discrete_similarity_constant(T)
-        assert v.finite
-        assert 1.0 <= v.lower <= v.constant
-        assert "wider than tol" in v.evidence
         rep = certificate_check(v.certificate, SteinTarget((T,)))
         assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
         assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
