@@ -42,8 +42,7 @@ RANK_ONE = np.array([[0.0, 2.0], [0.0, 0.0]])
 #: ``(r, b)`` of strictly stable ``[[r, b], [0, r]]`` whose Stein defect
 #: ``T*PT - P`` cancels to a ``(1 - r)``-relative remainder; the engine
 #: closes them in the pair form.  The first four once met a non-finite
-#: Newton matrix, and all read about twice the constant; the last two,
-#: nearer the circle, stopped wide until the engine started balanced
+#: Newton matrix, and all read about twice the constant
 NEAR_MARGINAL_JORDAN = (
     (1 - 1e-5, 0.5),
     (1 - 1e-5, 1.0),
@@ -53,9 +52,10 @@ NEAR_MARGINAL_JORDAN = (
     (1 - 1e-4, 4.0),
     (1 - 1e-5, 2.0),
     (1 - 1e-6, 1.0),
-    (1 - 1e-6, 0.5),
-    (1 - 1e-7, 0.1),
 )
+#: nearer the circle, where the bracket stopped wide at about twice the
+#: constant until the engine started from the balanced Gramian mean
+NEARER_MARGINAL_JORDAN = ((1 - 1e-6, 0.5), (1 - 1e-7, 0.1))
 #: the shift on C^8, whose ``N - eps I`` has norms far above ``1 / eps``
 SHIFT8 = np.eye(8, k=1)
 
@@ -240,6 +240,19 @@ class TestDiscreteConstant:
         v = discrete_similarity_constant(T, tol=tol)
         assert v.finite and v.evidence == ""
         assert v.lower <= v.constant <= (1.0 + tol) * v.lower
+        assert v.constant == pytest.approx(b / (2.0 * (1.0 - r)), rel=1e-3)
+        rep = certificate_check(v.certificate, SteinTarget((T,)))
+        assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
+        assert rep.kappa == pytest.approx(v.constant, rel=1e-6)
+
+    @pytest.mark.parametrize("r, b", NEARER_MARGINAL_JORDAN)
+    def test_nearer_marginal_jordan_block_reports_its_wide_bracket(self, r, b):
+        # the bracket these rows once reported wide now closes to tol
+        T = np.array([[r, b], [0.0, r]])
+        tol = 1e-4
+        v = discrete_similarity_constant(T, tol=tol)
+        assert v.finite and v.evidence == ""
+        assert 1.0 <= v.lower <= v.constant <= (1.0 + tol) * v.lower
         assert v.constant == pytest.approx(b / (2.0 * (1.0 - r)), rel=1e-3)
         rep = certificate_check(v.certificate, SteinTarget((T,)))
         assert rep.worst <= 2 * 1e-8 * operator_norm(T) ** 2
