@@ -18,6 +18,7 @@ inequality is violated.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -308,6 +309,15 @@ def _check(value, tol):
     return {"value": value, "tol": tol, "pass": bool(value <= tol)}
 
 
+def _worst(*values):
+    """The largest of ``values``, NaN if any is NaN.
+
+    Python's ``max`` keeps whichever of a NaN and a number comes first, so
+    a NaN residual would otherwise never reach :func:`_check`.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _gallery_bundle(cfg):
     kind = cfg.get("kind", required=True)
     times = cfg.get_grid("times", default=None, positive=False)
@@ -354,15 +364,26 @@ def _gallery_bundle(cfg):
 
 
 def _sparse_values(sem, ks, step):
-    """``{k: sem.eval(k * step)}`` over the grid indices ``ks``, as CSR arrays.
+    """``{k: sem.eval(k * step)}`` over the grid indices ``ks``, as CSR arrays (:func:`_csr`)."""
+    return {k: _csr(sem.eval(k * step)) for k in sorted(ks)}
 
-    Each array keeps the dtype of ``sem``'s values, float64 for the wrap
-    and the Packel couplings.  ``scipy.sparse`` is imported here, not
+
+def _csr(X):
+    """``csr_array(X)`` of a 2-D array, its nonzero entries found in one scan.
+
+    The array keeps ``X``'s dtype, float64 for the wrap and the Packel
+    couplings, and stores the entries ``csr_array(X)`` stores, NaN
+    included, in the same order.  ``scipy.sparse`` is imported here, not
     with the package.
     """
     from scipy.sparse import csr_array
 
-    return {k: csr_array(sem.eval(k * step)) for k in sorted(ks)}
+    rows, cols = X.shape
+    flat = X.ravel()
+    nonzero = np.flatnonzero(flat != 0)  # a bool scan: flatnonzero of floats is ten times slower
+    index = np.int32 if flat.size <= np.iinfo(np.int32).max else np.int64  # csr_array's choice
+    indptr = np.searchsorted(nonzero, np.arange(rows + 1) * cols).astype(index)
+    return csr_array((flat[nonzero], (nonzero % cols).astype(index), indptr), shape=X.shape)
 
 
 def _w_suite(sem):
@@ -371,38 +392,68 @@ def _w_suite(sem):
     The fill and unit-time identities hold exactly on the aligned grid;
     their residuals are Schur bounds (:func:`opcore.norm_upper_bound`),
     never below the norm and equal to it on partial permutations, zero
-    included.  The fill check evaluates each grid time it reads once, as
-    a sparse matrix, and forms every pair's ``R_p(s) V(t) + V(s) R(t)``
-    in one block sparse product: block ``(s, t)`` of ``vstack(W(s)[:m])
-    @ hstack(W(t)[:, m:])``.  While the diagonal blocks are partial
+    included.  Every grid time the checks read is evaluated once, in one
+    ascending pass over ``k = 0 ... max(3m, 2 max(ks))``, grid membership
+    tested arithmetically; each sample is read, in this order, as a CSR
+    array for the fill check (:func:`_csr`), by the integrated-fill probe,
+    by the unit-time check at ``k = m``, and last by the contraction
+    check, which edits it in place, so no dense sample outlives its step.
+    The fill check forms every pair's ``R_p(s) V(t) + V(s) R(t)`` in one
+    block sparse product: block ``(s, t)`` of ``vstack(W(s)[:m]) @
+    hstack(W(t)[:, m:])``.  While the diagonal blocks are partial
     permutations, each entry of that product is a sum of at most two
-    products with a unit factor, whatever ``V`` holds, and it is the
-    entry the pair's own product would give.  The product is compared
-    with the block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``,
-    each distinct one sliced once and placed at every position it fills;
-    a pair whose block of the difference has no nonzero entry has
-    residual 0, and only the other blocks of the difference are
-    densified and bounded.  Each entry of such a block is the
-    subtraction the pair's dense ``W(s+t)[:m, m:] - (R_p(s) V(t) + V(s)
-    R(t))`` does, up to the sign of a zero, which the bound does not
-    read, so every value is the dense one bit for bit.  The contraction
-    in the weight ``P = Lambda* Lambda``, ``Lambda = [[I, I], [0, I]]``,
-    is checked in ``Lambda`` coordinates: ``norm(P^{1/2} W P^{-1/2}) =
-    norm(Lambda W Lambda^{-1})`` because ``Lambda P^{-1/2}`` is unitary.
-    For ``W = [[a, b], [c, d]]`` that matrix is ``[[a + c, (b + d) - (a
-    + c)], [c, d - c]]``; its entries are small integers, so its Schur
-    bound is exact arithmetic up to the final square root, with no
-    ``P^{1/2}`` formed.  That loop edits each evaluation in place, so
+    products with a unit factor, whatever ``V`` holds, and it is the entry
+    the pair's own product would give.  The product is compared with the
+    block-Hankel matrix of the fill blocks ``W(s+t)[:m, m:]``, each
+    distinct one sliced once and placed at every position it fills; a
+    pair whose block of the difference has no nonzero entry has residual
+    0, and only the other blocks of the difference are densified and
+    bounded.  Each entry of such a block is the subtraction the pair's
+    dense ``W(s+t)[:m, m:] - (R_p(s) V(t) + V(s) R(t))`` does, up to the
+    sign of a zero, which the bound does not read, so every value is the
+    dense one bit for bit.  The contraction in the weight ``P = Lambda*
+    Lambda``, ``Lambda = [[I, I], [0, I]]``, is checked in ``Lambda``
+    coordinates: ``norm(P^{1/2} W P^{-1/2}) = norm(Lambda W
+    Lambda^{-1})`` because ``Lambda P^{-1/2}`` is unitary.  For ``W =
+    [[a, b], [c, d]]`` that matrix is ``[[a + c, (b + d) - (a + c)], [c,
+    d - c]]``; its entries are small integers, so its Schur bound is exact
+    arithmetic up to the final square root, with no ``P^{1/2}`` formed.
     ``sem.eval`` must return a fresh array on every call, as
     :func:`gallery.w_semigroup`'s sampler does; its real samples keep
-    each pass over them at float64 size.
+    each pass over them at float64 size.  Every maximum is NaN if one of
+    its values is.
     """
     from scipy.sparse import bmat, hstack, vstack
 
     m = sem.dim // 2
     bound = opcore.norm_upper_bound
     ks = range(0, 2 * m + 1, max(1, m // 8))
-    W = _sparse_values(sem, {i + j for i in ks for j in ks}, 1.0 / m)
+    probe_step = max(1, m // 16)
+    W = {}
+    intq, contraction, probe = 0.0, -math.inf, None
+    for k in range(max(3 * m, 2 * ks[-1]) + 1):
+        on_fill = k % ks.step == 0  # every i + j of ks x ks
+        if k > 3 * m and not on_fill:
+            continue
+        X = sem.eval(k / m)
+        if on_fill:
+            W[k] = _csr(X)
+        if k <= 2 * m and k % probe_step == 0:
+            if probe is None:
+                # built after the first sample, so a size numpy refuses fails
+                # there, before these O(m) vectors are allocated
+                space = gallery.GridSpace(1.0, m)
+                probe = gallery.integration_functional(space), space.embed_indicator(0.5)
+            Q, half = probe
+            t = k / m
+            expect = 0.0 if t <= 0.5 else (t - 0.5 if t <= 1.0 else 0.5)
+            intq = _worst(intq, abs(complex((Q @ X[:m, m:] @ half)[0]).real - expect))
+        if k == m:
+            endpoint = _worst(bound(X[:m, :m] - np.eye(m)), bound(X[:m, m:] - np.eye(m)))
+        if k <= 3 * m:
+            X[:m] += X[m:]  # Lambda W: add the second leg's rows to the first's
+            X[:, m:] -= X[:, :m]  # (Lambda W) Lambda^{-1}: subtract the first leg's columns
+            contraction = _worst(contraction, bound(X) - 1.0)
     fill = {k: Wk[:m, m:] for k, Wk in W.items()}  # each distinct block sliced once
     hankel = bmat([[fill[i + j] for j in ks] for i in ks], format="csr")
     top = vstack([W[k][:m] for k in ks], format="csr")
@@ -411,23 +462,7 @@ def _w_suite(sem):
     worst = 0.0
     for b in np.unique(rows // m * len(ks) + cols // m).tolist():
         i, j = divmod(b, len(ks))
-        worst = max(worst, bound(diff[i * m : (i + 1) * m, j * m : (j + 1) * m].toarray()))
-    W1 = sem.eval(1.0)
-    endpoint = max(bound(W1[:m, :m] - np.eye(m)), bound(W1[:m, m:] - np.eye(m)))
-    space = gallery.GridSpace(1.0, m)
-    Q = gallery.integration_functional(space)
-    half = space.embed_indicator(0.5)
-    intq = 0.0
-    for k in range(0, 2 * m + 1, max(1, m // 16)):
-        t = k / m
-        expect = 0.0 if t <= 0.5 else (t - 0.5 if t <= 1.0 else 0.5)
-        intq = max(intq, abs(complex((Q @ sem.eval(t)[:m, m:] @ half)[0]).real - expect))
-    contraction = -math.inf
-    for k in range(0, 3 * m + 1):
-        X = sem.eval(k / m)
-        X[:m] += X[m:]  # Lambda W: add the second leg's rows to the first's
-        X[:, m:] -= X[:, :m]  # (Lambda W) Lambda^{-1}: subtract the first leg's columns
-        contraction = max(contraction, bound(X) - 1.0)
+        worst = _worst(worst, bound(diff[i * m : (i + 1) * m, j * m : (j + 1) * m].toarray()))
     return _suite_result(
         {
             "fill_identity_residual": _check(worst, 1e-12),
@@ -451,6 +486,7 @@ def _packel_suite(sem, a):
     ``T(s) T(t)`` is one sparse product; with partial-permutation
     diagonal blocks its entries are again sums of at most two products
     with a unit factor, so every value is the dense one bit for bit.
+    Every maximum is NaN if one of its values is.
     """
     m, step = sem.dim // 2, sem.step
     bound = opcore.norm_upper_bound
@@ -461,13 +497,13 @@ def _packel_suite(sem, a):
     for i in ks:
         for j in ks:
             D = (T[i + j] - T[i] @ T[j]).toarray()
-            worst = max(worst, bound(D[:m, m:]))
-            law = max(law, bound(D))
-    vnorm = max(bound(sem.eval(k * step)[:m, m:]) for k in range(1, 2 * m))
+            worst = _worst(worst, bound(D[:m, m:]))
+            law = _worst(law, bound(D))
+    vnorm = _worst(*(bound(sem.eval(k * step)[:m, m:]) for k in range(1, 2 * m)))
     return _suite_result(
         {
             "reflection_identity_residual": _check(worst, 1e-12),
-            "reflection_norm_excess": _check(max(0.0, vnorm - 1.0), 1e-12),
+            "reflection_norm_excess": _check(_worst(0.0, vnorm - 1.0), 1e-12),
             "semigroup_law_residual": _check(law, 1e-12),
         }
     )
@@ -479,18 +515,18 @@ def _bhat_suite(sem, T, P):
     interp = 0.0
     for n in (1, 2, 3):
         exact = np.kron(np.eye(m), np.linalg.matrix_power(T, n))
-        interp = max(interp, opcore.operator_norm(sem.eval(float(n)) - exact))
+        interp = _worst(interp, opcore.operator_norm(sem.eval(float(n)) - exact))
     S, Sinv = opcore.weight_factors(P)
     tnorm = opcore.operator_norm(T)
     excess = -math.inf
     for t in np.arange(0.1, 0.95, 0.1):
         wn = opcore.operator_norm(S @ sem.eval(float(t)) @ Sinv)
-        excess = max(excess, wn - math.sqrt(1.0 / (1.0 - t) + t * tnorm * tnorm))
+        excess = _worst(excess, wn - math.sqrt(1.0 / (1.0 - t) + t * tnorm * tnorm))
     slack = 16.0 * max(1.0, tnorm * tnorm) / m
     return _suite_result(
         {
             "integer_interpolation": _check(interp, 1e-12),
-            "envelope_excess": _check(max(0.0, excess), slack),
+            "envelope_excess": _check(_worst(0.0, excess), slack),
         }
     )
 
@@ -508,8 +544,8 @@ def _riemann_suite(sem, space):
 
 
 def _lemerdy_suite(sem):
-    law = max(
-        opcore.semigroup_law_residual(sem, s, t) for s, t in ((0.3, 0.7), (1.0, 2.0))
+    law = _worst(
+        *(opcore.semigroup_law_residual(sem, s, t) for s, t in ((0.3, 0.7), (1.0, 2.0)))
     )
     ident = opcore.operator_norm(sem.eval(0.0) - np.eye(sem.dim))
     return _suite_result(
@@ -618,7 +654,14 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process.
+
+    ``parse_intermixed_args`` edits it while it parses and restores it
+    after, also on a usage error, so consecutive calls see the same
+    parser; concurrent calls from several threads would need a lock.
+    """
     parser = argparse.ArgumentParser(
         prog="simgroup",
         description="similarity-to-contraction certificates, gallery checks, and observability reports",
@@ -627,7 +670,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="flat key=value configuration file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("overrides", nargs="*", help="key=value overrides")
-    args = parser.parse_intermixed_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_intermixed_args(argv)
 
     try:
         cfg = parse_config(args.config)

@@ -137,12 +137,19 @@ def left_shift(space):
     return sampled_semigroup(space.m, ev, f"left shift on [0,{space.nu}]", step=space.step)
 
 
-def _grid_shift(space, k):
-    """Weighted shift by ``k`` cells, a fresh float64 array: ``R(k step)``, or ``L(-k step)`` for ``k < 0``."""
+def _grid_shift(space, k, out=None):
+    """Weighted shift by ``k`` cells: ``R(k step)``, or ``L(-k step)`` for ``k < 0``.
+
+    Written into the zeroed ``m x m`` view ``out``, or into a fresh
+    float64 array by default; returns it.
+    """
     m = space.m
-    if abs(k) >= m:
-        return np.zeros((m, m))
-    return math.exp(-space.lam * k * space.step) * np.eye(m, k=-k)
+    if out is None:
+        out = np.zeros((m, m))
+    if abs(k) < m:
+        i = np.arange(max(k, 0), m + min(k, 0))
+        out[i, i - k] = math.exp(-space.lam * k * space.step)
+    return out
 
 
 def evolution_semigroup(inner, space):
@@ -231,16 +238,18 @@ class DyadicSequence:
         return tuple(space.steps_of(v, "sequence value") for v in self.values)
 
 
-def _reflection_matrix(cells, k, m):
+def _reflection_matrix(cells, k, m, out=None):
     """0/1 reflection matrix of ``V_a(k*step)`` on an ``m``-cell grid.
 
     For each window value with ``A_n >= k`` the cells of
     ``(a_n - t, a_n]`` are reflected onto themselves; the largest value
     below ``t`` contributes the truncated reflection on
     ``[0, 2 a_n0 - t]``.  Intervals are pairwise disjoint, so the matrix
-    is a partial permutation of norm at most one.
+    is a partial permutation of norm at most one.  It is written into the
+    zeroed ``m x m`` view ``out``, or into a fresh float64 array by
+    default, and returned.
     """
-    V = np.zeros((m, m))
+    V = np.zeros((m, m)) if out is None else out
     if k == 0:
         return V
     below = [A for A in cells if A < k]
@@ -285,11 +294,14 @@ def packel_semigroup(a, space):
     """
     cells = a.cell_indices(space)
     m = space.m
-    L = left_shift(space)
-    R = right_shift(space)
 
     def ev(t):
-        return _coupling(L.eval(t), _reflection_matrix(cells, space.snap(t)[0], m), R.eval(t))
+        k = space.snap(t)[0]
+        out, top, corner, bottom = _coupling(m)
+        _grid_shift(space, -k, top)
+        _reflection_matrix(cells, k, m, corner)
+        _grid_shift(space, k, bottom)
+        return out
 
     return sampled_semigroup(2 * m, ev, f"packel semigroup ({a.kind})", step=space.step)
 
@@ -373,22 +385,34 @@ def periodic_shift(m):
     return sampled_semigroup(m, ev, "periodic shift", step=1.0 / m)
 
 
-def _cyclic_shift(m, k, rows=None):
-    """0/1 matrix of the cyclic shift by ``0 <= k < m`` cells, kept on its first ``rows`` rows (all by default)."""
-    P = np.zeros((m, m))
+def _cyclic_shift(m, k, rows=None, out=None):
+    """0/1 matrix of the cyclic shift by ``0 <= k < m`` cells, kept on its first ``rows`` rows (all by default).
+
+    Written into the zeroed ``m x m`` view ``out``, or into a fresh
+    float64 array by default; returns it.
+    """
+    if out is None:
+        out = np.zeros((m, m))
     i = np.arange(m if rows is None else rows)
-    P[i, (i - k) % m] = 1.0
-    return P
-
-
-def _coupling(top, corner, bottom):
-    """The block upper-triangular ``[[top, corner], [0, bottom]]`` of three ``m x m`` blocks, float64."""
-    m = top.shape[0]
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, :m] = top
-    out[:m, m:] = corner
-    out[m:, m:] = bottom
+    out[i, (i - k) % m] = 1.0
     return out
+
+
+def _wrap_fill(m, k, out=None):
+    """The fill block ``V(k / m)`` for ``k >= 0``, written as :func:`_cyclic_shift` writes."""
+    if k >= m:
+        return _cyclic_shift(m, (k - m) % m, out=out)
+    return _cyclic_shift(m, k, rows=k, out=out)
+
+
+def _coupling(m):
+    """A zeroed ``2m x 2m`` float64 array and views of its three upper blocks.
+
+    Returns ``(out, top, corner, bottom)``; once the block writers fill
+    the views, ``out`` is ``[[top, corner], [0, bottom]]``.
+    """
+    out = np.zeros((2 * m, 2 * m))
+    return out, out[:m, :m], out[:m, m:], out[m:, m:]
 
 
 def wrap_fill(m):
@@ -400,10 +424,7 @@ def wrap_fill(m):
     """
 
     def ev(t):
-        k = int(round(t * m))
-        if k >= m:
-            return _cyclic_shift(m, (k - m) % m)
-        return _cyclic_shift(m, k, rows=k)
+        return _wrap_fill(m, int(round(t * m)))
 
     return sampled_semigroup(m, ev, "wrap fill", step=1.0 / m)
 
@@ -411,20 +432,23 @@ def wrap_fill(m):
 def w_semigroup(m, inner=None):
     """Coupling ``W(t) = [[R_p(t), V(t)], [0, R(t)]]`` on two unit legs.
 
-    Each evaluation is a fresh real (float64) 0/1 array composed from the
-    three block samplers, so callers may edit it in place.  With an
-    ``inner`` semigroup the blocks are tensored against it at the doubled
-    rate, ``S(t) = W(t/2) (x) S0(t)``, as needed to hand a tail
-    factorization across the coupling; the result then takes the inner
-    semigroup's dtype.
+    Each evaluation is a fresh real (float64) 0/1 array into which the
+    block writers of :func:`periodic_shift`, :func:`wrap_fill` and
+    :func:`right_shift` write their blocks in place, so callers may edit
+    it in place.  With an ``inner`` semigroup the blocks are tensored
+    against it at the doubled rate, ``S(t) = W(t/2) (x) S0(t)``, as needed
+    to hand a tail factorization across the coupling; the result then
+    takes the inner semigroup's dtype.
     """
     space = GridSpace(nu=1.0, m=m)
-    Rp = periodic_shift(m)
-    V = wrap_fill(m)
-    R = right_shift(space)
 
     def w_eval(t):
-        return _coupling(Rp.eval(t), V.eval(t), R.eval(t))
+        k = int(round(t * m))
+        out, top, corner, bottom = _coupling(m)
+        _cyclic_shift(m, k % m, out=top)
+        _wrap_fill(m, k, corner)
+        _grid_shift(space, k, bottom)
+        return out
 
     if inner is None:
         return sampled_semigroup(2 * m, w_eval, "wrap coupling W", step=1.0 / m)
@@ -446,8 +470,7 @@ def wrap_coupling_weight(m):
     ``norm(f + g)^2 + norm(g)^2``.  Over an inner semigroup of dimension
     ``d`` the weight is ``kron(wrap_coupling_weight(m), I_d)``.
     """
-    I = np.eye(m)
-    lam = _coupling(I, I, I)
+    lam = np.eye(2 * m) + np.eye(2 * m, k=m)
     return lam.conj().T @ lam
 
 

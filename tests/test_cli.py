@@ -139,11 +139,14 @@ class TestGalleryCommand:
         assert entry["snap_distance"] > 0
 
 
-def _corrupted(sem, edit, k=None):
-    """``sem`` with ``edit`` applied in place to every value, or only to the one at time ``k * sem.step``."""
+def _corrupted(sem, edit, k=None, dtype=complex):
+    """``sem`` with ``edit`` applied in place to every value, or only to the one at time ``k * sem.step``.
+
+    Each value is first cast to ``dtype``.
+    """
 
     def ev(t):
-        X = sem.eval(t).astype(complex)
+        X = sem.eval(t).astype(dtype)
         if k is None or round(t / sem.step) == k:
             edit(X)
         return X
@@ -213,6 +216,54 @@ class TestGallerySuitesCanFail:
         assert values["fill_identity_residual"] == 0.0
         assert values["coupling_contraction_excess"] > 1e-3
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_w_suite_with_one_nan_entry_fails(self, dtype):
+        # Python's max(acc, nan) keeps acc, yet the NaN must reach the check
+        m = 16
+        sem = _corrupted(gallery.w_semigroup(m), _set_nan((0, 0)), k=5, dtype=dtype)
+        suite = cli._w_suite(sem)
+        excess = suite["checks"]["coupling_contraction_excess"]
+        assert math.isnan(excess["value"]) and not excess["pass"]
+        assert not suite["passed"]
+
+    def test_w_suite_all_nan_fails_every_check(self):
+        # NaN everywhere must not leave the contraction at its start value, -inf
+        m = 16
+        suite = cli._w_suite(_corrupted(gallery.w_semigroup(m), _set_nan(...), dtype=float))
+        for name, check in suite["checks"].items():
+            assert math.isnan(check["value"]) and not check["pass"], name
+        assert not suite["passed"]
+
+    def test_packel_suite_with_a_nan_entry_fails(self):
+        a = gallery.DyadicSequence.powers_of_two("Zplus", 2)
+        m = 32
+        sem = gallery.packel_semigroup(a, gallery.GridSpace(max(a.values), m))
+        suite = cli._packel_suite(_corrupted(sem, _set_nan((0, 0)), dtype=float), a)
+        law = suite["checks"]["semigroup_law_residual"]
+        assert math.isnan(law["value"]) and not law["pass"]
+        assert not suite["passed"]
+
+    def test_worst_keeps_a_nan_in_any_place(self):
+        assert cli._worst(1.0, 2.0) == 2.0
+        assert cli._worst(-math.inf) == -math.inf
+        for values in ((math.nan, 1.0), (1.0, math.nan), (-math.inf, math.nan, 3.0)):
+            assert math.isnan(cli._worst(*values))
+
+    @pytest.mark.parametrize("m,expected", [(64, 201), (128, 393)])
+    def test_w_suite_evaluates_each_grid_time_once(self, m, expected):
+        sem = gallery.w_semigroup(m)
+        seen = []
+        sampler = sem.eval
+
+        def spy(t):
+            seen.append(t)
+            return sampler(t)
+
+        sem.eval = spy
+        assert cli._w_suite(sem)["passed"]
+        assert len(seen) == len(set(seen)) == expected
+        assert seen == sorted(seen)
+
     @pytest.mark.parametrize("index_set", ["Zplus", "Zminus"])
     def test_packel_suite_with_a_dense_reflection_matches_dense_products(self, index_set):
         a = gallery.DyadicSequence.powers_of_two(index_set, 2)
@@ -226,6 +277,34 @@ class TestGallerySuitesCanFail:
         values = {k: c["value"] for k, c in cli._packel_suite(sem, a)["checks"].items()}
         assert values == _dense_packel_values(sem, a)
         assert values["reflection_identity_residual"] > 1e-3
+
+
+def _set_nan(entry):
+    """Edit setting ``X[entry]`` to NaN."""
+
+    def set_nan(X):
+        X[entry] = math.nan
+
+    return set_nan
+
+
+class TestCsr:
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 7), (1, 1), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_same_arrays_as_csr_array(self, shape, dtype):
+        from scipy.sparse import csr_array
+
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal(shape)
+        X[rng.random(shape) < 0.6] = 0.0
+        if X.size:
+            X.flat[0], X.flat[-1] = -0.0, math.nan
+        X = X.astype(dtype)
+        got, want = cli._csr(X), csr_array(X)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def _move_first_entry(m):
@@ -454,6 +533,23 @@ class TestMalformedInput:
         assert main(["constant", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "bad.cfg:2: expected 'key = value'" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.cfg"]
+
+    def test_parser_serves_consecutive_calls(self, tmp_path, capsys):
+        # the parser is built once per process; a parse, good or bad, must not change it
+        def usage_error():
+            with pytest.raises(SystemExit) as exc:
+                main(["nonsense", "--config", os.path.join(DEMO, "gallery_w.cfg")])
+            return exc.value.code, capsys.readouterr().err
+
+        first = usage_error()
+        assert first[0] == 2 and "invalid choice: 'nonsense'" in first[1]
+        for _ in range(2):
+            assert run("gallery", "gallery_w.cfg", tmp_path / "w", "m=8") == 0
+            assert run("constant", "constant_discrete.cfg", tmp_path / "c", "mode=nonsense") == 2
+            assert "unknown mode 'nonsense'" in capsys.readouterr().err
+            assert run("gallery", "gallery_w.cfg", tmp_path / "p", "m=8", "kind=packel") == 0
+            assert capsys.readouterr().err == ""
+            assert usage_error() == first
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "nope.cfg"

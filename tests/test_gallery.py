@@ -243,6 +243,30 @@ class TestWrapCoupling:
                 assert X.dtype == np.float64 and not np.shares_memory(X, Y), (name, k)
                 assert X.shape == expected[name].shape and (X == expected[name]).all(), (name, k)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
+    def test_w_samples_are_the_blocks_of_the_three_samplers(self, m):
+        W = w_semigroup(m)
+        Rp, V, R = periodic_shift(m), wrap_fill(m), right_shift(GridSpace(1.0, m))
+        for k in range(4 * m + 1):
+            t = k / m
+            expected = np.block([[Rp.eval(t), V.eval(t)], [np.zeros((m, m)), R.eval(t)]])
+            _assert_fresh_and_bitwise(W, t, expected)
+
+    @pytest.mark.parametrize(
+        "kind,window,nu,m",
+        [("Zplus", 0, 1.0, m) for m in (1, 2, 3, 5, 16)]
+        + [("Zplus", 2, 4.0, 16), ("Z", 1, 2.0, 16), ("Zminus", 2, 1.0, 16)],
+    )
+    def test_packel_samples_are_the_blocks_of_the_three_samplers(self, kind, window, nu, m):
+        a = DyadicSequence.powers_of_two(kind, window)
+        space = GridSpace(nu, m)
+        sem = packel_semigroup(a, space)
+        L, Va, R = left_shift(space), packel_reflection(a, space), right_shift(space)
+        for k in range(4 * m + 1):
+            t = k * space.step
+            expected = np.block([[L.eval(t), Va.eval(t)], [np.zeros((m, m)), R.eval(t)]])
+            _assert_fresh_and_bitwise(sem, t, expected)
+
     def test_values_share_no_memory(self):
         # cli._w_suite edits each value in place
         W = w_semigroup(8)
@@ -254,6 +278,15 @@ class TestWrapCoupling:
         Wt = w_semigroup(m, inner=inner)
         assert Wt.dim == 2 * m
         assert semigroup_law_residual(Wt, 4 * Wt.step, 3 * Wt.step) <= 1e-10
+
+
+def _assert_fresh_and_bitwise(sem, t, expected):
+    """``sem.eval(t)`` is ``expected`` bit for bit, float64, and a fresh array at every call."""
+    X = sem.eval(t)
+    assert X.dtype == np.float64 and X.shape == expected.shape, t
+    assert X.tobytes() == expected.tobytes(), t
+    X[...] = -1.0  # an edit of one value must leave the next one unchanged
+    assert sem.eval(t).tobytes() == expected.tobytes(), t
 
 
 def _unit_entries(m, rows, cols):
